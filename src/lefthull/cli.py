@@ -27,6 +27,7 @@ EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 
 DEFAULTS = {"depth": 2, "length": 2, "window": 20, "seed": 7}
+LEAST = {"depth": 0, "length": 0, "window": 1}
 
 
 def _emit(pairs, fmt, out):
@@ -61,7 +62,7 @@ def _verdicts(sg, depth, length, seed, generators):
                       "%s = %s" % (" | ".join(cal.render(p) for p in parts),
                                    cal.render(target))))
     rep = estar_unitary_report(sg, sample=100, length=min(length, 2),
-                               seed=seed)
+                               seed=seed, generators=generators)
     pairs.append(("estar.mode", rep.mode))
     pairs.append(("ordered", _yesno(sg.units_trivial)))
     return pairs, fam
@@ -112,7 +113,7 @@ def cmd_hull(sg, args, generators, out):
     for i, f in enumerate(hull):
         pairs.append(("element.%d" % i, render_element(sg, f)))
     rep = estar_unitary_report(sg, sample=100, length=min(args.length, 2),
-                               seed=args.seed)
+                               seed=args.seed, generators=generators)
     pairs.append(("estar.mode", rep.mode))
     pairs.append(("zero.present", _yesno(rep.zero_present)))
     _emit(pairs, args.format, out)
@@ -168,7 +169,7 @@ def cmd_matrix(sg, args, generators, out):
         pairs.append(("written", p))
     for kind in ("covariance", "semilattice", "isometry", "cs-grade-one",
                  "intertwiner"):
-        rep = verify_relation(sg, kind, W, hull_win=HW, depth=args.depth,
+        rep = verify_relation(sg, kind, W, depth=args.depth,
                               length=args.length, generators=generators)
         pairs.append(("relation.%s" % kind,
                       "ok instances=%d columns=%d"
@@ -237,6 +238,11 @@ def main(argv=None):
     for name, fallback in DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, cfg.bounds.get(name, fallback))
+    for name, least in LEAST.items():
+        if getattr(args, name) < least:
+            print("bound error: %s is %d, must be >= %d"
+                  % (name, getattr(args, name), least), file=sys.stderr)
+            return EXIT_PARSE
     try:
         return COMMANDS[args.command](sg, args, generators, sys.stdout)
     except UnsupportedOperation as err:

@@ -8,7 +8,8 @@ like `depth:3 length:2 window:24 seed:11`.
 from dataclasses import dataclass, field
 
 from .semigroups import (AxPlusB, FiniteTable, FreeMonoid,
-                         NumericalSemigroup, PositiveCone, cyclic_table)
+                         NumericalSemigroup, PositiveCone, UsageError,
+                         cyclic_table)
 
 
 class ConfigError(Exception):
@@ -96,7 +97,16 @@ def _int_params(cfg, count=None):
 
 
 def build_backend(cfg):
-    """The semigroup a configuration names."""
+    """The semigroup a configuration names; parameters its constructor
+    rejects are a config error on the params key."""
+    try:
+        return _construct(cfg)
+    except (UsageError, ValueError) as err:
+        raise ConfigError("kind %r rejects params %r: %s" % (
+            cfg.kind, " ".join(cfg.params), err), key="params")
+
+
+def _construct(cfg):
     if cfg.kind == "free":
         return FreeMonoid(_int_params(cfg, 1)[0])
     if cfg.kind == "cone":

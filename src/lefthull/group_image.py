@@ -372,8 +372,7 @@ def folner_mean(sg, X, N):
 
 
 def folner_constant(sg, X):
-    """c with folner_mean(X, N) >= 1 - c/N; for the interval backends the
-    bound is valid once N is at least twice the conductor."""
+    """c with folner_mean(X, N) >= 1 - c/N for every N >= folner_least_n(sg)."""
     if X is EMPTY:
         raise UsageError("the empty set has no density constant")
     if isinstance(sg, PositiveCone):
@@ -382,4 +381,14 @@ def folner_constant(sg, X):
         n, mask = X
         missing = len(sg.members_below(n)) - len(mask)
         return 2 * sg.gcd * missing
+    raise UnsupportedOperation("no Folner boxes for %s" % sg.describe())
+
+
+def folner_least_n(sg):
+    """The least N from which the bound of folner_constant holds: 1 for the
+    cone, twice the conductor for a numerical semigroup."""
+    if isinstance(sg, PositiveCone):
+        return 1
+    if isinstance(sg, NumericalSemigroup):
+        return max(1, 2 * sg.conductor)
     raise UnsupportedOperation("no Folner boxes for %s" % sg.describe())

@@ -275,27 +275,17 @@ def clifford_normal_form(sg, f, window_size=30):
     return (p, q)
 
 
-def fell_grade_decompose(sg, terms):
-    """Partition a formal sum of (coefficient, element) terms by grade."""
-    out = {}
-    for coeff, f in terms:
-        if f is ZERO:
-            raise UsageError("ZERO terms carry no grade")
-        out.setdefault(f.grade, []).append((coeff, f))
-    return out
-
-
 @dataclass(frozen=True)
 class EStarReport:
     mode: str             # "E-unitary" or "strongly E*-unitary"
     zero_present: bool
     samples: int
     premise_hits: int
-    counterexamples: int
     proof: str
 
 
-def estar_unitary_report(sg, sample=200, length=2, seed=7, window_size=20):
+def estar_unitary_report(sg, sample=200, length=2, seed=7, window_size=20,
+                         generators=None):
     """Idempotent purity of the grading, plus a sampled check that
     compose(f, e) = e forces f idempotent; counterexamples are hard
     failures since they would contradict the grading.
@@ -303,7 +293,7 @@ def estar_unitary_report(sg, sample=200, length=2, seed=7, window_size=20):
     from .group_image import is_left_reversible
 
     rng = random.Random(seed)
-    elements = [f for f in enumerate_hull(sg, length)]
+    elements = list(enumerate_hull(sg, length, generators))
     zero_present = ZERO in elements
     reversible = is_left_reversible(sg).holds
     if zero_present and reversible:
@@ -335,5 +325,5 @@ def estar_unitary_report(sg, sample=200, length=2, seed=7, window_size=20):
     mode = "E-unitary" if reversible else "strongly E*-unitary"
     G = sg.grading_group()
     return EStarReport(mode=mode, zero_present=zero_present, samples=sample,
-                       premise_hits=hits, counterexamples=0,
+                       premise_hits=hits,
                        proof="idempotent-pure grading into %s" % G.describe())

@@ -492,11 +492,6 @@ def membership(sg, x, X):
     return calculus(sg).is_member(x, X)
 
 
-def ideal_sort(sg, ideals):
-    cal = calculus(sg)
-    return tuple(sorted(set(ideals), key=cal.key))
-
-
 def render_ideal(sg, X):
     return calculus(sg).render(X)
 

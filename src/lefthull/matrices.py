@@ -1,46 +1,40 @@
-"""Exact sparse matrices over the integers and rationals.
+"""0/1 partial permutation matrices.
 
-Dictionary-backed and deliberately small.  Every compressed operator in
-this package is a 0/1 partial permutation, so sparse exact arithmetic is
-the natural shape and floating point never enters.
+Every compressed operator in this package sends each basis vector of its
+window to one basis vector or to zero, and no two basis vectors to the
+same one: the compression of a partial isometry, which is a 0/1 partial
+permutation matrix.  Such a matrix is held as its map from columns to
+rows.  A product is the composition of the maps, the transpose is the
+inverse map and the diagonal keeps the fixed points, so the arithmetic
+is exact by construction.
 """
 
-from .semigroups import UsageError
+from .semigroups import InvariantViolation, UsageError
 
 
 class Matrix:
-    """Immutable-by-convention sparse matrix; zero entries are absent."""
+    """A rows x cols 0/1 partial permutation; ``entries`` maps each nonzero
+    column to the row of its single 1."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries=None):
         if rows < 0 or cols < 0:
             raise UsageError("matrix shape must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        clean = {}
-        for (i, j), v in (entries or {}).items():
+        entries = dict(entries or {})
+        for j, i in entries.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise UsageError("entry (%d, %d) is outside a %dx%d matrix"
                                  % (i, j, rows, cols))
-            if v:
-                clean[(i, j)] = v
-        self.entries = clean
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols)
+        if len(set(entries.values())) != len(entries):
+            raise InvariantViolation("partial permutation is not injective")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    def get(self, i, j):
-        return self.entries.get((i, j), 0)
-
-    @property
-    def nnz(self):
-        return len(self.entries)
+        return cls(n, n, {i: i for i in range(n)})
 
     def is_zero(self):
         return not self.entries
@@ -51,29 +45,9 @@ class Matrix:
         return (self.rows, self.cols) == (other.rows, other.cols) \
             and self.entries == other.entries
 
-    __hash__ = None
-
     def __repr__(self):
-        return "Matrix(%dx%d, nnz=%d)" % (self.rows, self.cols, self.nnz)
-
-    def _same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise UsageError("shape mismatch: %dx%d vs %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-
-    def __add__(self, other):
-        self._same_shape(other)
-        out = dict(self.entries)
-        for key, v in other.entries.items():
-            out[key] = out.get(key, 0) + v
-        return Matrix(self.rows, self.cols, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return Matrix(self.rows, self.cols,
-                      {key: c * v for key, v in self.entries.items()})
+        return "Matrix(%dx%d, nnz=%d)" % (self.rows, self.cols,
+                                          len(self.entries))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
@@ -81,40 +55,30 @@ class Matrix:
         if self.cols != other.rows:
             raise UsageError("cannot multiply %dx%d by %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        by_row = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        out = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                out[(i, j)] = out.get((i, j), 0) + a * b
-        return Matrix(self.rows, other.cols, out)
+        mine = self.entries
+        return Matrix(self.rows, other.cols,
+                      {j: mine[k] for j, k in other.entries.items()
+                       if k in mine})
 
     def transpose(self):
         return Matrix(self.cols, self.rows,
-                      {(j, i): v for (i, j), v in self.entries.items()})
+                      {i: j for j, i in self.entries.items()})
 
     def diagonal(self):
         return Matrix(self.rows, self.cols,
-                      {(i, j): v for (i, j), v in self.entries.items()
-                       if i == j})
+                      {j: i for j, i in self.entries.items() if i == j})
 
-    def column(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
-    def columns_agree(self, other, cols, rows=None):
-        """Entrywise equality restricted to the given columns (and rows)."""
-        self._same_shape(other)
-        cols = set(cols)
-        for j in cols:
-            for i in (rows if rows is not None else range(self.rows)):
-                if self.get(i, j) != other.get(i, j):
-                    return False
-        return True
+    def columns_agree(self, other, cols):
+        """Equality restricted to the given columns."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise UsageError("shape mismatch: %dx%d vs %dx%d"
+                             % (self.rows, self.cols, other.rows, other.cols))
+        mine, theirs = self.entries, other.entries
+        return all(mine.get(j) == theirs.get(j) for j in cols)
 
     def export_coordinate(self):
-        """Plain text: 'rows cols nnz' then 'row col value' sorted row-major."""
-        lines = ["%d %d %d" % (self.rows, self.cols, self.nnz)]
-        for (i, j) in sorted(self.entries):
-            lines.append("%d %d %s" % (i, j, self.entries[(i, j)]))
+        """Plain text: 'rows cols nnz' then 'row col 1' sorted row-major."""
+        lines = ["%d %d %d" % (self.rows, self.cols, len(self.entries))]
+        for i, j in sorted((i, j) for j, i in self.entries.items()):
+            lines.append("%d %d 1" % (i, j))
         return "\n".join(lines) + "\n"

@@ -1,17 +1,20 @@
 """Finite window compressions of the regular representations.
 
-Everything here is an exact 0/1 matrix cut down to a finite basis window.
+Every operator here is a 0/1 partial permutation of a finite basis window
+(see matrices.py): a basis vector goes to one basis vector or to zero.
 Truncation can only lose information at the boundary, so every relation
 is asserted on a safe core: the columns whose full trajectory through
 both sides of the relation provably stays inside the window.  A relation
 failing on its safe core is a genuine counterexample, never an artifact.
+The intertwiner suite builds T* L(f) T directly on the semigroup window,
+from the columns of L(f) at the basis vectors lambda(s) that T hits.
 """
 
 from dataclasses import dataclass
 
-from .hull import (ZERO, apply_element, compose, enumerate_hull,
-                   evaluate_word, hull_sort_key, is_idempotent, lambda_,
-                   render_element, star)
+from .hull import (ZERO, compose, enumerate_hull, evaluate_word,
+                   hull_sort_key, is_idempotent, lambda_, render_element,
+                   star)
 from .ideals import EMPTY, calculus, constructible_closure
 from .matrices import Matrix
 from .semigroups import InvariantViolation, UsageError
@@ -82,7 +85,7 @@ def isometry_matrix(sg, s, W):
     for j, t in enumerate(W.elements):
         st = sg.multiply(s, t)
         if st in W.index:
-            entries[(W.index[st], j)] = 1
+            entries[j] = W.index[st]
             safe.add(j)
     n = len(W)
     return TruncatedOperator(Matrix(n, n, entries), W, W, frozenset(safe))
@@ -90,7 +93,7 @@ def isometry_matrix(sg, s, W):
 
 def char_projection(sg, X, W):
     cal = calculus(sg)
-    entries = {(j, j): 1 for j, t in enumerate(W.elements)
+    entries = {j: j for j, t in enumerate(W.elements)
                if cal.is_member(t, X)}
     n = len(W)
     return TruncatedOperator(Matrix(n, n, entries), W, W,
@@ -101,7 +104,7 @@ def hull_matrix(sg, f, W):
     """The pointwise action of a hull element on the semigroup window."""
     n = len(W)
     if f is ZERO:
-        return TruncatedOperator(Matrix.zeros(n, n), W, W,
+        return TruncatedOperator(Matrix(n, n), W, W,
                                  frozenset(range(n)))
     cal = calculus(sg)
     entries, safe = {}, set()
@@ -109,26 +112,35 @@ def hull_matrix(sg, f, W):
         if cal.is_member(t, f.dom):
             ft = sg.act(f.grade, t)
             if ft in W.index:
-                entries[(W.index[ft], j)] = 1
+                entries[j] = W.index[ft]
                 safe.add(j)
         else:
             safe.add(j)  # genuinely annihilated, no truncation involved
     return TruncatedOperator(Matrix(n, n, entries), W, W, frozenset(safe))
 
 
-def regular_rep_matrix(sg, f, HW):
-    """Left regular representation on the hull window: q goes to f q
-    exactly when star(f) f q = q, and to zero otherwise."""
-    n = len(HW)
-    entries, safe = {}, set()
+def _regular_rule(sg, f):
+    """The column rule of the left regular representation L(f): the hull
+    basis vector at q goes to f q when star(f) f q = q, and to zero (None)
+    otherwise."""
     ff = ZERO if f is ZERO else compose(sg, star(sg, f), f)
+
+    def image(q):
+        return compose(sg, f, q) if compose(sg, ff, q) == q else None
+    return image
+
+
+def regular_rep_matrix(sg, f, HW):
+    """L(f) on the hull window; a column whose image f q falls outside the
+    window is left out of the safe core."""
+    n = len(HW)
+    image = _regular_rule(sg, f)
+    entries, safe = {}, set()
     for j, q in enumerate(HW.elements):
-        fq = compose(sg, f, q)
-        if compose(sg, ff, q) == q:
-            if fq in HW.index:
-                entries[(HW.index[fq], j)] = 1
-                safe.add(j)
-        else:
+        fq = image(q)
+        if fq in HW.index:
+            entries[j] = HW.index[fq]
+        if fq is None or fq in HW.index:
             safe.add(j)
     return TruncatedOperator(Matrix(n, n, entries), HW, HW, frozenset(safe))
 
@@ -141,7 +153,7 @@ def intertwiner_matrix(sg, W, HW):
         ls = lambda_(sg, s)
         if ls not in HW.index:
             raise UsageError("hull window misses lambda of %s" % sg.render(s))
-        entries[(HW.index[ls], j)] = 1
+        entries[j] = HW.index[ls]
     return TruncatedOperator(Matrix(len(HW), len(W), entries), HW, W,
                              frozenset(range(len(W))))
 
@@ -206,8 +218,7 @@ def _mismatch(kind, instance, detail=""):
                              % (kind, instance, detail))
 
 
-def verify_relation(sg, kind, W, hull_win=None, depth=2, length=2,
-                    generators=None):
+def verify_relation(sg, kind, W, depth=2, length=2, generators=None):
     """Exact verification of one relation suite on its safe cores.
 
     kind: covariance | semilattice | isometry | cs-grade-one | intertwiner.
@@ -256,7 +267,7 @@ def verify_relation(sg, kind, W, hull_win=None, depth=2, length=2,
             V = isometry_matrix(sg, s, W)
             prod = V.matrix.transpose() * V.matrix
             eye = Matrix.identity(len(W))
-            if not prod.columns_agree(eye, V.safe, rows=V.safe):
+            if not prod.columns_agree(eye, V.safe):
                 _mismatch(kind, "isometry s=%s" % sg.render(s))
             instances.append("isometry s=%s" % sg.render(s))
             checked += len(V.safe)
@@ -294,13 +305,15 @@ def verify_relation(sg, kind, W, hull_win=None, depth=2, length=2,
             checked += len(safe)
 
     elif kind == "intertwiner":
-        # T* L(f) T = w(f) for every enumerated hull element
-        if hull_win is None:
-            hull_win = hull_window(sg, length, generators, include=W)
-        T = intertwiner_matrix(sg, W, hull_win)
+        # T* L(f) T = w(f) for every enumerated hull element.  T e_s is the
+        # hull basis vector at lambda(s), so column s of T* L(f) T is e_s'
+        # when L(f) sends lambda(s) to lambda(s') with s' in W, else zero.
+        at = {lambda_(sg, s): j for j, s in enumerate(W.elements)}
+        n = len(W)
         for f in enumerate_hull(sg, length, generators):
-            lhs = T.matrix.transpose() \
-                * regular_rep_matrix(sg, f, hull_win).matrix * T.matrix
+            image = _regular_rule(sg, f)
+            lhs = Matrix(n, n, {j: at[fq] for ls, j in at.items()
+                                if (fq := image(ls)) in at})
             rep = hull_matrix(sg, f, W)
             name = "intertwiner f=%s" % render_element(sg, f)
             if not lhs.columns_agree(rep.matrix, rep.safe):

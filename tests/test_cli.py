@@ -61,6 +61,35 @@ def test_bad_bounds_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", [
+    "kind = table\nparams = cyclic x\n",
+    "kind = numerical\nparams = 1 2\n",
+    "kind = cone\nparams = 0\n",
+], ids=["table-cyclic-x", "numerical-1-2", "cone-0"])
+def test_rejected_params_exit_2(capsys, tmp_path, text):
+    code, out, err = run(["check", write(tmp_path, text)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "params" in err
+
+
+@pytest.mark.parametrize("flags, bounds, key", [
+    (["--window", "0"], "", "window"),
+    (["--window", "-2"], "", "window"),
+    (["--depth", "-1"], "", "depth"),
+    (["--length", "-1"], "", "length"),
+    ([], "bounds = window:0\n", "window"),
+    ([], "bounds = depth:-1\n", "depth"),
+    ([], "bounds = length:-1\n", "length"),
+], ids=["flag-window-0", "flag-window-neg", "flag-depth-neg",
+        "flag-length-neg", "config-window-0", "config-depth-neg",
+        "config-length-neg"])
+def test_out_of_range_bounds_exit_2(capsys, tmp_path, flags, bounds, key):
+    path = write(tmp_path, "kind = cone\nparams = 1\n" + bounds)
+    code, out, err = run(["check", path] + flags, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and key in err
+
+
 # unsupported requests: exit 3 with an explanation
 
 
@@ -110,6 +139,17 @@ def test_ideals_lists_family(capsys):
     assert "count: 4" in out
     assert "ideal.0: S" in out
     assert "ideal.3: (3)+S" in out
+
+
+def test_hull_zero_follows_generators(capsys, tmp_path):
+    path = write(tmp_path, "kind = free\nparams = 2\ngenerators = a\n")
+    code, out, err = run(["hull", path], capsys)
+    assert code == 0
+    assert "count: 6" in out and "element.0: 1 | S" in out
+    assert not any(line.endswith(": 0") for line in out.splitlines())
+    assert "zero.present: no" in out
+    code, out, err = run(["hull", cfg("free2")], capsys)
+    assert "zero.present: yes" in out
 
 
 def test_hull_lists_elements(capsys):

@@ -10,7 +10,8 @@ from lefthull import (AxPlusB, EMPTY, FreeMonoid, Integers, IntegerLattice,
                       constructible_closure, cyclic_table, principal)
 from lefthull.group_image import (ExtendedHomomorphism, Homomorphism,
                                   apply_homomorphism, extend_homomorphism,
-                                  folner_constant, folner_mean, gamma,
+                                  folner_constant, folner_least_n,
+                                  folner_mean, gamma,
                                   group_of_S, is_left_reversible,
                                   left_thick_check, validate_homomorphism)
 
@@ -308,6 +309,7 @@ def test_folner_mean_is_exact_fraction():
 def test_folner_constant_bound():
     cone = PositiveCone(2)
     assert folner_constant(cone, (1, 2)) == 3
+    assert folner_least_n(cone) == 1
     for N in (10, 50, 400):
         assert folner_mean(cone, (1, 2), N) >= 1 - Fraction(3, N)
 
@@ -328,11 +330,31 @@ def test_folner_constant_bound():
             assert folner_mean(even, X, N) >= 1 - Fraction(c, N)
 
 
+@pytest.mark.parametrize("gens", [(10, 11), (4, 5), (3, 5, 7), (5, 7, 9)],
+                         ids=str)
+def test_folner_bound_holds_from_least_n(gens):
+    # the bound of folner_constant holds from twice the conductor on, and
+    # the range is needed: below it the bound fails for some ideal
+    sg = NumericalSemigroup(gens)
+    least = folner_least_n(sg)
+    assert least == 2 * sg.conductor
+    family = [X for X in constructible_closure(sg, 2) if X is not EMPTY]
+
+    def holds(X, N):
+        return folner_mean(sg, X, N) >= 1 - Fraction(folner_constant(sg, X), N)
+
+    for N in range(least, 4 * least + 1, max(1, least // 3)):
+        assert all(holds(X, N) for X in family), N
+    assert any(not holds(X, N) for N in range(1, least) for X in family)
+
+
 def test_folner_unsupported():
     with pytest.raises(UnsupportedOperation):
         folner_mean(FreeMonoid(2), EMPTY, 10)
     with pytest.raises(UnsupportedOperation):
         folner_mean(AxPlusB(), EMPTY, 10)
+    with pytest.raises(UnsupportedOperation):
+        folner_least_n(AxPlusB())
     with pytest.raises(UsageError):
         folner_constant(PositiveCone(2), EMPTY)
     with pytest.raises(UsageError):

@@ -12,9 +12,9 @@ from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
 from lefthull.hull import (ZERO, HullElement, PartialMap, apply_element,
                            check_lift_relation, clifford_normal_form,
                            compose, enumerate_hull, estar_unitary_report,
-                           evaluate_word, fell_grade_decompose, grading,
-                           identity_element, is_idempotent, lambda_,
-                           maps_agree, materialize_element, materialize_word,
+                           evaluate_word, grading, identity_element,
+                           is_idempotent, lambda_, maps_agree,
+                           materialize_element, materialize_word,
                            partial_identity, random_word, recompose, star)
 
 BACKENDS = [
@@ -266,30 +266,16 @@ def test_lift_relation_frozen_and_errors():
         check_lift_relation(cone, f, (0,))  # 0 outside dom
 
 
-def test_fell_grade_decompose():
-    cone = PositiveCone(1)
-    lam1 = lambda_(cone, (1,))
-    lam2 = lambda_(cone, (2,))
-    ident = identity_element(cone)
-    out = fell_grade_decompose(cone, [(1, lam1)])
-    assert set(out) == {(1,)} and out[(1,)] == [(1, lam1)]
-    e2 = compose(cone, lam2, star(cone, lam2))
-    out = fell_grade_decompose(cone, [(1, ident), (2, e2)])
-    assert set(out) == {(0,)} and len(out[(0,)]) == 2
-    drop = compose(cone, lam2, star(cone, lam1))
-    out = fell_grade_decompose(cone, [(1, lam1), (1, drop)])
-    assert set(out) == {(1,)} and len(out[(1,)]) == 2
-    with pytest.raises(UsageError):
-        fell_grade_decompose(cone, [(1, ZERO)])
-
-
 def test_estar_reports():
     r = estar_unitary_report(PositiveCone(1), sample=80)
     assert r.mode == "E-unitary" and not r.zero_present
-    assert r.counterexamples == 0 and r.premise_hits > 0
+    assert r.premise_hits > 0
     r = estar_unitary_report(NumericalSemigroup((2, 3)), sample=80)
     assert r.mode == "E-unitary" and not r.zero_present
     r = estar_unitary_report(FreeMonoid(2), sample=80, length=1)
     assert r.mode == "strongly E*-unitary" and r.zero_present
     r = estar_unitary_report(AxPlusB(), sample=60)
     assert r.mode == "strongly E*-unitary" and r.zero_present
+    # on the letter a alone the free monoid's hull never reaches ZERO
+    r = estar_unitary_report(FreeMonoid(2), sample=40, generators=((0,),))
+    assert r.mode == "strongly E*-unitary" and not r.zero_present

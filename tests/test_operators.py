@@ -1,5 +1,7 @@
 """Window compressions, safe cores, and the relation suites."""
 
+import itertools
+import os
 import random
 
 import pytest
@@ -8,15 +10,19 @@ from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
                       InvariantViolation, NumericalSemigroup, PositiveCone,
                       UsageError, calculus, constructible_closure,
                       cyclic_table)
+from lefthull.cli import DEFAULTS
+from lefthull.config import build_backend, config_generators, load_config
 from lefthull.hull import (ZERO, HullElement, apply_element, compose,
-                           enumerate_hull, identity_element, is_idempotent,
-                           lambda_, star)
+                           enumerate_hull, evaluate_word, identity_element,
+                           is_idempotent, lambda_, star)
 from lefthull.matrices import Matrix
 from lefthull.operators import (RelationReport, TruncatedOperator, Window,
                                 char_projection, conditional_expectation,
                                 expectation_loop, hull_matrix, hull_window,
                                 intertwiner_matrix, isometry_matrix,
                                 regular_rep_matrix, s_window, verify_relation)
+
+from dense_oracle import dense, dense_identity, dense_mul, dense_product
 
 BACKENDS = [
     FreeMonoid(2),
@@ -72,7 +78,7 @@ def test_hull_window_appends_lambdas():
 def test_isometry_shift_frozen():
     W = s_window(LINE, size=5)
     V = isometry_matrix(LINE, (1,), W)
-    assert sorted(V.matrix.entries) == [(1, 0), (2, 1), (3, 2), (4, 3)]
+    assert V.matrix.entries == {0: 1, 1: 2, 2: 3, 3: 4}
     assert V.safe == frozenset({0, 1, 2, 3})
     assert isometry_matrix(LINE, (0,), W).matrix == Matrix.identity(5)
 
@@ -83,22 +89,19 @@ def test_isometry_free_monoid():
     V = isometry_matrix(free, (0,), W)
     for w in free.window(1):
         col = W.position(w)
-        assert V.matrix.column(col) == {W.position((0,) + w): 1}
+        assert V.matrix.entries[col] == W.position((0,) + w)
 
 
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
 def test_single_element_operators_have_thin_columns(sg):
-    # partial permutation shape: at most one entry per column, value 1
+    # partial permutation shape: at most one 1 per column and per row
     W = s_window(sg, size=14)
-    for s in list(W)[:6]:
-        V = isometry_matrix(sg, s, W)
-        for j in range(len(W)):
-            assert len(V.matrix.column(j)) <= 1
-        assert set(V.matrix.entries.values()) <= {1}
-    for f in enumerate_hull(sg, 1):
-        M = hull_matrix(sg, f, W)
-        for j in range(len(W)):
-            assert len(M.matrix.column(j)) <= 1
+    ops = [isometry_matrix(sg, s, W) for s in list(W)[:6]]
+    ops += [hull_matrix(sg, f, W) for f in enumerate_hull(sg, 1)]
+    for op in ops:
+        d = dense(op.matrix)
+        assert all(sum(row) <= 1 for row in d)
+        assert all(sum(col) <= 1 for col in zip(*d))
 
 
 def test_char_projection_values():
@@ -106,7 +109,7 @@ def test_char_projection_values():
     cal = calculus(LINE)
     assert char_projection(LINE, cal.full(), W).matrix == Matrix.identity(5)
     diag = char_projection(LINE, (1,), W).matrix
-    assert sorted(diag.entries) == [(1, 1), (2, 2), (3, 3), (4, 4)]
+    assert diag.entries == {1: 1, 2: 2, 3: 3, 4: 4}
     assert char_projection(LINE, EMPTY, W).matrix.is_zero()
 
 
@@ -177,9 +180,9 @@ def test_regular_rep_frozen():
         fq = compose(LINE, f, q)
         cond = compose(LINE, compose(LINE, star(LINE, f), f), q) == q
         if cond and fq in HW:
-            assert L.matrix.column(j) == {HW.position(fq): 1}
+            assert L.matrix.entries[j] == HW.position(fq)
         elif not cond:
-            assert L.matrix.column(j) == {}
+            assert j not in L.matrix.entries
 
 
 def test_regular_rep_zero_is_rank_one():
@@ -187,10 +190,10 @@ def test_regular_rep_zero_is_rank_one():
     HW = hull_window(free, 1)
     z = HW.position(ZERO)
     L = regular_rep_matrix(free, ZERO, HW)
-    assert L.matrix.entries == {(z, z): 1}
+    assert L.matrix.entries == {z: z}
     # and every regular operator fixes the zero vector
     for f in enumerate_hull(free, 1):
-        assert regular_rep_matrix(free, f, HW).matrix.get(z, z) == 1
+        assert regular_rep_matrix(free, f, HW).matrix.entries[z] == z
 
 
 def test_intertwiner_shape_and_isometry():
@@ -198,8 +201,7 @@ def test_intertwiner_shape_and_isometry():
     HW = hull_window(LINE, 2, include=W)
     T = intertwiner_matrix(LINE, W, HW)
     assert T.matrix.rows == len(HW) and T.matrix.cols == len(W)
-    for j in range(len(W)):
-        assert len(T.matrix.column(j)) == 1
+    assert sorted(T.matrix.entries) == list(range(len(W)))
     assert T.matrix.transpose() * T.matrix == Matrix.identity(len(W))
 
 
@@ -233,11 +235,20 @@ def test_expectation_is_idempotent_linear_bimodule():
     def E(m):
         return m.diagonal()
 
+    def dense_E(d):
+        return [[x if i == j else 0 for j, x in enumerate(row)]
+                for i, row in enumerate(d)]
+
     for _ in range(20):
         a = mats[rng.randrange(len(mats))]
         b = mats[rng.randrange(len(mats))]
         assert E(E(a)) == E(a)
-        assert E(a + b) == E(a) + E(b)
+        # linearity, on the dense sum of two partial permutations
+        total = [[x + y for x, y in zip(ra, rb)]
+                 for ra, rb in zip(dense(a), dense(b))]
+        assert dense_E(total) == [[x + y for x, y in zip(ra, rb)]
+                                  for ra, rb in zip(dense(E(a)),
+                                                    dense(E(b)))]
         d1 = char_projection(LINE, (1,), W).matrix
         d2 = char_projection(LINE, (3,), W).matrix
         assert E(d1 * a * d2) == d1 * E(a) * d2
@@ -338,3 +349,94 @@ def test_intertwiner_matches_hull_rep_pointwise():
             * regular_rep_matrix(LINE, f, HW).matrix * T.matrix
         rep = hull_matrix(LINE, f, W)
         assert lhs.columns_agree(rep.matrix, rep.safe)
+
+
+# ---------------------------------------------------------------------------
+# every matrix a relation suite compares, against the dense product of its
+# factors; the intertwiner's against T* L(f) T over the full hull window
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
+
+
+def compared_matrices(monkeypatch, sg, kind, W, **bounds):
+    """The left-hand matrices verify_relation compares, in order."""
+    seen = []
+    agree, equal = Matrix.columns_agree, Matrix.__eq__
+
+    def spy_agree(self, other, cols):
+        seen.append(self)
+        return agree(self, other, cols)
+
+    def spy_equal(self, other):
+        seen.append(self)
+        return equal(self, other)
+
+    with monkeypatch.context() as m:
+        m.setattr(Matrix, "columns_agree", spy_agree)
+        m.setattr(Matrix, "__eq__", spy_equal)
+        verify_relation(sg, kind, W, **bounds)
+    return seen
+
+
+def oracle_products(sg, kind, W, depth, length, generators):
+    """The dense products each instance of the suite stands for."""
+    cal = calculus(sg)
+    letters = tuple(generators if generators is not None
+                    else sg.generators())
+    ends = (sg.identity(),) + letters
+    V = {s: isometry_matrix(sg, s, W).matrix for s in ends}
+    if kind == "covariance":
+        family = constructible_closure(sg, depth, generators)
+        return [dense_product(V[s], char_projection(sg, X, W).matrix,
+                              V[s].transpose())
+                for s in letters for X in family]
+    if kind == "semilattice":
+        family = constructible_closure(sg, depth, generators)
+        return [dense_product(char_projection(sg, X, W).matrix,
+                              char_projection(sg, Y, W).matrix)
+                for i, X in enumerate(family) for Y in family[i:]]
+    if kind == "isometry":
+        return [dense_product(V[s].transpose(), V[s]) for s in letters]
+    if kind == "cs-grade-one":
+        pool = [(t, s) for t in ends for s in ends]
+        one = sg.grading_group().identity()
+        out = []
+        for n in range(1, length + 1):
+            for pairs in itertools.product(pool, repeat=n):
+                f = evaluate_word(sg, list(pairs))
+                if f is not ZERO and f.grade != one:
+                    continue
+                prod = dense_identity(len(W))
+                for t, s in pairs:
+                    prod = dense_mul(dense_mul(prod, dense(V[t].transpose()),
+                                               len(W)),
+                                     dense(V[s]), len(W))
+                out.append(prod)
+        return out
+    assert kind == "intertwiner"
+    HW = hull_window(sg, length, generators, include=W)
+    T = intertwiner_matrix(sg, W, HW).matrix
+    return [dense_product(T.transpose(), regular_rep_matrix(sg, f, HW).matrix,
+                          T)
+            for f in enumerate_hull(sg, length, generators)]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_relation_suites_match_dense_oracle(name, monkeypatch):
+    cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
+    sg = build_backend(cfg)
+    generators = config_generators(sg, cfg)
+    bounds = dict(DEFAULTS, **cfg.bounds)
+    W = s_window(sg, size=bounds["window"])
+    for kind in ("covariance", "semilattice", "isometry", "cs-grade-one",
+                 "intertwiner"):
+        got = compared_matrices(monkeypatch, sg, kind, W,
+                                depth=bounds["depth"],
+                                length=bounds["length"],
+                                generators=generators)
+        want = oracle_products(sg, kind, W, bounds["depth"],
+                               bounds["length"], generators)
+        assert len(got) == len(want) > 0, kind
+        for i, (m, d) in enumerate(zip(got, want)):
+            assert dense(m) == d, (kind, i)
