@@ -2,70 +2,25 @@
 right ideals, the left inverse hull, its filters and group image, and
 finite truncations of the standard operator representations."""
 
+# nothing is re-exported from these two, but they stay reachable as
+# lefthull.config and lefthull.matrices like every other submodule
+from . import config, matrices
 from .semigroups import (AxPlusB, FiniteGroup, FiniteTable, FreeGroup,
                          FreeMonoid, Integers, IntegerLattice,
                          InvariantViolation, NumericalSemigroup, PositiveCone,
                          RationalAffine, UnsupportedOperation, UsageError,
                          cyclic_table)
-from .ideals import (EMPTY, CliffordVerdict, IndependenceVerdict, calculus,
-                     clifford_check, constructible_closure, reachable_ideals,
-                     independence_check, intersect, lcm_integer, membership,
-                     preimage, principal, render_ideal, translate)
-from .hull import (ZERO, EStarReport, HullElement, apply_element,
-                   check_lift_relation, clifford_normal_form, compose,
-                   enumerate_hull, estar_unitary_report, evaluate_word,
-                   hull_sort_key, identity_element, is_idempotent, lambda_,
+from .ideals import (EMPTY, calculus, clifford_check, constructible_closure,
+                     reachable_ideals, independence_check, intersect,
+                     lcm_integer, membership, preimage, principal, translate)
+from .hull import (ZERO, clifford_normal_form, compose, enumerate_hull,
+                   evaluate_word, identity_element, is_idempotent, lambda_,
                    maps_agree, materialize_element, materialize_word,
-                   partial_identity, random_word, recompose, render_element,
-                   star)
-from .group_image import (ExtendedHomomorphism, Homomorphism,
-                          ThicknessVerdict, apply_homomorphism,
+                   random_word, recompose, star)
+from .group_image import (Homomorphism, apply_homomorphism,
                           extend_homomorphism, folner_constant, folner_mean,
-                          gamma, group_of_S, is_left_reversible,
-                          left_thick_check, validate_homomorphism)
-from .filters import (FiniteSemilattice, Filter, MaximalityVerdict,
-                      enumerate_filters, is_filter,
-                      maximal_representation_check, render_filter,
-                      truncate_semilattice)
-from .matrices import Matrix
-from .operators import (RelationReport, TruncatedOperator, Window,
-                        char_projection, conditional_expectation,
-                        expectation_loop, hull_matrix, hull_window,
-                        intertwiner_matrix, isometry_matrix,
-                        regular_rep_matrix, s_window, verify_relation)
-from .config import (Config, ConfigError, build_backend, config_generators,
-                     load_config, parse_config)
-from .checks import CheckResult, run_checks
-
-__all__ = [
-    "AxPlusB", "FiniteGroup", "FiniteTable", "FreeGroup", "FreeMonoid",
-    "Integers", "IntegerLattice", "InvariantViolation", "NumericalSemigroup",
-    "PositiveCone", "RationalAffine", "UnsupportedOperation", "UsageError",
-    "cyclic_table",
-    "EMPTY", "CliffordVerdict", "IndependenceVerdict", "calculus",
-    "clifford_check", "constructible_closure", "reachable_ideals",
-    "independence_check",
-    "intersect", "lcm_integer", "membership", "preimage", "principal",
-    "render_ideal", "translate",
-    "ZERO", "EStarReport", "HullElement", "apply_element",
-    "check_lift_relation", "clifford_normal_form", "compose",
-    "enumerate_hull", "estar_unitary_report", "evaluate_word",
-    "hull_sort_key", "identity_element", "is_idempotent", "lambda_",
-    "maps_agree", "materialize_element", "materialize_word",
-    "partial_identity", "random_word", "recompose", "render_element", "star",
-    "ExtendedHomomorphism", "Homomorphism", "ThicknessVerdict",
-    "apply_homomorphism", "extend_homomorphism", "folner_constant",
-    "folner_mean", "gamma", "group_of_S", "is_left_reversible",
-    "left_thick_check", "validate_homomorphism",
-    "FiniteSemilattice", "Filter", "MaximalityVerdict", "enumerate_filters",
-    "is_filter", "maximal_representation_check", "render_filter",
-    "truncate_semilattice",
-    "Matrix",
-    "RelationReport", "TruncatedOperator", "Window", "char_projection",
-    "conditional_expectation", "expectation_loop", "hull_matrix",
-    "hull_window", "intertwiner_matrix", "isometry_matrix",
-    "regular_rep_matrix", "s_window", "verify_relation",
-    "Config", "ConfigError", "build_backend", "config_generators",
-    "load_config", "parse_config",
-    "CheckResult", "run_checks",
-]
+                          gamma, group_of_S, is_left_reversible)
+from .filters import (enumerate_filters, is_filter,
+                      maximal_representation_check, truncate_semilattice)
+from .operators import isometry_matrix, s_window, verify_relation
+from .checks import run_checks

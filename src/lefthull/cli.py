@@ -64,7 +64,7 @@ def _verdicts(sg, depth, length, seed, generators):
     rep = estar_unitary_report(sg, sample=100, length=min(length, 2),
                                seed=seed, generators=generators)
     pairs.append(("estar.mode", rep.mode))
-    pairs.append(("ordered", _yesno(sg.units_trivial)))
+    pairs.append(("ordered", _yesno(sg.units_trivial())))
     return pairs, fam
 
 

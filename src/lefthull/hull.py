@@ -16,6 +16,7 @@ window is genuine undefinedness.
 from dataclasses import dataclass, field
 import random
 
+from .group_image import is_left_reversible
 from .ideals import EMPTY, calculus, clifford_check
 from .semigroups import (InvariantViolation, UnsupportedOperation, UsageError)
 
@@ -290,8 +291,6 @@ def estar_unitary_report(sg, sample=200, length=2, seed=7, window_size=20,
     compose(f, e) = e forces f idempotent; counterexamples are hard
     failures since they would contradict the grading.
     """
-    from .group_image import is_left_reversible
-
     rng = random.Random(seed)
     elements = list(enumerate_hull(sg, length, generators))
     zero_present = ZERO in elements

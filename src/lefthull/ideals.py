@@ -17,14 +17,20 @@ All closure properties here are theorems about the backends; the calculus
 never approximates.  ``image`` computes the forward translate g . X of an
 ideal by a grading-group element and is the workhorse for the hull algebra;
 it raises when the result would leave S, which honest callers never trigger.
+
+Each calculus class also answers, exactly, the questions about ideals asked
+of every left cancellative S: left reversibility, the Clifford condition,
+left thickness and Folner densities.  A subclass names the backend it
+serves, which builds it once per instance.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 import math
 
 from .semigroups import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
-                         NumericalSemigroup, PositiveCone, UsageError)
+                         NumericalSemigroup, PositiveCone,
+                         UnsupportedOperation, UsageError)
 
 
 class _EmptyIdeal:
@@ -54,11 +60,55 @@ def lcm_integer(a, b):
     return math.lcm(a, b)
 
 
+@dataclass(frozen=True)
+class ReversibilityVerdict:
+    holds: bool
+    witness: tuple = None  # (s, t) with sS and tS disjoint
+    proof: str = None
+
+
+@dataclass(frozen=True)
+class CliffordVerdict:
+    """Outcome of the pairwise-intersection principality test."""
+
+    status: str            # "holds" | "fails"
+    proof: str = None      # exact argument tag when status == "holds"
+    witness: tuple = None  # (s, t, intersection) when status == "fails"
+
+    @property
+    def holds(self):
+        return self.status == "holds"
+
+
 class IdealCalculus:
     """Per-backend canonical arithmetic on constructible right ideals."""
 
+    def __init_subclass__(cls, backend):
+        backend.calculus_type = cls
+
     def __init__(self, sg):
         self.sg = sg
+
+    # The facts about ideals that each subclass states: reversible_proof and
+    # clifford_proof, why two principal right ideals always meet and why
+    # their meet is empty or principal (unless it overrides left_reversible
+    # or clifford); thick_witness(gs), an x in S and in g.S for every g of
+    # the nonempty gs, with its proof, or (None, proof) when there is none;
+    # and where S has Folner boxes, folner_mean(X, N), the exact density of
+    # X in the N-th box, and folner_constant(X), a c with
+    # folner_mean(X, N) >= 1 - c/N for every N >= folner_least_n().
+
+    def left_reversible(self):
+        return ReversibilityVerdict(True, proof=self.reversible_proof)
+
+    def clifford(self):
+        return CliffordVerdict("holds", proof=self.clifford_proof)
+
+    def _no_folner_boxes(self, *args):
+        raise UnsupportedOperation("no Folner boxes for %s"
+                                   % self.sg.describe())
+
+    folner_mean = folner_constant = folner_least_n = _no_folner_boxes
 
     def full(self):
         raise NotImplementedError
@@ -104,8 +154,14 @@ class IdealCalculus:
         raise NotImplementedError
 
     def union_equals(self, members, Y):
-        """Exact decision of union(members) == Y."""
-        raise NotImplementedError
+        """Exact decision of union(members) == Y.  This default holds where
+        every nonempty constructible ideal is principal: a union of principal
+        ideals is the principal Y only if Y is one of them and the rest lie
+        inside it."""
+        parts = [m for m in members if m is not EMPTY]
+        if Y is EMPTY:
+            return not parts
+        return all(self.subset(p, Y) for p in parts) and Y in parts
 
     def key(self, X):
         if X is EMPTY:
@@ -118,9 +174,35 @@ class IdealCalculus:
         return self._render(X)
 
 
-class _FreeMonoidIdeals(IdealCalculus):
+class _FreeMonoidIdeals(IdealCalculus, backend=FreeMonoid):
     # prefix combinatorics throughout: wS n vS is the longer word's ideal
     # when one extends the other and empty otherwise
+
+    def left_reversible(self):
+        if self.sg.alphabet_size == 1:
+            return ReversibilityVerdict(True, proof="principal ideals chain")
+        return ReversibilityVerdict(False, witness=((0,), (1,)),
+                                    proof="distinct letters give disjoint "
+                                          "prefix ideals")
+
+    clifford_proof = "prefix-comparable intersections"
+
+    def thick_witness(self, gs):
+        # g.S meets S iff the reduced word g is w v^-1 with w, v positive,
+        # and then wS lies in g.S n S
+        words = []
+        for g in gs:
+            signs = [x > 0 for x in g]
+            if any(signs[i] and not signs[i - 1] for i in range(1, len(g))):
+                return None, ("reduced word %r has an inverse letter left of "
+                              "a positive one" % (g,))
+            words.append(tuple(x - 1 for x in g if x > 0))
+        words.sort(key=len)
+        for v, w in zip(words, words[1:]):
+            if w[:len(v)] != v:
+                return None, ("positive parts %r and %r are prefix "
+                              "incomparable" % (v, w))
+        return words[-1], "prefix chain"
 
     def full(self):
         return ()
@@ -154,14 +236,6 @@ class _FreeMonoidIdeals(IdealCalculus):
     def principal_witness(self, X):
         return X
 
-    def union_equals(self, members, Y):
-        words = [m for m in members if m is not EMPTY]
-        if Y is EMPTY:
-            return not words
-        if not all(w[:len(Y)] == Y for w in words):
-            return False
-        return any(w == Y for w in words)
-
     def _key(self, w):
         return (len(w), w)
 
@@ -169,8 +243,25 @@ class _FreeMonoidIdeals(IdealCalculus):
         return "S" if not w else self.sg.render(w) + "S"
 
 
-class _ConeIdeals(IdealCalculus):
+class _ConeIdeals(IdealCalculus, backend=PositiveCone):
     # corner combinatorics: p + cone determines and is determined by p
+
+    reversible_proof = "coordinatewise max is a common right multiple"
+    clifford_proof = "coordinatewise-max intersections"
+
+    def thick_witness(self, gs):
+        return (tuple(max(0, *(g[i] for g in gs))
+                      for i in range(self.sg.dimension)), "coordinatewise max")
+
+    def folner_mean(self, X, N):
+        num = 0 if X is EMPTY else math.prod(max(0, N - p) for p in X)
+        return Fraction(num, N ** self.sg.dimension)
+
+    def folner_constant(self, X):
+        return sum(X)
+
+    def folner_least_n(self):
+        return 1
 
     def full(self):
         return self.sg.identity()
@@ -196,14 +287,6 @@ class _ConeIdeals(IdealCalculus):
     def principal_witness(self, X):
         return X
 
-    def union_equals(self, members, Y):
-        corners = [m for m in members if m is not EMPTY]
-        if Y is EMPTY:
-            return not corners
-        if not all(self._member(p, Y) for p in corners):
-            return False
-        return any(p == Y for p in corners)
-
     def _key(self, p):
         return (sum(p), p)
 
@@ -211,12 +294,47 @@ class _ConeIdeals(IdealCalculus):
         return "S" if not any(p) else self.sg.render(p) + "+S"
 
 
-class _NumericalIdeals(IdealCalculus):
+class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
     """Cofinite descriptions (threshold, mask) with exact set arithmetic.
 
     Every nonempty constructible ideal contains S n [N, oo) for some N
     because it contains a translate x0 + S, which is eventually all of S.
     """
+
+    reversible_proof = "principal ideals are cofinite"
+
+    def clifford(self):
+        sg = self.sg
+        if sg.conductor == 0:
+            return CliffordVerdict(
+                "holds", proof="rescaled copy of Z+ (gcd %d)" % sg.gcd)
+        # m the least nonzero member, n the least member outside mZ (the
+        # least such generator; S is not mZ+).  The least member of mS n nS
+        # is n + m, as n - m is not in S; but the least multiple jm with
+        # jm - n in S lies in mS n nS and not in (n + m) + S
+        m = sg.gens[0]
+        n = next(g for g in sg.gens if g % m)
+        meet = self.intersect(self.principal(m), self.principal(n))
+        return CliffordVerdict("fails", witness=(m, n, meet))
+
+    def thick_witness(self, gs):
+        d, c = self.sg.gcd, self.sg.conductor
+        if any(g % d for g in gs):
+            return None, "direction outside the lattice of S"
+        return max([c] + [g + c for g in gs]), "conductor threshold"
+
+    def folner_mean(self, X, N):
+        inside = 0 if X is EMPTY else len(self.members_below(X, N))
+        return Fraction(inside, len(self.sg.members_below(N)))
+
+    def folner_constant(self, X):
+        n, mask = X
+        missing = len(self.sg.members_below(n)) - len(mask)
+        return 2 * self.sg.gcd * missing
+
+    def folner_least_n(self):
+        # the bound of folner_constant holds from twice the conductor on
+        return max(1, 2 * self.sg.conductor)
 
     def full(self):
         return (0, ())
@@ -328,7 +446,7 @@ def _crt(b, a, d, c):
     return (b + a * k) % l, l
 
 
-class _AxbIdeals(IdealCalculus):
+class _AxbIdeals(IdealCalculus, backend=AxPlusB):
     """Canonical pairs (b, a), a >= 1, 0 <= b < a for (b + aZ) x aZ^x.
 
     The family {EMPTY} u {principal ideals} is closed under the three
@@ -336,6 +454,37 @@ class _AxbIdeals(IdealCalculus):
     family by direct congruence arithmetic, which is the runtime shape
     assertion the representation relies on.
     """
+
+    def left_reversible(self):
+        # (0,2)S and (1,2)S are the even and the odd offsets at slope 2
+        return ReversibilityVerdict(
+            False, witness=((0, 2), (1, 2)),
+            proof="residue classes with a common modulus are disjoint")
+
+    clifford_proof = "gcd-domain coefficients (Z is a PID)"
+
+    def thick_witness(self, gs):
+        meet = self.full()
+        for g in gs:
+            meet = self.intersect(meet, self._shift_ideal(g))
+            if meet is EMPTY:
+                return None, "incompatible congruences"
+        return meet, "congruence intersection"
+
+    def _shift_ideal(self, g):
+        """g.S n S as a canonical ideal, for g in the rational affine group."""
+        q1, q2 = g
+        alpha, beta = q2.numerator, q2.denominator
+        if beta % q1.denominator:
+            return EMPTY  # the offset can never be made integral
+        m = beta * q1.numerator // q1.denominator
+        b0 = (-m * pow(alpha, -1, beta)) % beta if beta > 1 else 0
+        shifted = q1 + q2 * b0
+        if shifted.denominator != 1:
+            raise InvariantViolation("congruence solution %r is not integral"
+                                     % (shifted,))
+        mod = abs(alpha)
+        return (int(shifted) % mod, mod)
 
     def full(self):
         return (0, 1)
@@ -389,16 +538,6 @@ class _AxbIdeals(IdealCalculus):
     def principal_witness(self, X):
         return X  # (b, a) with a >= 1 is itself an element generating X
 
-    def union_equals(self, members, Y):
-        # principal-ideal shortcut: a union of principal ideals equals the
-        # principal Y only if one of them is Y and the rest sit inside it
-        parts = [m for m in members if m is not EMPTY]
-        if Y is EMPTY:
-            return not parts
-        if not all(self.subset(p, Y) for p in parts):
-            return False
-        return any(p == Y for p in parts)
-
     def _key(self, X):
         return (X[1], X[0])
 
@@ -406,8 +545,14 @@ class _AxbIdeals(IdealCalculus):
         return "S" if X == (0, 1) else "(%d,%d)S" % X
 
 
-class _TableIdeals(IdealCalculus):
+class _TableIdeals(IdealCalculus, backend=FiniteTable):
     # in a group every nonempty right ideal is all of S
+
+    reversible_proof = "every ideal of a group is the whole group"
+    clifford_proof = "group: every principal ideal is S"
+
+    def thick_witness(self, gs):
+        return self.sg.identity(), "group translates cover everything"
 
     def full(self):
         return _TABLE_FULL
@@ -433,12 +578,6 @@ class _TableIdeals(IdealCalculus):
     def principal_witness(self, X):
         return self.sg.identity()
 
-    def union_equals(self, members, Y):
-        parts = [m for m in members if m is not EMPTY]
-        if Y is EMPTY:
-            return not parts
-        return bool(parts)
-
     def _key(self, X):
         return 0
 
@@ -446,22 +585,9 @@ class _TableIdeals(IdealCalculus):
         return "S"
 
 
-_CALCULUS_TYPES = {
-    FreeMonoid: _FreeMonoidIdeals,
-    PositiveCone: _ConeIdeals,
-    NumericalSemigroup: _NumericalIdeals,
-    AxPlusB: _AxbIdeals,
-    FiniteTable: _TableIdeals,
-}
-
-
-@lru_cache(maxsize=None)
 def calculus(sg):
-    try:
-        cls = _CALCULUS_TYPES[type(sg)]
-    except KeyError:
-        raise UsageError("no ideal calculus for %r" % (sg,)) from None
-    return cls(sg)
+    """The ideal calculus of a backend, built once per backend instance."""
+    return sg.calculus
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +616,6 @@ def intersect(sg, X, Y):
 def membership(sg, x, X):
     sg._check(x)
     return calculus(sg).is_member(x, X)
-
-
-def render_ideal(sg, X):
-    return calculus(sg).render(X)
 
 
 def reachable_ideals(sg, depth, generators=None):
@@ -542,45 +664,9 @@ def constructible_closure(sg, depth, generators=None):
     return tuple(work)
 
 
-@dataclass(frozen=True)
-class CliffordVerdict:
-    """Outcome of the pairwise-intersection principality test."""
-
-    status: str            # "holds" | "fails" | "inconclusive"
-    proof: str = None      # exact argument tag when status == "holds"
-    witness: tuple = None  # (s, t, intersection) when status == "fails"
-    window: int = None     # search bound when the search was windowed
-
-    @property
-    def holds(self):
-        return self.status == "holds"
-
-
-@lru_cache(maxsize=None)
-def clifford_check(sg, window=24):
+def clifford_check(sg):
     """Decide whether sS n tS is always empty or principal."""
-    cal = calculus(sg)
-    if isinstance(sg, FreeMonoid):
-        return CliffordVerdict("holds", proof="prefix-comparable intersections")
-    if isinstance(sg, PositiveCone):
-        return CliffordVerdict("holds", proof="coordinatewise-max intersections")
-    if isinstance(sg, AxPlusB):
-        return CliffordVerdict("holds", proof="gcd-domain coefficients (Z is a PID)")
-    if isinstance(sg, FiniteTable):
-        return CliffordVerdict("holds", proof="group: every principal ideal is S")
-    if isinstance(sg, NumericalSemigroup):
-        if sg.conductor == 0:
-            return CliffordVerdict(
-                "holds", proof="rescaled copy of Z+ (gcd %d)" % sg.gcd)
-        win = sg.window_of_size(window)
-        for j in range(len(win)):
-            for i in range(j):
-                s, t = win[i], win[j]
-                meet = cal.intersect(cal.principal(s), cal.principal(t))
-                if meet is not EMPTY and cal.principal_witness(meet) is None:
-                    return CliffordVerdict("fails", witness=(s, t, meet))
-        return CliffordVerdict("inconclusive", window=window)
-    raise UsageError("unknown backend %r" % (sg,))
+    return calculus(sg).clifford()
 
 
 @dataclass(frozen=True)

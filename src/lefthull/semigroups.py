@@ -12,6 +12,13 @@ Element values are plain hashable data (tuples, ints); the backend object
 carries the operations.  Every backend embeds into a concrete group used for
 grading; the group classes live here as well so the two layers share one
 vocabulary.
+
+Each backend class also supplies, in one place, the facts the other modules
+ask of it: its grading group and ideal calculus (both built once per
+instance), and where S is left reversible its enveloping ``fraction_group``,
+the injection ``gamma``, ``generator_word``, ``fraction_basis`` and
+``group_coordinates``.  Reversibility, the Clifford condition, thickness and
+Folner densities are facts about ideals, stated by the calculus classes.
 """
 
 from dataclasses import dataclass, field
@@ -273,8 +280,6 @@ class Semigroup:
     the public operations and raises UsageError on mismatch.
     """
 
-    finite = False
-
     def contains(self, x):
         raise NotImplementedError
 
@@ -315,7 +320,36 @@ class Semigroup:
         raise NotImplementedError
 
     def grading_group(self):
+        return self._grading_group
+
+    calculus_type = None  # set by the IdealCalculus subclass for this backend
+
+    @cached_property
+    def calculus(self):
+        return self.calculus_type(self)
+
+    @property
+    def fraction_group(self):
+        """The enveloping group; the grading group unless overridden."""
+        return self._grading_group
+
+    def gamma(self, s):
+        """Image of s in fraction_group; the embedding unless overridden."""
+        return self.embed(s)
+
+    def generator_word(self, s):
+        """Generator indices, in order, whose product is s."""
         raise NotImplementedError
+
+    def fraction_basis(self):
+        """Pairs (s, t) with gamma(s)^-1 gamma(t) running over a basis of
+        fraction_group; by default (identity, generator)."""
+        return tuple((self.identity(), g) for g in self.generators())
+
+    def group_coordinates(self, g):
+        """(basis index, exponent) pairs spelling g over fraction_basis();
+        by default the coordinates of Z^n."""
+        return tuple(enumerate(g))
 
     def generators(self):
         raise NotImplementedError
@@ -325,8 +359,6 @@ class Semigroup:
         raise NotImplementedError
 
     def window_of_size(self, size):
-        if self.finite:
-            return self.window(size)[:size]
         bound = 1
         win = self.window(bound)
         while len(win) < size:
@@ -394,8 +426,18 @@ class FreeMonoid(Semigroup):
             return tuple(v - 1 for v in g)
         return None
 
-    def grading_group(self):
+    @cached_property
+    def _grading_group(self):
         return FreeGroup(self.alphabet_size)
+
+    fraction_group = Integers(1)  # one letter, so word length is everything
+
+    def gamma(self, s):
+        self._check(s)
+        return (len(s),)
+
+    def generator_word(self, s):
+        return s
 
     def generators(self):
         return tuple((l,) for l in range(self.alphabet_size))
@@ -431,9 +473,12 @@ class FreeMonoid(Semigroup):
                 word.append(i)
             return tuple(word)
         try:
-            return tuple(int(p.lstrip("g")) for p in text.split("."))
+            word = tuple(int(p.lstrip("g")) for p in text.split("."))
         except ValueError:
             raise UsageError("bad word %r" % text) from None
+        if not self.contains(word):
+            raise UsageError("bad word %r for %s" % (text, self.describe()))
+        return word
 
     def describe(self):
         return "FreeMonoid(%d)" % self.alphabet_size
@@ -481,8 +526,12 @@ class PositiveCone(Semigroup):
     def group_element_of(self, g):
         return g if all(a >= 0 for a in g) else None
 
-    def grading_group(self):
+    @cached_property
+    def _grading_group(self):
         return Integers(self.dimension)
+
+    def generator_word(self, s):
+        return tuple(i for i, k in enumerate(s) for _ in range(k))
 
     def generators(self):
         n = self.dimension
@@ -637,8 +686,32 @@ class NumericalSemigroup(Semigroup):
     def group_element_of(self, g):
         return g if self.contains(g) else None
 
-    def grading_group(self):
-        return IntegerLattice(1)
+    _grading_group = IntegerLattice(1)
+
+    @cached_property
+    def fraction_group(self):
+        return IntegerLattice(self.gcd)
+
+    def generator_word(self, s):
+        # greedy, smallest generator first; a nonzero member always has a
+        # generator g with s - g in S
+        word = []
+        while s:
+            i = next(i for i, g in enumerate(self.gens)
+                     if self.contains(s - g))
+            word.append(i)
+            s -= self.gens[i]
+        return tuple(sorted(word))
+
+    def fraction_basis(self):
+        # the least s with s and s + d both in S; the conductor qualifies
+        d = self.gcd
+        s = next(s for s in self.members_below(self.conductor + 1)
+                 if self.contains(s + d))
+        return ((s, s + d),)
+
+    def group_coordinates(self, g):
+        return ((0, g // self.gcd),)
 
     def generators(self):
         return self.gens
@@ -725,8 +798,10 @@ class AxPlusB(Semigroup):
             return (int(q1), int(q2))
         return None
 
-    def grading_group(self):
-        return RationalAffine()
+    _grading_group = RationalAffine()
+
+    def generator_word(self, s):
+        raise UsageError("no generator decomposition for %s" % self.describe())
 
     def generators(self):
         return ((1, 1), (0, 2), (0, 3))
@@ -779,8 +854,6 @@ class FiniteTable(Semigroup):
     A finite left cancellative monoid is a group, so validation also records
     the inverse table.  Validation reports the offending row on failure.
     """
-
-    finite = True
 
     table: tuple
     identity_index: int = 0
@@ -836,17 +909,25 @@ class FiniteTable(Semigroup):
         return g
 
     @cached_property
-    def _group(self):
+    def _grading_group(self):
         return FiniteGroup(self.table, self.identity_index)
 
-    def grading_group(self):
-        return self._group
+    def generator_word(self, s):
+        # every element but the identity is a generator
+        e = self.identity_index
+        return () if s == e else (s - (s > e),)
+
+    def group_coordinates(self, g):
+        return tuple((i, 1) for i in self.generator_word(g))
 
     def generators(self):
         return tuple(i for i in range(len(self.table)) if i != self.identity_index)
 
     def window(self, bound):
         return list(range(len(self.table)))
+
+    def window_of_size(self, size):
+        return self.window(size)[:size]
 
     def key(self, x):
         return x

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import sys
 
 import pytest
@@ -234,3 +235,93 @@ def test_generators_from_config(capsys, tmp_path):
     code, out, err = run(["ideals", path, "--depth", "1"], capsys)
     assert code == 0
     assert "ideal.1: (2)+S" in out
+
+
+@pytest.mark.parametrize("name, ordered", [
+    ("zplus", "yes"), ("cone2", "yes"), ("free2", "yes"), ("num23", "yes"),
+    ("axb", "no"), ("table5", "no"),
+])
+def test_analyze_ordered_calls_units_trivial(capsys, name, ordered):
+    # axb has the units (b, 1); a group of order 5 has nothing but units
+    code, out, err = run(["analyze", cfg(name)], capsys)
+    assert code == 0
+    assert "ordered: %s\n" % ordered in out
+
+
+def test_numerical_clifford_beyond_the_window(capsys, tmp_path):
+    # the least member outside 2Z is 49, past a 24-element window
+    path = write(tmp_path, "kind = numerical\nparams = 2 49\n")
+    code, out, err = run(["analyze", path], capsys)
+    assert code == 0, err
+    assert "clifford: fails\nclifford.witness: 2 49\n" in out
+    code, out, err = run(["check", path], capsys)
+    assert code == 0, err
+    assert "check.clifford: ok (fails at (2, 49, (97, (51, 53," in out
+    code, out, err = run(["ideals", path, "--depth", "1"], capsys)
+    assert code == 0
+    assert "clifford: fails" in out
+
+
+def test_free_generator_outside_alphabet_exits_2(capsys, tmp_path):
+    path = write(tmp_path, "kind = free\nparams = 27\ngenerators = g99\n")
+    code, out, err = run(["ideals", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error: cannot parse generator 'g99'" in err
+
+
+# seeded fuzzing: mutated shipped configs and small bound flags
+
+FUZZ_VALUES = {
+    "kind": ["cone", "free", "numerical", "axb", "table", "ring", ""],
+    "params": ["", "0", "1", "2", "3", "-1", "x", "2 3", "4 6", "3 5 7",
+               "2 2", "1 2", "cyclic 4", "cyclic 1", "cyclic 0", "cyclic x",
+               "cyclic", "4"],
+    "generators": ["a", "b", "ab", "z", "1", "2", "0", "-1", "3 5", "(1)",
+                   "(0,2)", "(1,1) (0,3)", "(0,0)", "(0,-1)", "(1,2,3)",
+                   "g3", "g99", "1 1", "(", ""],
+    "bounds": ["depth:1", "length:1", "window:4", "depth:-1", "window:0",
+               "length:-1", "seed:3", "depth:x", "depth:1 length:0 window:3",
+               "wat:1", "depth:"],
+}
+# mostly valid small values, sometimes one out of range
+FUZZ_FLAGS = {"--depth": (0, 1, 1, 1, 1, -1), "--length": (0, 1, 1, 1, 1, -1),
+              "--window": (1, 3, 6, 6, 6, 0, -1), "--seed": (0, 9)}
+
+
+def fuzz_config(rng):
+    name = rng.choice(["zplus", "cone2", "free2", "num23", "axb", "table5"])
+    with open(cfg(name)) as fh:
+        lines = fh.read().splitlines()
+    for _ in range(rng.randint(0, 2)):
+        key = rng.choice(sorted(FUZZ_VALUES))
+        line = "%s = %s" % (key, rng.choice(FUZZ_VALUES[key]))
+        at = [i for i, l in enumerate(lines) if l.startswith(key + " ")]
+        if at and rng.random() < 0.8:
+            lines[at[0]] = line
+        elif at and rng.random() < 0.5:
+            del lines[at[0]]
+        else:
+            lines.insert(rng.randrange(len(lines) + 1), line)
+    return "\n".join(lines) + "\n"
+
+
+def test_fuzzed_configs_keep_the_exit_code_contract(capsys, tmp_path):
+    rng = random.Random(2024)
+    codes = set()
+    for case in range(400):
+        path = write(tmp_path, fuzz_config(rng), "fuzz%d.cfg" % case)
+        sub = rng.choice(["analyze", "ideals", "hull", "filters", "group",
+                          "matrix", "check"])
+        argv = [sub, path]
+        # every run gets small bounds, so no command runs at stressed ones
+        for flag, values in FUZZ_FLAGS.items():
+            if flag != "--seed" or rng.random() < 0.5:
+                argv += [flag, str(rng.choice(values))]
+        if sub == "matrix":
+            argv += ["--out", str(tmp_path / "out")]
+        code, out, err = run(argv, capsys)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in out + err, argv
+        codes.add(code)
+    assert codes >= {0, 2, 3}

@@ -266,6 +266,55 @@ def test_clifford_witness_is_honest():
         assert cal.principal_witness(X) is None
 
 
+def windowed_clifford(sg, window=24):
+    """The earlier windowed search, kept as the oracle: the first pair of a
+    window whose meet is nonempty and not principal, or None when the
+    window shows none (inconclusive)."""
+    cal = calculus(sg)
+    win = sg.window_of_size(window)
+    for j in range(len(win)):
+        for i in range(j):
+            s, t = win[i], win[j]
+            meet = cal.intersect(cal.principal(s), cal.principal(t))
+            if meet is not EMPTY and cal.principal_witness(meet) is None:
+                return (s, t, meet)
+    return None
+
+
+def test_clifford_matches_windowed_search():
+    # every generator set of one to three integers in [2, 12]
+    from itertools import combinations
+    inconclusive = 0
+    for size in (1, 2, 3):
+        for gens in combinations(range(2, 13), size):
+            sg = NumericalSemigroup(gens)
+            verdict = clifford_check(sg)
+            if sg.conductor == 0:
+                assert verdict.holds, gens
+                continue
+            assert verdict.status == "fails", gens
+            found = windowed_clifford(sg)
+            if found is None:
+                inconclusive += 1
+            else:
+                assert verdict.witness == found, gens
+    assert inconclusive == 0  # the window always reaches n in this range
+
+
+def test_clifford_decided_beyond_the_window():
+    # <2,49>: the least member outside 2Z is 49, the 25th member, so a
+    # 24-element window never meets it
+    sg = NumericalSemigroup((2, 49))
+    assert windowed_clifford(sg) is None
+    assert windowed_clifford(sg, window=26) is not None
+    cal = calculus(sg)
+    s, t, meet = clifford_check(sg).witness
+    assert (s, t) == (2, 49)
+    assert cal.intersect(cal.principal(2), cal.principal(49)) == meet
+    assert cal.principal_witness(meet) is None
+    assert (s, t, meet) == windowed_clifford(sg, window=26)
+
+
 def test_independence_verdicts():
     num = NumericalSemigroup((2, 3))
     fam = constructible_closure(num, 3)

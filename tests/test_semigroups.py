@@ -7,7 +7,7 @@ import pytest
 from lefthull import (AxPlusB, FiniteGroup, FiniteTable, FreeGroup,
                       FreeMonoid, Integers, IntegerLattice,
                       InvariantViolation, NumericalSemigroup, PositiveCone,
-                      RationalAffine, UsageError, cyclic_table)
+                      RationalAffine, UsageError, calculus, cyclic_table)
 
 BACKENDS = [
     FreeMonoid(1),
@@ -332,3 +332,68 @@ def test_finite_group_inverse_table():
 def test_describe_is_stable(sg):
     assert sg.describe() == sg.describe()
     assert isinstance(sg.describe(), str) and sg.describe()
+
+
+# ---------------------------------------------------------------------------
+# per-backend facts
+
+
+@pytest.mark.parametrize("sg", BACKENDS, ids=ids)
+def test_calculus_and_grading_group_built_once(sg):
+    assert calculus(sg) is calculus(sg)
+    assert calculus(sg).sg is sg
+    assert sg.grading_group() is sg.grading_group()
+
+
+@pytest.mark.parametrize("sg", BACKENDS, ids=ids)
+def test_generator_word_multiplies_back(sg):
+    gens = sg.generators()
+    if isinstance(sg, AxPlusB):
+        with pytest.raises(UsageError):
+            sg.generator_word((0, 5))
+        return
+    for s in sg.window_of_size(40):
+        acc = sg.identity()
+        for i in sg.generator_word(s):
+            acc = sg.multiply(acc, gens[i])
+        assert acc == s
+
+
+REVERSIBLE = [sg for sg in BACKENDS if not isinstance(sg, AxPlusB)
+              and sg != FreeMonoid(2)]
+
+
+@pytest.mark.parametrize("sg", REVERSIBLE, ids=ids)
+def test_group_coordinates_spell_fractions(sg):
+    # every gamma(s)^-1 gamma(t) is the product of the basis fractions
+    # raised to its coordinates
+    G = sg.fraction_group
+    basis = [G.mul(G.inv(sg.gamma(s)), sg.gamma(t))
+             for s, t in sg.fraction_basis()]
+    win = sg.window_of_size(12)
+    for s in win:
+        for t in win:
+            g = G.mul(G.inv(sg.gamma(s)), sg.gamma(t))
+            acc = G.identity()
+            for i, k in sg.group_coordinates(g):
+                acc = G.mul(acc, G.power(basis[i], k))
+            assert acc == g
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (4, 6), (3, 5, 7), (10, 11),
+                                  (30, 31), (6, 10, 15)])
+def test_numerical_fraction_basis_is_least_window_pair(gens):
+    # oracle: the first member s of a 30-element window with s + d in S
+    sg = NumericalSemigroup(gens)
+    d = sg.gcd
+    win = sg.window_of_size(30)
+    pair = next((s, s + d) for s in win if sg.contains(s + d))
+    assert sg.fraction_basis() == (pair,)
+
+
+def test_free_monoid_parse_checks_the_alphabet():
+    big = FreeMonoid(27)
+    assert big.parse("g3.g26") == (3, 26)
+    for text in ("g99", "g27", "g-1", "g1.g27"):
+        with pytest.raises(UsageError):
+            big.parse(text)
