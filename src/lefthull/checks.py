@@ -94,7 +94,11 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
 
     def clifford():
         v = clifford_check(sg)
-        return "holds" if v.holds else "fails at %s" % (v.witness,)
+        if v.holds:
+            return "holds"
+        s, t, meet = v.witness
+        return "fails at %s, %s: meet %s" % (sg.render(s), sg.render(t),
+                                             cal.render(meet))
 
     def independence():
         fam = family()

@@ -6,7 +6,10 @@ values and implements translate / preimage / intersection exactly:
 * FreeMonoid:          a word w, denoting wS          (Full is the empty word)
 * PositiveCone:        a corner p, denoting p + (Z+)^n
 * NumericalSemigroup:  a pair (N, mask) denoting mask u (S n [N, oo)),
-                       threshold minimal, mask a sorted tuple of members < N
+                       threshold minimal, mask a sorted tuple of members < N;
+                       each pair the calculus builds also carries its mask
+                       as a Python-int bitset, and every operation runs on
+                       these bits and the semigroup's ``member_bits``
 * AxPlusB:             a pair (b, a) with a >= 1, 0 <= b < a, denoting
                        (b + aZ) x aZ^x
 * FiniteTable:         only the full ideal (every right ideal of a group is S)
@@ -30,7 +33,7 @@ import math
 
 from .semigroups import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
                          NumericalSemigroup, PositiveCone,
-                         UnsupportedOperation, UsageError)
+                         UnsupportedOperation, UsageError, set_bits)
 
 
 class _EmptyIdeal:
@@ -294,14 +297,60 @@ class _ConeIdeals(IdealCalculus, backend=PositiveCone):
         return "S" if not any(p) else self.sg.render(p) + "+S"
 
 
+class _NumIdeal(tuple):
+    """The canonical pair (N, mask) of a numerical ideal, carrying ``bits``,
+    the mask as a bitset.  It is equal to, hashes like and prints like the
+    plain pair."""
+
+    def __new__(cls, n, bits):
+        self = super().__new__(cls, (n, tuple(set_bits(bits))))
+        self.bits = bits
+        return self
+
+
+_NUMERICAL_FULL = _NumIdeal(0, 0)
+
+
+def _mask_bits(X):
+    try:
+        return X.bits
+    except AttributeError:  # a plain (N, mask) pair
+        return sum(1 << m for m in X[1])
+
+
+def _least_bits(bits, k):
+    """The positions of the k lowest set bits of bits, ascending."""
+    out = []
+    while bits and len(out) < k:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
     """Cofinite descriptions (threshold, mask) with exact set arithmetic.
 
     Every nonempty constructible ideal contains S n [N, oo) for some N
     because it contains a translate x0 + S, which is eventually all of S.
+
+    The value stays the pair (N, mask), N minimal and mask the sorted tuple
+    of the ideal's members below N, but each pair this calculus builds also
+    carries its mask as a Python-int bitset (bit x set when x is in the
+    mask).  Every operation is a few whole-int operations on these bits and
+    on the semigroup's ``member_bits``: intersection is &, translation by s
+    a shift left by s, a preimage under s a shift right by s masked by the
+    members, and the threshold of a result the bit length of the members
+    below its bound that it misses.
     """
 
     reversible_proof = "principal ideals are cofinite"
+
+    def __init__(self, sg):
+        super().__init__(sg)
+        # every ideal built so far, by (threshold, mask bits): an ideal met
+        # again is looked up, not converted from its bits once more
+        self._built = {}
 
     def clifford(self):
         sg = self.sg
@@ -324,12 +373,12 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         return max([c] + [g + c for g in gs]), "conductor threshold"
 
     def folner_mean(self, X, N):
-        inside = 0 if X is EMPTY else len(self.members_below(X, N))
-        return Fraction(inside, len(self.sg.members_below(N)))
+        inside = 0 if X is EMPTY else self._below(X, N).bit_count()
+        return Fraction(inside, self.sg.member_bits(N).bit_count())
 
     def folner_constant(self, X):
-        n, mask = X
-        missing = len(self.sg.members_below(n)) - len(mask)
+        missing = self.sg.member_bits(X[0]).bit_count() \
+            - _mask_bits(X).bit_count()
         return 2 * self.sg.gcd * missing
 
     def folner_least_n(self):
@@ -337,79 +386,70 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         return max(1, 2 * self.sg.conductor)
 
     def full(self):
-        return (0, ())
+        return _NUMERICAL_FULL
 
-    def _canonical(self, members, bound):
-        # ideal = set(members) u (S n [bound, oo)); minimize the threshold
-        mask = set(members)
-        n = bound
-        while n > 0:
-            x = n - 1
-            if self.sg.contains(x):
-                if x not in mask:
-                    break
-                mask.discard(x)
-            n = x
-        return (n, tuple(sorted(mask)))
+    def _canonical(self, bits, bound):
+        # the ideal bits u (S n [bound, oo)), bits a set of members below
+        # bound; the threshold is one past the greatest member below bound
+        # that bits misses
+        n = (self.sg.member_bits(bound) & ~bits).bit_length()
+        key = (n, bits & ((1 << n) - 1))
+        X = self._built.get(key)
+        if X is None:
+            X = self._built[key] = _NumIdeal(*key)
+        return X
 
-    def members_below(self, X, bound):
-        n, mask = X
-        out = [m for m in mask if m < bound]
-        if bound > n:
-            out.extend(x for x in self.sg.members_below(bound) if x >= n)
-        return sorted(set(out))
+    def _below(self, X, bound):
+        # the members of X in [0, bound) as a bitset
+        n = X[0]
+        if bound <= n:
+            return _mask_bits(X) & ((1 << max(bound, 0)) - 1)
+        return _mask_bits(X) | self.sg.member_bits(bound) >> n << n
 
     def _member(self, x, X):
-        n, mask = X
-        return x in mask or (x >= n and self.sg.contains(x))
+        if x >= X[0]:
+            return self.sg.contains(x)
+        return x >= 0 and _mask_bits(X) >> x & 1 == 1
 
     def min_member(self, X):
-        n, mask = X
-        if mask:
-            return mask[0]
-        for x in self.sg.members_below(n + self.sg.conductor + self.sg.gcd + 1):
-            if x >= n:
-                return x
-        raise InvariantViolation("nonempty ideal with no member found")
+        cut = X[0] + self.sg.conductor + self.sg.gcd + 1
+        least = _least_bits(self._below(X, cut), 1)
+        if not least:
+            raise InvariantViolation("nonempty ideal with no member found")
+        return least[0]
 
     def principal(self, s):
         c = self.sg.conductor
-        members = [s + x for x in self.sg.members_below(c)]
-        return self._canonical(members, s + c)
+        return self._canonical(self.sg.member_bits(c) << s, s + c)
 
     def _translate(self, s, X):
-        n, _ = X
-        cut = n + self.sg.conductor
-        members = [s + x for x in self.members_below(X, cut)]
-        return self._canonical(members, s + cut)
+        cut = X[0] + self.sg.conductor
+        return self._canonical(self._below(X, cut) << s, s + cut)
 
     def _preimage(self, s, X):
-        n, _ = X
-        bound = max(0, n - s)
-        members = [t for t in self.sg.members_below(bound)
-                   if self._member(s + t, X)]
-        return self._canonical(members, bound)
+        # t below the bound is in s^-1 X exactly when s + t is in the mask
+        bound = max(0, X[0] - s)
+        return self._canonical(self.sg.member_bits(bound) & _mask_bits(X) >> s,
+                               bound)
 
     def _intersect(self, X, Y):
         bound = max(X[0], Y[0])
-        members = [x for x in self.members_below(X, bound)
-                   if self._member(x, Y)]
-        return self._canonical(members, bound)
+        return self._canonical(self._below(X, bound) & self._below(Y, bound),
+                               bound)
 
     def _image(self, g, X):
         if g % self.sg.gcd:
             raise InvariantViolation("grade %r does not preserve S" % (g,))
-        n, _ = X
         c = self.sg.conductor
         # beyond the cut, g + x >= conductor, so the tail shifts safely
-        cut = max(n + c, c - g)
-        members = []
-        for x in self.members_below(X, cut):
-            y = g + x
-            if y < 0 or not self.sg.contains(y):
-                raise InvariantViolation("grade %r does not map ideal into S" % (g,))
-            members.append(y)
-        return self._canonical(members, g + cut)
+        cut = max(X[0] + c, c - g)
+        bits = self._below(X, cut)
+        # every shifted member must land on a member of S, none below 0
+        below_zero = g < 0 and bits & ((1 << -g) - 1)
+        bits = bits << g if g >= 0 else bits >> -g
+        if below_zero or bits & ~self.sg.member_bits(g + cut):
+            raise InvariantViolation("grade %r does not map ideal into S" % (g,))
+        return self._canonical(bits, g + cut)
 
     def principal_witness(self, X):
         m = self.min_member(X)
@@ -422,18 +462,19 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         if Y is EMPTY:
             return False
         bound = max(p[0] for p in parts)
-        below = set()
+        bits = 0
         for p in parts:
-            below.update(self.members_below(p, bound))
-        return self._canonical(sorted(below), bound) == Y
+            bits |= self._below(p, bound)
+        return self._canonical(bits, bound) == Y
 
     def _key(self, X):
         return X
 
     def _render(self, X):
-        n, _ = X
-        lead = self.members_below(X, n + self.sg.conductor + 4 * self.sg.gcd + 1)
-        return "{%s,...}" % ",".join(str(m) for m in lead[:4])
+        sg = self.sg
+        cut = X[0] + sg.conductor + 4 * sg.gcd + 1
+        lead = _least_bits(self._below(X, cut), 4)
+        return "{%s,...}" % ",".join(str(m) for m in lead)
 
 
 def _crt(b, a, d, c):
@@ -648,20 +689,20 @@ def constructible_closure(sg, depth, generators=None):
     Sorted canonically, Full first.
     """
     cal = calculus(sg)
-    family = set(reachable_ideals(sg, depth, generators))
-    work = sorted(family, key=cal.key)
-    while True:
-        new = set()
-        for i, X in enumerate(work):
-            for Y in work[i + 1:]:
-                Z = cal.intersect(X, Y)
-                if Z not in family and Z not in new:
-                    new.add(Z)
-        if not new:
-            break
-        family |= new
-        work = sorted(family, key=cal.key)
-    return tuple(work)
+    reach = reachable_ideals(sg, depth, generators)
+    family = set(reach)
+    # semi-naive: every member of the closure is a meet X1 n ... n Xk of
+    # reachable ideals, and meets associate, so it is found by meeting
+    # X1 n ... n X(k-1) with Xk.  The first pass meets every pair of
+    # reachable ideals; each later pass meets only the ideals the pass
+    # before it found with the reachable ones
+    fresh = {Z for i, X in enumerate(reach) for Y in reach[i + 1:]
+             if (Z := cal.intersect(X, Y)) not in family}
+    while fresh:
+        family |= fresh
+        fresh = {Z for X in fresh for Y in reach
+                 if (Z := cal.intersect(X, Y)) not in family}
+    return tuple(sorted(family, key=cal.key))
 
 
 def clifford_check(sg):

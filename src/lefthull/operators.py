@@ -250,11 +250,13 @@ def verify_relation(sg, kind, W, depth=2, length=2, generators=None):
         # e_X e_Y = e_{X meet Y}; diagonal, so every column is safe
         family = constructible_closure(sg, depth, generators)
         n = len(W)
+        proj = {X: char_projection(sg, X, W).matrix for X in family}
         for i, X in enumerate(family):
             for Y in family[i:]:
-                lhs = char_projection(sg, X, W).matrix \
-                    * char_projection(sg, Y, W).matrix
-                rhs = char_projection(sg, cal.intersect(X, Y), W).matrix
+                lhs = proj[X] * proj[Y]
+                Z = cal.intersect(X, Y)
+                rhs = proj[Z] if Z in proj else \
+                    char_projection(sg, Z, W).matrix
                 name = "semilattice X=%s Y=%s" % (cal.render(X), cal.render(Y))
                 if lhs != rhs:
                     _mismatch(kind, name)

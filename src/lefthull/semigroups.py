@@ -24,6 +24,7 @@ Folner densities are facts about ideals, stated by the calculus classes.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 import math
 
 
@@ -575,6 +576,17 @@ class PositiveCone(Semigroup):
         return True
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def set_bits(bits):
+    """The positions of the set bits of a nonnegative int, ascending."""
+    # bin() lists the bits high to low; reversed, position i is bit i,
+    # and as bytes 0/1 it selects the positions straight from count()
+    return list(compress(count(), bin(bits)[:1:-1].encode()
+                         .translate(_BIT_BYTES)))
+
+
 class _NumericalData:
     """Membership table, gcd and conductor for a numerical semigroup.
 
@@ -615,17 +627,6 @@ class _NumericalData:
                     return c
             bound *= 2
 
-    def contains_scaled(self, x):
-        if x < 0:
-            return False
-        if x >= self.scaled_conductor:
-            return True
-        return self.table[x]
-
-    def contains(self, x):
-        return isinstance(x, int) and x >= 0 and x % self.d == 0 \
-            and self.contains_scaled(x // self.d)
-
 
 @dataclass(frozen=True)
 class NumericalSemigroup(Semigroup):
@@ -649,17 +650,19 @@ class NumericalSemigroup(Semigroup):
     def _data(self):
         return _NumericalData(self.gens)
 
-    @property
+    @cached_property
     def gcd(self):
         return self._data.d
 
-    @property
+    @cached_property
     def conductor(self):
         """Least C with every multiple of gcd at or above C in S."""
         return self._data.d * self._data.scaled_conductor
 
     def contains(self, x):
-        return self._data.contains(x)
+        if not isinstance(x, int) or x < 0 or x % self.gcd:
+            return False
+        return x >= self.conductor or self._bits_below_conductor >> x & 1 == 1
 
     def identity(self):
         return 0
@@ -716,14 +719,36 @@ class NumericalSemigroup(Semigroup):
     def generators(self):
         return self.gens
 
+    @cached_property
+    def _bits_below_conductor(self):
+        data = self._data
+        return sum(1 << data.d * x for x in range(data.scaled_conductor)
+                   if data.table[x])
+
+    @cached_property
+    def _member_bits_memo(self):
+        return {}
+
+    def member_bits(self, bound):
+        """The members x with 0 <= x < bound as a bitset: bit x is set
+        exactly when x is a member."""
+        bits = self._member_bits_memo.get(bound)
+        if bits is None:
+            c, d = self.conductor, self.gcd
+            if bound <= c:
+                bits = self._bits_below_conductor & ((1 << max(bound, 0)) - 1)
+            else:
+                # from the conductor on, the members are the k multiples of
+                # d in [c, bound): the bits 0, d, ..., (k - 1) d shifted to c
+                k = -(-(bound - c) // d)
+                bits = self._bits_below_conductor \
+                    | ((1 << k * d) - 1) // ((1 << d) - 1) << c
+            self._member_bits_memo[bound] = bits
+        return bits
+
     def members_below(self, bound):
         """All members x with 0 <= x < bound, ascending."""
-        d = self._data.d
-        out = []
-        for x in range(0, bound, d) if bound > 0 else []:
-            if self._data.contains_scaled(x // d):
-                out.append(x)
-        return out
+        return set_bits(self.member_bits(bound))
 
     def window(self, bound):
         return self.members_below(bound + 1)

@@ -1,0 +1,109 @@
+"""The tuple-loop numerical ideal calculus: the oracle for the bitset one.
+
+An ideal is the pair (N, mask): the members listed in the sorted tuple mask
+together with every member of S at or above N, with N minimal.  Membership
+comes from a sieve over the generators, and every operation walks the
+members one at a time, which is how the calculus computed before it ran on
+bitsets.  ``image`` returns None where the calculus must raise.
+"""
+
+import math
+
+
+class TupleLoopIdeals:
+    def __init__(self, gens):
+        self.gens = tuple(sorted(set(gens)))
+        self.gcd = math.gcd(*self.gens)
+        # every multiple of the gcd beyond the largest gap is a member, and
+        # that gap lies below the square of the largest generator
+        limit = 2 * max(self.gens) ** 2 + 2 * max(self.gens)
+        member = [False] * (limit + 1)
+        member[0] = True
+        for x in range(1, limit + 1):
+            member[x] = any(x >= g and member[x - g] for g in self.gens)
+        gaps = [x for x in range(0, limit + 1, self.gcd) if not member[x]]
+        self.conductor = gaps[-1] + self.gcd if gaps else 0
+        self._member = member
+
+    def contains(self, x):
+        if x < 0 or x % self.gcd:
+            return False
+        return x >= self.conductor or self._member[x]
+
+    def members_below(self, bound):
+        return [x for x in range(max(bound, 0)) if self.contains(x)]
+
+    def canonical(self, members, bound):
+        # members u (S n [bound, oo)); lower the threshold while the member
+        # just below it is listed
+        mask = set(members)
+        n = bound
+        while n > 0:
+            x = n - 1
+            if self.contains(x):
+                if x not in mask:
+                    break
+                mask.discard(x)
+            n = x
+        return (n, tuple(sorted(mask)))
+
+    def ideal_members_below(self, X, bound):
+        n, mask = X
+        out = [m for m in mask if m < bound]
+        if bound > n:
+            out.extend(x for x in self.members_below(bound) if x >= n)
+        return sorted(set(out))
+
+    def is_member(self, x, X):
+        n, mask = X
+        return x in mask or (x >= n and self.contains(x))
+
+    def principal(self, s):
+        c = self.conductor
+        return self.canonical([s + x for x in self.members_below(c)], s + c)
+
+    def generated(self, gens):
+        """The ideal generated by the members gens: the union of g + S."""
+        bound = max(gens) + self.conductor
+        return self.canonical(
+            [x for x in self.members_below(bound)
+             if any(self.contains(x - g) for g in gens)], bound)
+
+    def translate(self, s, X):
+        cut = X[0] + self.conductor
+        members = self.ideal_members_below(X, cut)
+        return self.canonical([s + x for x in members], s + cut)
+
+    def preimage(self, s, X):
+        bound = max(0, X[0] - s)
+        return self.canonical([t for t in self.members_below(bound)
+                               if self.is_member(s + t, X)], bound)
+
+    def intersect(self, X, Y):
+        bound = max(X[0], Y[0])
+        return self.canonical([x for x in self.ideal_members_below(X, bound)
+                               if self.is_member(x, Y)], bound)
+
+    def image(self, g, X):
+        if g % self.gcd:
+            return None
+        c = self.conductor
+        cut = max(X[0] + c, c - g)
+        members = []
+        for x in self.ideal_members_below(X, cut):
+            if not self.contains(g + x):
+                return None
+            members.append(g + x)
+        return self.canonical(members, g + cut)
+
+    def union(self, parts):
+        bound = max(p[0] for p in parts)
+        below = set()
+        for p in parts:
+            below.update(self.ideal_members_below(p, bound))
+        return self.canonical(below, bound)
+
+    def render(self, X):
+        lead = self.ideal_members_below(X, X[0] + self.conductor
+                                        + 4 * self.gcd + 1)
+        return "{%s,...}" % ",".join(str(m) for m in lead[:4])

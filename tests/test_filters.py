@@ -1,6 +1,8 @@
 """Semilattice truncations, filters, and the maximality correspondence."""
 
+import copy
 import itertools
+import random
 
 import pytest
 
@@ -78,6 +80,63 @@ def test_truncation_builds_for_every_backend(sg):
     lat = truncate_semilattice(sg, constructible_closure(sg, 2))
     assert lat.meet(lat.top, lat.zero) == lat.zero
     assert lat.elements[lat.top] == calculus(sg).full()
+
+
+def cubic_validate(table, top, zero):
+    """The earlier validation of a meet table, kept as the oracle: it walks
+    every triple for associativity."""
+    n = len(table)
+    for i in range(n):
+        if table[i][i] != i:
+            raise UsageError("meet table is not idempotent")
+        if table[top][i] != i or table[zero][i] != zero:
+            raise UsageError("meet table violates the top or zero law")
+        for j in range(n):
+            if table[i][j] != table[j][i]:
+                raise UsageError("meet table is not commutative")
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    raise UsageError("meet table is not associative")
+
+
+def _verdict(fn, *args):
+    try:
+        fn(*args)
+    except UsageError as err:
+        return str(err)
+    return "ok"
+
+
+@pytest.mark.parametrize("sg, depth", [
+    (FreeMonoid(2), 2), (PositiveCone(2), 2), (NumericalSemigroup((2, 3)), 3),
+    (NumericalSemigroup((3, 5)), 2), (AxPlusB(), 2),
+    (FiniteTable(cyclic_table(5)), 2),
+], ids=lambda x: x.describe() if hasattr(x, "describe") else str(x))
+def test_meet_table_check_agrees_with_cubic_oracle(sg, depth):
+    lat = truncate_semilattice(sg, constructible_closure(sg, depth))
+    n = len(lat)
+    assert _verdict(cubic_validate, lat.table, lat.top, lat.zero) == "ok"
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(80):
+        # one entry changed, or one pair changed alike on both sides
+        i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        symmetric = rng.random() < 0.5
+        rows = [list(row) for row in lat.table]
+        rows[i][j] = v
+        if symmetric:
+            rows[j][i] = v
+        broken = copy.copy(lat)
+        broken.table = tuple(tuple(row) for row in rows)
+        old = _verdict(cubic_validate, broken.table, lat.top, lat.zero)
+        new = _verdict(broken._validate)
+        assert (old == "ok") == (new == "ok"), (i, j, v, old, new)
+        if symmetric and i != j and not {i, j} & {lat.top, lat.zero}:
+            # only associativity can fail, so the messages agree
+            assert old == new, (i, j, v)
+        seen.add(new)
+    if n > 3:  # two elements besides the top and the zero
+        assert "meet table is not associative" in seen
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ import random
 
 import pytest
 
-from lefthull import (AxPlusB, EMPTY, FreeMonoid, NumericalSemigroup,
-                      PositiveCone, UsageError, clifford_check,
-                      constructible_closure, independence_check, intersect,
-                      lcm_integer, membership, preimage, principal, translate)
-from lefthull.ideals import calculus
+from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
+                      NumericalSemigroup, PositiveCone, UsageError,
+                      clifford_check, constructible_closure, cyclic_table,
+                      independence_check, intersect, lcm_integer, membership,
+                      preimage, principal, translate)
+from lefthull.ideals import calculus, reachable_ideals
 
 BACKENDS = [
     FreeMonoid(2),
@@ -237,6 +238,42 @@ def test_closure_properties(sg):
             assert cal.intersect(X, Y) in fam
     shallow = set(constructible_closure(sg, 1))
     assert shallow <= set(fam)
+
+
+def full_pass_closure(sg, depth, generators=None):
+    """The earlier closure loop, kept as the oracle: every round meets
+    every pair of the whole family again."""
+    cal = calculus(sg)
+    family = set(reachable_ideals(sg, depth, generators))
+    work = sorted(family, key=cal.key)
+    while True:
+        new = set()
+        for i, X in enumerate(work):
+            for Y in work[i + 1:]:
+                Z = cal.intersect(X, Y)
+                if Z not in family:
+                    new.add(Z)
+        if not new:
+            break
+        family |= new
+        work = sorted(family, key=cal.key)
+    return tuple(work)
+
+
+@pytest.mark.parametrize("depth", (1, 2, 3))
+@pytest.mark.parametrize("sg", [FreeMonoid(2), PositiveCone(2),
+                                NumericalSemigroup((2, 3)), AxPlusB(),
+                                FiniteTable(cyclic_table(5))], ids=ids)
+def test_semi_naive_closure_matches_full_passes(sg, depth):
+    assert constructible_closure(sg, depth) == full_pass_closure(sg, depth)
+
+
+def test_semi_naive_closure_matches_full_passes_deeper():
+    num = NumericalSemigroup((5, 7, 9))
+    assert constructible_closure(num, 4) == full_pass_closure(num, 4)
+    axb, gens = AxPlusB(), ((1, 2), (0, 3))
+    assert constructible_closure(axb, 3, gens) == \
+        full_pass_closure(axb, 3, gens)
 
 
 def test_clifford_verdicts():

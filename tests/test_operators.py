@@ -316,6 +316,48 @@ def test_semilattice_instance_free_monoid():
     verify_relation(free, "semilattice", W, depth=1)
 
 
+def semilattice_per_pair(sg, W, family):
+    """The semilattice suite as it was built before, kept as the oracle:
+    three fresh projections for every pair of the family."""
+    cal = calculus(sg)
+    instances = []
+    for i, X in enumerate(family):
+        for Y in family[i:]:
+            lhs = char_projection(sg, X, W).matrix \
+                * char_projection(sg, Y, W).matrix
+            rhs = char_projection(sg, cal.intersect(X, Y), W).matrix
+            assert lhs == rhs
+            instances.append("semilattice X=%s Y=%s"
+                             % (cal.render(X), cal.render(Y)))
+    return tuple(instances), len(instances) * len(W)
+
+
+@pytest.mark.parametrize("sg", BACKENDS + [NumericalSemigroup((3, 5, 7))],
+                         ids=ids)
+def test_semilattice_suite_matches_per_pair_projections(sg):
+    W = s_window(sg, size=20)
+    rep = verify_relation(sg, "semilattice", W, depth=2)
+    assert (rep.instances, rep.checked_columns) == \
+        semilattice_per_pair(sg, W, constructible_closure(sg, 2))
+
+
+def test_semilattice_suite_builds_missing_meets(monkeypatch):
+    # 2S n 3S = {5,6,...} is not in this family, so its projection is
+    # built when the pair comes up
+    import lefthull.operators as operators
+    sg = NumericalSemigroup((2, 3))
+    cal = calculus(sg)
+    family = (cal.full(), cal.principal(2), cal.principal(3))
+    assert cal.intersect(family[1], family[2]) not in family
+    monkeypatch.setattr(operators, "constructible_closure",
+                        lambda *args: family)
+    W = s_window(sg, size=20)
+    rep = verify_relation(sg, "semilattice", W, depth=2)
+    assert rep.count == 6
+    assert (rep.instances, rep.checked_columns) == \
+        semilattice_per_pair(sg, W, family)
+
+
 def test_cs_grade_one_specific_word():
     # 1* 2 1* 0 has grade 0 and acts as the projection onto 1+
     from lefthull.hull import evaluate_word
