@@ -1,15 +1,19 @@
 """Finite truncations of the ideal semilattice and their filters.
 
-A truncation keeps the canonical ideal values as element semantics, so
-order questions are answered twice over: once through the meet table and
-once through the ideal calculus.  The two must agree; the build validates
-the table laws outright.
+A truncation keeps the canonical ideal values as element semantics and
+validates the meet table laws outright.  Every order question is then read
+off the validated table: the build keeps each element's down-set
+D(j) = {i : i <= j} and up-set U(i) = {j : i <= j} as int bitsets, and
+up-sets, filters and the elements strictly below an element are a few
+whole-int operations on them.  Only set semantics, whether a union of
+elements is another one, goes to the ideal calculus.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .ideals import EMPTY, calculus
-from .semigroups import UsageError
+from .semigroups import UsageError, set_bits
 
 
 class FiniteSemilattice:
@@ -67,9 +71,12 @@ class FiniteSemilattice:
             for j in range(i + 1, n):
                 if table[i][j] != table[j][i]:
                     raise UsageError("meet table is not commutative")
-        # D(j) read off row j, the table being commutative
-        down = [sum(1 << i for i, m in enumerate(row) if m == i)
-                for row in table]
+        # D(j) read off row j, the table being commutative, and U(i) the
+        # entries of row i that equal i
+        self.down = down = [sum(1 << i for i, m in enumerate(row) if m == i)
+                            for row in table]
+        self.up = [sum(1 << j for j, m in enumerate(row) if m == i)
+                   for i, row in enumerate(table)]
         for i, row in enumerate(table):
             for j in range(i + 1, n):
                 if down[row[j]] != down[i] & down[j]:
@@ -91,7 +98,7 @@ class FiniteSemilattice:
         return self._index[X]
 
     def up_set(self, i):
-        return frozenset(j for j in range(len(self.elements)) if self.leq(i, j))
+        return frozenset(set_bits(self.up[i]))
 
     def render(self, i):
         return calculus(self.sg).render(self.elements[i])
@@ -116,17 +123,15 @@ class Filter:
 
 
 def is_filter(subset, lattice):
+    """A set with the top and without the zero is a filter exactly when it
+    is the up-set of the meet m of its members: a filter holds m and so
+    U(m), and lies in U(m); conversely U(m) is upward closed and meet
+    closed, the table being a validated semilattice."""
     members = subset.members if isinstance(subset, Filter) else frozenset(subset)
     if lattice.top not in members or lattice.zero in members:
         return False
-    for i in members:
-        for j in members:
-            if lattice.meet(i, j) not in members:
-                return False
-        for j in range(len(lattice)):
-            if lattice.leq(i, j) and j not in members:
-                return False
-    return True
+    least = reduce(lattice.meet, members)
+    return lattice.up[least] == sum(1 << i for i in members)
 
 
 def enumerate_filters(lattice):
@@ -146,10 +151,6 @@ def enumerate_filters(lattice):
     return tuple(out)
 
 
-def render_filter(f, lattice):
-    return "{%s}" % ", ".join(lattice.render(i) for i in sorted(f.members))
-
-
 @dataclass(frozen=True)
 class MaximalityVerdict:
     holds: bool
@@ -160,16 +161,15 @@ class MaximalityVerdict:
 def maximal_representation_check(lattice):
     """Whether the inclusion of the truncation into subsets of S is a
     maximal representation: no element may be the union of strictly
-    smaller nonzero elements.  Decided through the meet table for the
-    order and the ideal calculus for set semantics, independently of
-    the cover search used on raw families.
+    smaller nonzero elements.  The elements below b are read off D(b),
+    and the ideal calculus decides whether their union is b.
     """
     cal = calculus(lattice.sg)
+    zero = 1 << lattice.zero
     for b in range(len(lattice)):
         if b == lattice.zero:
             continue
-        below = [a for a in range(len(lattice))
-                 if a not in (b, lattice.zero) and lattice.leq(a, b)]
+        below = set_bits(lattice.down[b] & ~(1 << b | zero))
         if not below:
             continue
         parts = [lattice.elements[a] for a in below]

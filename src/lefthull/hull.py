@@ -51,12 +51,6 @@ def lambda_(sg, s):
     return HullElement(sg.embed(s), calculus(sg).full())
 
 
-def partial_identity(sg, X):
-    if X is EMPTY:
-        return ZERO
-    return HullElement(sg.grading_group().identity(), X)
-
-
 def star(sg, f):
     if f is ZERO:
         return ZERO
@@ -231,21 +225,6 @@ def random_word(sg, rng, pairs, pool=10):
 
 # ---------------------------------------------------------------------------
 # decision procedures on top of the algebra
-
-
-def check_lift_relation(sg, f, s, window_size=20):
-    """f lambda(s) = lambda(f(s)) whenever s lies in dom(f); checked both in
-    the algebra and pointwise."""
-    fs = apply_element(sg, f, s)
-    if fs is None:
-        raise UsageError("element %r is outside the domain" % (s,))
-    lhs = compose(sg, f, lambda_(sg, s))
-    rhs = lambda_(sg, fs)
-    if lhs != rhs:
-        return False
-    win = sg.window_of_size(window_size)
-    return maps_agree(materialize_element(sg, lhs, win),
-                      materialize_element(sg, rhs, win))
 
 
 def clifford_normal_form(sg, f, window_size=30):

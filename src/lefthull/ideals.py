@@ -23,12 +23,16 @@ it raises when the result would leave S, which honest callers never trigger.
 
 Each calculus class also answers, exactly, the questions about ideals asked
 of every left cancellative S: left reversibility, the Clifford condition,
-left thickness and Folner densities.  A subclass names the backend it
-serves, which builds it once per instance.
+independence of a family, left thickness and Folner densities.  A subclass
+names the backend it serves, which builds it once per instance.
+Independence is such a per-calculus fact: where every nonempty
+constructible ideal is principal it holds by one argument, and only the
+numerical calculus searches a family for a union that collapses.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 import math
 
 from .semigroups import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
@@ -56,13 +60,6 @@ class _TableFull:
 _TABLE_FULL = _TableFull()
 
 
-def lcm_integer(a, b):
-    """Positive least common multiple of two nonzero integers."""
-    if a == 0 or b == 0:
-        raise UsageError("lcm of zero is undefined here")
-    return math.lcm(a, b)
-
-
 @dataclass(frozen=True)
 class ReversibilityVerdict:
     holds: bool
@@ -83,6 +80,19 @@ class CliffordVerdict:
         return self.status == "holds"
 
 
+@dataclass(frozen=True)
+class IndependenceVerdict:
+    """Whether no family member is a union of other members."""
+
+    independent: bool
+    proof: str = None
+    witness: tuple = None  # (members tuple, Y) with union(members) == Y
+
+    @property
+    def holds(self):
+        return self.independent
+
+
 class IdealCalculus:
     """Per-backend canonical arithmetic on constructible right ideals."""
 
@@ -95,10 +105,11 @@ class IdealCalculus:
     # The facts about ideals that each subclass states: reversible_proof and
     # clifford_proof, why two principal right ideals always meet and why
     # their meet is empty or principal (unless it overrides left_reversible
-    # or clifford); thick_witness(gs), an x in S and in g.S for every g of
-    # the nonempty gs, with its proof, or (None, proof) when there is none;
-    # and where S has Folner boxes, folner_mean(X, N), the exact density of
-    # X in the N-th box, and folner_constant(X), a c with
+    # or clifford, and independence and union_equals where not every
+    # nonempty ideal is principal); thick_witness(gs), an x in S and in g.S
+    # for every g of the nonempty gs, with its proof, or (None, proof) when
+    # there is none; and where S has Folner boxes, folner_mean(X, N), the
+    # exact density of X in the N-th box, and folner_constant(X), a c with
     # folner_mean(X, N) >= 1 - c/N for every N >= folner_least_n().
 
     def left_reversible(self):
@@ -106,6 +117,14 @@ class IdealCalculus:
 
     def clifford(self):
         return CliffordVerdict("holds", proof=self.clifford_proof)
+
+    def independence(self, members):
+        """Whether no member of an intersection-closed family of nonempty
+        ideals is the union of other members.  This default holds where
+        every nonempty constructible ideal is principal."""
+        return IndependenceVerdict(
+            True, proof="a union of members strictly inside qS must cover q, "
+                        "which puts qS inside one of them")
 
     def _no_folner_boxes(self, *args):
         raise UnsupportedOperation("no Folner boxes for %s"
@@ -164,7 +183,7 @@ class IdealCalculus:
         parts = [m for m in members if m is not EMPTY]
         if Y is EMPTY:
             return not parts
-        return all(self.subset(p, Y) for p in parts) and Y in parts
+        return Y in parts and all(self.subset(p, Y) for p in parts)
 
     def key(self, X):
         if X is EMPTY:
@@ -455,6 +474,20 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         m = self.min_member(X)
         return m if self.principal(m) == X else None
 
+    def independence(self, members):
+        # a union of members equals Y without containing Y as a member iff
+        # the union of all members strictly inside Y is already Y, so one
+        # pass over candidates suffices.  Witness covers prefer principal
+        # ideals, which is what makes the reported violation legible
+        for Y in members:
+            below = [X for X in members if X != Y and self.subset(X, Y)]
+            if below and self.union_equals(below, Y):
+                below.sort(key=lambda X: (self.principal_witness(X) is None,
+                                          self.key(X)))
+                return IndependenceVerdict(
+                    False, witness=(_minimal_cover(self, below, Y), Y))
+        return IndependenceVerdict(True, proof="pairwise union check")
+
     def union_equals(self, members, Y):
         parts = [m for m in members if m is not EMPTY]
         if not parts:
@@ -475,6 +508,15 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         cut = X[0] + sg.conductor + 4 * sg.gcd + 1
         lead = _least_bits(self._below(X, cut), 4)
         return "{%s,...}" % ",".join(str(m) for m in lead)
+
+
+def _minimal_cover(cal, below, Y, limit=3):
+    # smallest sub-family of strictly-below members whose union is Y
+    for size in range(2, min(limit, len(below)) + 1):
+        for combo in combinations(below, size):
+            if cal.union_equals(combo, Y):
+                return combo
+    return tuple(below)
 
 
 def _crt(b, a, d, c):
@@ -654,11 +696,6 @@ def intersect(sg, X, Y):
     return calculus(sg).intersect(X, Y)
 
 
-def membership(sg, x, X):
-    sg._check(x)
-    return calculus(sg).is_member(x, X)
-
-
 def reachable_ideals(sg, depth, generators=None):
     """Ideals reachable from S by at most ``depth`` alternations t^-1(s X)
     over the generator letters (identity allowed in either slot).  These are
@@ -710,47 +747,7 @@ def clifford_check(sg):
     return calculus(sg).clifford()
 
 
-@dataclass(frozen=True)
-class IndependenceVerdict:
-    """Whether no family member is a union of other members."""
-
-    independent: bool
-    proof: str = None
-    witness: tuple = None  # (members tuple, Y) with union(members) == Y
-
-    @property
-    def holds(self):
-        return self.independent
-
-
-def _minimal_cover(cal, below, Y, limit=3):
-    # smallest sub-family of strictly-below members whose union is Y
-    from itertools import combinations
-    for size in range(2, min(limit, len(below)) + 1):
-        for combo in combinations(below, size):
-            if cal.union_equals(combo, Y):
-                return combo
-    return tuple(below)
-
-
 def independence_check(sg, family):
-    """Exact union-equality search over an intersection-closed family.
-
-    A union of members equals Y without containing Y as a member iff the
-    union of all members strictly inside Y is already Y, so one pass over
-    candidates suffices.  Witness covers prefer principal ideals, which is
-    what makes the reported violation legible.
-    """
-    cal = calculus(sg)
-    members = [X for X in family if X is not EMPTY]
-    for Y in members:
-        below = [X for X in members if X != Y and cal.subset(X, Y)]
-        if below and cal.union_equals(below, Y):
-            below.sort(key=lambda X: (cal.principal_witness(X) is None,
-                                      cal.key(X)))
-            cover = _minimal_cover(cal, below, Y)
-            return IndependenceVerdict(False, witness=(cover, Y))
-    proof = "pairwise union check"
-    if clifford_check(sg).holds:
-        proof = "all members principal; unions of principal ideals collapse"
-    return IndependenceVerdict(True, proof=proof)
+    """Whether no member of an intersection-closed family is a union of
+    other members, decided by the backend's calculus."""
+    return calculus(sg).independence([X for X in family if X is not EMPTY])

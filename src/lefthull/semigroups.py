@@ -299,11 +299,6 @@ class Semigroup:
         """The unique r with s*r == t, or None if t is not in s*S."""
         raise NotImplementedError
 
-    def preceq(self, s, t):
-        """True iff s lies in t*S (s is a right multiple of t)."""
-        self._check(s, t)
-        return self.left_divide(t, s) is not None
-
     def embed(self, s):
         """Image of s in the grading group."""
         raise NotImplementedError

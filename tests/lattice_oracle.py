@@ -1,0 +1,68 @@
+"""Order questions of a finite semilattice walked through ``leq``, and the
+pairwise independence search, kept as the oracle for the down-set and
+up-set bitsets of ``lefthull.filters`` and for the independence verdict
+each ideal calculus states.
+
+Every function here reads only the meet table (through ``meet`` and
+``leq``) and the ideal calculus' ``subset`` and ``union_equals``.
+"""
+
+from itertools import combinations
+
+from lefthull import EMPTY, calculus
+
+
+def up_set(lattice, i):
+    return frozenset(j for j in range(len(lattice)) if lattice.leq(i, j))
+
+
+def is_filter(subset, lattice):
+    """Holds the top, not the zero, and is meet closed and upward closed."""
+    members = frozenset(subset)
+    if lattice.top not in members or lattice.zero in members:
+        return False
+    for i in members:
+        for j in members:
+            if lattice.meet(i, j) not in members:
+                return False
+        for j in range(len(lattice)):
+            if lattice.leq(i, j) and j not in members:
+                return False
+    return True
+
+
+def maximality(lattice):
+    """(holds, witness): whether no element is the union of the nonzero
+    elements strictly below it, with the first (parts, target) that is."""
+    cal = calculus(lattice.sg)
+    for b in range(len(lattice)):
+        if b == lattice.zero:
+            continue
+        below = [a for a in range(len(lattice))
+                 if a not in (b, lattice.zero) and lattice.leq(a, b)]
+        if not below:
+            continue
+        parts = [lattice.elements[a] for a in below]
+        target = lattice.elements[b]
+        if cal.union_equals(parts, target):
+            return False, (tuple(parts), target)
+    return True, None
+
+
+def independence(sg, family):
+    """(holds, witness): whether no member is the union of the members
+    strictly inside it, with the least cover found of the first that is.
+    Covers prefer principal members, then the canonical order."""
+    cal = calculus(sg)
+    members = [X for X in family if X is not EMPTY]
+    for Y in members:
+        below = [X for X in members if X != Y and cal.subset(X, Y)]
+        if below and cal.union_equals(below, Y):
+            below.sort(key=lambda X: (cal.principal_witness(X) is None,
+                                      cal.key(X)))
+            for size in range(2, min(3, len(below)) + 1):
+                for combo in combinations(below, size):
+                    if cal.union_equals(combo, Y):
+                        return False, (combo, Y)
+            return False, (tuple(below), Y)
+    return True, None

@@ -12,7 +12,7 @@ from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
                       principal)
 from lefthull.filters import (Filter, FiniteSemilattice, enumerate_filters,
                               is_filter, maximal_representation_check,
-                              render_filter, truncate_semilattice)
+                              truncate_semilattice)
 
 BACKENDS = [
     FreeMonoid(2),
@@ -214,12 +214,6 @@ def test_filters_survive_deeper_truncation():
         # the grown filter is the old one plus deeper ideals containing seed
         old = {shallow.elements[i] for i in f.members}
         assert old <= {deep.elements[i] for i in grown}
-
-
-def test_render_filter_deterministic():
-    line, lat = chain_lattice(2)
-    fs = enumerate_filters(lat)
-    assert render_filter(fs[2], lat) == "{S, (1)+S, (2)+S}"
 
 
 # ---------------------------------------------------------------------------

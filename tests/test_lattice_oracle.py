@@ -1,0 +1,111 @@
+"""Filters, up-sets, maximality and independence read off the meet table's
+bitsets and stated by the calculus, against the leq walks of
+``lattice_oracle``."""
+
+import itertools
+import os
+import random
+
+import pytest
+
+from lefthull import (AxPlusB, FiniteTable, FreeMonoid, NumericalSemigroup,
+                      PositiveCone, constructible_closure, cyclic_table,
+                      independence_check)
+from lefthull.cli import DEFAULTS
+from lefthull.config import build_backend, config_generators, load_config
+from lefthull.filters import (enumerate_filters, is_filter,
+                              maximal_representation_check,
+                              truncate_semilattice)
+
+import lattice_oracle as oracle
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = ("axb", "cone2", "free2", "num23", "table5", "zplus")
+BACKENDS = [
+    FreeMonoid(2),
+    PositiveCone(2),
+    NumericalSemigroup((2, 3)),
+    NumericalSemigroup((3, 5)),
+    AxPlusB(),
+    FiniteTable(cyclic_table(5)),
+]
+# (backend, depth, generators); <10,11> stops at depth 2, where its lattice
+# has 98 elements (1,146 at depth 3, too many for the cubic walks)
+CASES = [(sg, depth, None) for sg in BACKENDS for depth in (1, 2, 3)] + [
+    (NumericalSemigroup((10, 11)), depth, None) for depth in (1, 2)]
+
+
+def shipped(name):
+    cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
+    sg = build_backend(cfg)
+    return sg, cfg.bounds.get("depth", DEFAULTS["depth"]), \
+        config_generators(sg, cfg)
+
+
+def case_id(case):
+    sg, depth, _ = case
+    return "%s-depth%d" % (sg.describe(), depth)
+
+
+def sample_subsets(lattice, rng, count=200):
+    """Up-sets, up-sets with one index added or dropped, and subsets of
+    random density, so that both answers come up."""
+    n = len(lattice)
+    for k in range(count):
+        members = set(oracle.up_set(lattice, rng.randrange(n)))
+        if k % 4 == 1:
+            members.add(rng.randrange(n))
+        elif k % 4 == 2:
+            members.discard(rng.choice(sorted(members)))
+        elif k % 4 == 3:
+            p = rng.random()
+            members = {i for i in range(n) if rng.random() < p}
+        yield members
+
+
+def assert_agrees(sg, depth, generators):
+    fam = constructible_closure(sg, depth, generators)
+    lat = truncate_semilattice(sg, fam)
+    for i in range(len(lat)):
+        assert lat.up_set(i) == oracle.up_set(lat, i), i
+    for f in enumerate_filters(lat):
+        assert oracle.is_filter(f.members, lat)
+    for members in sample_subsets(lat, random.Random(len(lat))):
+        assert is_filter(members, lat) == oracle.is_filter(members, lat), \
+            sorted(members)
+    maximal = maximal_representation_check(lat)
+    assert (maximal.holds, maximal.witness) == oracle.maximality(lat)
+    verdict = independence_check(sg, fam)
+    assert (verdict.holds, verdict.witness) == oracle.independence(sg, fam)
+    assert maximal.holds == verdict.holds
+    return verdict
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_configs_agree_with_leq_walks(name):
+    assert_agrees(*shipped(name))
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_backends_agree_with_leq_walks(case):
+    assert_agrees(*case)
+
+
+@pytest.mark.parametrize("gens, depth", [((2, 3), 3), ((10, 11), 2)])
+def test_numerical_independence_fails_with_the_oracles_witness(gens, depth):
+    verdict = assert_agrees(NumericalSemigroup(gens), depth, None)
+    assert not verdict.holds and verdict.witness is not None
+
+
+@pytest.mark.parametrize("sg, depth", [
+    (PositiveCone(1), 1), (PositiveCone(1), 2), (PositiveCone(1), 3),
+    (PositiveCone(1), 4), (FreeMonoid(2), 1), (FreeMonoid(2), 2),
+    (FreeMonoid(2), 3),
+], ids=lambda x: x.describe() if hasattr(x, "describe") else str(x))
+def test_every_subset_of_small_lattices(sg, depth):
+    lat = truncate_semilattice(sg, constructible_closure(sg, depth))
+    n = len(lat)
+    for bits in itertools.product((False, True), repeat=n):
+        members = set(itertools.compress(range(n), bits))
+        assert is_filter(members, lat) == oracle.is_filter(members, lat), \
+            sorted(members)

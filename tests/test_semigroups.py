@@ -100,13 +100,15 @@ def test_left_divide_no_solution_cases():
 def test_preceq_matches_ideal_inclusion(sg):
     rng = random.Random(16)
     xs = sample(sg, rng, 14)
+    cal = calculus(sg)
     for s in xs:
         for t in xs:
-            # s preceq t means s = t*u for some u
-            assert sg.preceq(s, t) == (sg.left_divide(t, s) is not None)
+            # s preceq t means s = t*u for some u, that is s in tS
+            assert (sg.left_divide(t, s) is not None) == \
+                cal.is_member(s, cal.principal(t))
     e = sg.identity()
     for s in xs:
-        assert sg.preceq(s, e)
+        assert sg.left_divide(e, s) == s
 
 
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
