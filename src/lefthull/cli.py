@@ -149,20 +149,22 @@ def cmd_group(sg, args, generators, out):
 def cmd_matrix(sg, args, generators, out):
     W = s_window(sg, size=args.window)
     letters = tuple(generators if generators is not None else sg.generators())
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-    for i, s in enumerate(letters):
-        op = isometry_matrix(sg, s, W)
-        path = os.path.join(args.out, "isometry_%d.txt" % i)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(op.matrix.export_coordinate())
-        written.append(path)
     HW = hull_window(sg, args.length, generators, include=W)
-    T = intertwiner_matrix(sg, W, HW)
-    path = os.path.join(args.out, "intertwiner.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(T.matrix.export_coordinate())
-    written.append(path)
+    exports = [("isometry_%d.txt" % i, isometry_matrix(sg, s, W))
+               for i, s in enumerate(letters)]
+    exports.append(("intertwiner.txt", intertwiner_matrix(sg, W, HW)))
+    written = []
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for name, op in exports:
+            path = os.path.join(args.out, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(op.matrix.export_coordinate())
+            written.append(path)
+    except OSError as err:
+        print("output error: --out %s: %s" % (args.out, err.strerror or err),
+              file=sys.stderr)
+        return EXIT_PARSE
     pairs = [("backend", sg.describe()), ("window", str(len(W))),
              ("hull.window", str(len(HW)))]
     for p in written:

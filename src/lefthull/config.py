@@ -81,6 +81,8 @@ def load_config(path):
             return parse_config(fh.read())
     except OSError as err:
         raise ConfigError("cannot read %s: %s" % (path, err.strerror or err))
+    except UnicodeDecodeError:
+        raise ConfigError("cannot read %s: not UTF-8 text" % path)
 
 
 def _int_params(cfg, count=None):

@@ -99,6 +99,13 @@ def evaluate_word(sg, pairs):
     return acc
 
 
+def word_atoms(sg, letters):
+    """The one-pair words star(lambda(t)) lambda(s), t-major over the
+    letters."""
+    return [compose(sg, star(sg, lambda_(sg, t)), lambda_(sg, s))
+            for t in letters for s in letters]
+
+
 def recompose(sg, p, q):
     """lambda(p) lambda(q)*, the Clifford-condition normal shape."""
     return compose(sg, lambda_(sg, p), star(sg, lambda_(sg, q)))
@@ -122,13 +129,8 @@ def enumerate_hull(sg, length, generators=None):
     """
     if length < 0:
         raise UsageError("length must be >= 0")
-    letters = (sg.identity(),) + tuple(generators if generators is not None
-                                       else sg.generators())
-    atoms = []
-    for t in letters:
-        for s in letters:
-            atoms.append(compose(sg, star(sg, lambda_(sg, t)),
-                                 lambda_(sg, s)))
+    atoms = word_atoms(sg, (sg.identity(),) + tuple(
+        generators if generators is not None else sg.generators()))
     seen = {identity_element(sg)}
     level = [identity_element(sg)]
     for _ in range(length):

@@ -8,13 +8,25 @@ both sides of the relation provably stays inside the window.  A relation
 failing on its safe core is a genuine counterexample, never an artifact.
 The intertwiner suite builds T* L(f) T directly on the semigroup window,
 from the columns of L(f) at the basis vectors lambda(s) that T hits.
+
+The cs-grade-one suite walks its words level by level, in the order of the
+word list t-major over the pairs, so the first failing word is the one a
+word-by-word walk names.  A word w p of n pairs keeps the state of its
+prefix w: its element is compose(f_w, a_p) with a_p = star(lambda t)
+lambda s, its product is P_w A_p with A_p = V_t* V_s, and its safe columns
+are Z_p, where p itself annihilates (s x is visible and t does not divide
+it), together with the columns that A_p sends into safe(w).  This is
+exact: on a column the last pair acts first, so a trajectory of w p is
+the trajectory of p followed by the trajectory of w from where p ends.
+Only the previous level is kept, and words off grade 1 at the last level
+are dropped before any matrix is built.
 """
 
 from dataclasses import dataclass
 
-from .hull import (ZERO, compose, enumerate_hull, evaluate_word,
-                   hull_sort_key, is_idempotent, lambda_, render_element,
-                   star)
+from .hull import (ZERO, compose, enumerate_hull, hull_sort_key,
+                   identity_element, is_idempotent, lambda_, render_element,
+                   star, word_atoms)
 from .ideals import EMPTY, calculus, constructible_closure
 from .matrices import Matrix
 from .semigroups import InvariantViolation, UsageError
@@ -271,35 +283,44 @@ def verify_relation(sg, kind, W, depth=2, length=2, generators=None):
             checked += len(V.safe)
 
     elif kind == "cs-grade-one":
-        # identity-graded words act as the projection onto their domain
-        G = sg.grading_group()
-        pool = [(t, s) for t in (sg.identity(),) + letters
-                for s in (sg.identity(),) + letters]
-        words = []
-        level = [[]]
-        for _ in range(length):
-            level = [w + [p] for w in level for p in pool]
-            words.extend(level)
-        for pairs in words:
-            f = evaluate_word(sg, pairs)
-            if f is not ZERO and f.grade != G.identity():
-                continue
-            X = EMPTY if f is ZERO else f.dom
-            prod = Matrix.identity(len(W))
-            steps = []
-            for t, s in reversed(pairs):
-                steps.extend((("mul", s), ("div", t)))
-            for t, s in pairs:
-                Vt = isometry_matrix(sg, t, W)
-                Vs = isometry_matrix(sg, s, W)
-                prod = prod * Vt.matrix.transpose() * Vs.matrix
-            rhs = char_projection(sg, X, W).matrix
-            safe = _safe_columns(sg, W, steps)
-            if not prod.columns_agree(rhs, safe):
-                _mismatch(kind, "word %s" % " ".join(
-                    "%s*.%s" % (sg.render(t), sg.render(s)) for t, s in pairs))
-            count += 1
-            checked += len(safe)
+        # identity-graded words act as the projection onto their domain;
+        # each word extends a word of the previous level by one pair
+        one = sg.grading_group().identity()
+        ends = (sg.identity(),) + letters
+        V = {s: isometry_matrix(sg, s, W).matrix for s in ends}
+        pool = []
+        for (t, s), a in zip([(t, s) for t in ends for s in ends],
+                             word_atoms(sg, ends)):
+            A = V[t].transpose() * V[s]
+            zero = frozenset(j for j, i in V[s].entries.items()
+                             if sg.left_divide(t, W.elements[i]) is None)
+            pool.append(((t, s), a, A, zero))
+        proj = {}
+        level = [((), identity_element(sg), Matrix.identity(len(W)),
+                  frozenset(range(len(W))))]
+        for left in range(length - 1, -1, -1):
+            nxt = []
+            for pairs, f, prod, safe in level:
+                for p, a, A, zero in pool:
+                    g = compose(sg, f, a)
+                    graded = g is ZERO or g.grade == one
+                    if not graded and not left:
+                        continue
+                    word, P = pairs + (p,), prod * A
+                    S = zero.union(j for j, i in A.entries.items() if i in safe)
+                    if graded:
+                        X = EMPTY if g is ZERO else g.dom
+                        if X not in proj:
+                            proj[X] = char_projection(sg, X, W).matrix
+                        if not P.columns_agree(proj[X], S):
+                            _mismatch(kind, "word %s" % " ".join(
+                                "%s*.%s" % (sg.render(t), sg.render(s))
+                                for t, s in word))
+                        count += 1
+                        checked += len(S)
+                    if left:
+                        nxt.append((word, g, P, S))
+            level = nxt
 
     elif kind == "intertwiner":
         # T* L(f) T = w(f) for every enumerated hull element.  T e_s is the

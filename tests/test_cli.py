@@ -35,6 +35,14 @@ def test_missing_file_exits_2(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_config_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"kind = cone\nparams = 2\n\xff\xfe\n")
+    code, out, err = run(["check", str(path)], capsys)
+    assert code == 2
+    assert err == "config error: cannot read %s: not UTF-8 text\n" % path
+
+
 def test_unknown_key_reports_line(capsys, tmp_path):
     path = write(tmp_path, "kind = cone\nwat = 3\n")
     code, out, err = run(["analyze", path], capsys)
@@ -189,6 +197,20 @@ def test_matrix_writes_coordinate_files(capsys, tmp_path):
     assert os.path.exists(os.path.join(out_dir, "intertwiner.txt"))
     assert "relation.covariance: ok" in out
     assert "relation.intertwiner: ok" in out
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_matrix_out_through_a_file_exits_2(capsys, tmp_path, sub):
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    target = os.path.join(str(blocker), sub) if sub else str(blocker)
+    code, out, err = run(["matrix", cfg("zplus"), "--window", "6",
+                          "--out", target], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("output error: --out %s: " % target)
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text() == "kept\n"
 
 
 def test_check_exit_0_and_reports_all(capsys):
