@@ -556,18 +556,18 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
 
     def _shift_ideal(self, g):
         """g.S n S as a canonical ideal, for g in the rational affine group."""
-        q1, q2 = g
-        alpha, beta = q2.numerator, q2.denominator
-        if beta % q1.denominator:
-            return EMPTY  # the offset can never be made integral
-        m = beta * q1.numerator // q1.denominator
-        b0 = (-m * pow(alpha, -1, beta)) % beta if beta > 1 else 0
-        shifted = q1 + q2 * b0
-        if shifted.denominator != 1:
-            raise InvariantViolation("congruence solution %r is not integral"
-                                     % (shifted,))
-        mod = abs(alpha)
-        return (int(shifted) % mod, mod)
+        p, r, d = g
+        if math.gcd(r, d) != 1:
+            # d | p + r*b would put each prime of gcd(r, d) into p, against
+            # gcd(p, r, d) == 1: the offset can never be made integral
+            return EMPTY
+        b0 = -p * pow(r, -1, d) % d  # so d divides p + r*b0
+        shifted = p + r * b0
+        if shifted % d:
+            raise InvariantViolation("congruence solution %d/%d is not integral"
+                                     % (shifted, d))
+        mod = abs(r)
+        return (shifted // d % mod, mod)
 
     def full(self):
         return (0, 1)
@@ -609,14 +609,14 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
         return (e, l)
 
     def _image(self, g, X):
-        q1, q2 = g
+        p, r, d = g
         b, a = X
-        bb = q1 + q2 * b
-        aa = q2 * a
-        if bb.denominator != 1 or aa.denominator != 1 or aa == 0:
-            raise InvariantViolation("grade %r does not map ideal into S" % (g,))
-        m = abs(int(aa))
-        return (int(bb) % m, m)
+        bb, aa = p + r * b, r * a
+        if bb % d or aa % d or aa == 0:
+            raise InvariantViolation("grade %s does not map ideal into S"
+                                     % self.sg.grading_group().render(g))
+        m = abs(aa // d)
+        return (bb // d % m, m)
 
     def principal_witness(self, X):
         return X  # (b, a) with a >= 1 is itself an element generating X

@@ -11,7 +11,8 @@ Five concrete left cancellative monoids are supported:
 Element values are plain hashable data (tuples, ints); the backend object
 carries the operations.  Every backend embeds into a concrete group used for
 grading; the group classes live here as well so the two layers share one
-vocabulary.
+vocabulary.  Grades are plain ints or int tuples for every backend, the
+rational ax+b grades included.
 
 Each backend class also supplies, in one place, the facts the other modules
 ask of it: its grading group and ideal calculus (both built once per
@@ -22,7 +23,6 @@ Folner densities are facts about ideals, stated by the calculus classes.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 import math
@@ -202,26 +202,46 @@ class IntegerLattice(Group):
 
 @dataclass(frozen=True)
 class RationalAffine(Group):
-    """Q x Q^x with (q1,q2)(r1,r2) = (q1 + q2*r1, q2*r2); exact fractions."""
+    """Q x Q^x with (q1,q2)(s1,s2) = (q1 + q2*s1, q2*s2), in integers.
+
+    An element is the int triple (p, r, d) standing for (p/d, r/d), the map
+    x -> (r/d)x + p/d, over the least common denominator: d > 0, r != 0 and
+    gcd(p, r, d) == 1.  That form is unique, so tuple equality and hashing
+    are equality in the group.  ``inv`` is (-p, d, r), every sign flipped
+    when r < 0, and needs no gcd: its entries are those of g up to sign.
+    """
 
     def identity(self):
-        return (Fraction(0), Fraction(1))
+        return (0, 1, 1)
 
     def mul(self, g, h):
-        return (g[0] + g[1] * h[0], g[1] * h[1])
+        p1, r1, d1 = g
+        p2, r2, d2 = h
+        p, r, d = p1 * d2 + r1 * p2, r1 * r2, d1 * d2
+        if d == 1:
+            return (p, r, 1)
+        c = math.gcd(p, r, d)
+        return (p // c, r // c, d // c)
 
     def inv(self, g):
-        return (-g[0] / g[1], 1 / g[1])
+        p, r, d = g
+        return (-p, d, r) if r > 0 else (p, -d, -r)
 
     def contains(self, g):
-        return (isinstance(g, tuple) and len(g) == 2
-                and all(isinstance(q, Fraction) for q in g) and g[1] != 0)
+        return (isinstance(g, tuple) and len(g) == 3
+                and all(isinstance(x, int) for x in g)
+                and g[1] != 0 and g[2] > 0 and math.gcd(*g) == 1)
 
     def key(self, g):
-        return (g[0].numerator, g[0].denominator, g[1].numerator, g[1].denominator)
+        # numerator and denominator of p/d, then of r/d, as Fraction has them
+        p, r, d = g
+        c, e = math.gcd(p, d), math.gcd(r, d)
+        return (p // c, d // c, r // e, d // e)
 
     def render(self, g):
-        return "(%s,%s)" % (g[0], g[1])
+        n1, d1, n2, d2 = self.key(g)
+        return "(%s,%s)" % ("%d/%d" % (n1, d1) if d1 != 1 else n1,
+                            "%d/%d" % (n2, d2) if d2 != 1 else n2)
 
     def describe(self):
         return "Q x Q^x"
@@ -802,21 +822,18 @@ class AxPlusB(Semigroup):
 
     def embed(self, s):
         self._check(s)
-        return (Fraction(s[0]), Fraction(s[1]))
+        return (s[0], s[1], 1)
 
     def act(self, g, x):
-        q1, q2 = g
-        b = q1 + q2 * x[0]
-        a = q2 * x[1]
-        if b.denominator != 1 or a.denominator != 1 or a == 0:
-            raise InvariantViolation("group element does not map %r into S" % (x,))
-        return (int(b), int(a))
+        p, r, d = g
+        b, a = p + r * x[0], r * x[1]
+        if b % d or a % d or a == 0:
+            raise InvariantViolation("grade %s does not map %r into S"
+                                     % (self.grading_group().render(g), x))
+        return (b // d, a // d)
 
     def group_element_of(self, g):
-        q1, q2 = g
-        if q1.denominator == 1 and q2.denominator == 1 and q2 != 0:
-            return (int(q1), int(q2))
-        return None
+        return (g[0], g[1]) if g[2] == 1 else None
 
     _grading_group = RationalAffine()
 

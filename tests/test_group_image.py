@@ -15,6 +15,8 @@ from lefthull.group_image import (ExtendedHomomorphism, Homomorphism,
                                   group_of_S, is_left_reversible,
                                   left_thick_check, validate_homomorphism)
 
+from affine_oracle import to_triple
+
 BACKENDS = [
     FreeMonoid(2),
     PositiveCone(2),
@@ -124,14 +126,21 @@ def test_thick_free_monoid():
 def test_thick_axb():
     sg = AxPlusB()
     one = Fraction(1)
-    v = left_thick_check(sg, [(Fraction(0), 2 * one)])
+    v = left_thick_check(sg, [to_triple((Fraction(0), 2 * one))])
     assert v.nonempty and v.witness == (0, 2)
-    assert_witness_in_all_translates(sg, [(Fraction(0), 2 * one)], v.witness)
+    assert_witness_in_all_translates(
+        sg, [to_triple((Fraction(0), 2 * one))], v.witness)
     # a half-integer offset with integer slope can never land in S
-    assert left_thick_check(sg, [(Fraction(1, 2), one)]).status == "empty"
+    assert left_thick_check(
+        sg, [to_triple((Fraction(1, 2), one))]).status == "empty"
     # even and odd offsets at slope 2 are incompatible
-    gs = [(Fraction(0), 2 * one), (one, 2 * one)]
+    gs = [to_triple((Fraction(0), 2 * one)), to_triple((one, 2 * one))]
     assert left_thick_check(sg, gs).status == "empty"
+
+
+def test_thick_axb_rejects_fraction_pairs():
+    with pytest.raises(UsageError):
+        left_thick_check(AxPlusB(), [(Fraction(0), Fraction(2))])
 
 
 def test_thick_empty_falsified_on_window():

@@ -9,6 +9,8 @@ from lefthull import (AxPlusB, FiniteGroup, FiniteTable, FreeGroup,
                       InvariantViolation, NumericalSemigroup, PositiveCone,
                       RationalAffine, UsageError, calculus, cyclic_table)
 
+from affine_oracle import to_triple
+
 BACKENDS = [
     FreeMonoid(1),
     FreeMonoid(2),
@@ -264,9 +266,12 @@ def test_axb_multiplication_table_entries():
 def test_axb_group_element_recognition():
     from fractions import Fraction
     axb = AxPlusB()
-    assert axb.group_element_of((Fraction(3), Fraction(2))) == (3, 2)
-    assert axb.group_element_of((Fraction(1, 2), Fraction(2))) is None
-    assert axb.group_element_of((Fraction(0), Fraction(1, 3))) is None
+    assert axb.group_element_of(
+        to_triple((Fraction(3), Fraction(2)))) == (3, 2)
+    assert axb.group_element_of(
+        to_triple((Fraction(1, 2), Fraction(2)))) is None
+    assert axb.group_element_of(
+        to_triple((Fraction(0), Fraction(1, 3)))) is None
 
 
 def test_finite_table_validation():
@@ -305,7 +310,7 @@ def test_rational_affine_group_axioms():
     for _ in range(12):
         q1 = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
         q2 = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randrange(1, 4))
-        elems.append((q1, q2))
+        elems.append(to_triple((q1, q2)))
     e = g.identity()
     for x in elems:
         assert g.mul(x, g.inv(x)) == e
@@ -313,6 +318,16 @@ def test_rational_affine_group_axioms():
         for y in elems:
             for z in elems:
                 assert g.mul(g.mul(x, y), z) == g.mul(x, g.mul(y, z))
+
+
+def test_rational_affine_rejects_noncanonical():
+    from fractions import Fraction
+    g = RationalAffine()
+    assert g.contains((1, 2, 2)) and g.contains(g.identity())
+    assert not g.contains((2, 4, 2))  # not reduced
+    assert not g.contains((1, 1, -1))  # negative denominator
+    assert not g.contains((1, 0, 1))  # slope 0
+    assert not g.contains((Fraction(1), Fraction(2)))
 
 
 def test_integer_groups():
