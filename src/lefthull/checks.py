@@ -21,7 +21,8 @@ from .hull import (ZERO, enumerate_hull, estar_unitary_report, evaluate_word,
                    random_word, recompose, star, compose)
 from .ideals import (EMPTY, calculus, clifford_check, constructible_closure,
                      independence_check)
-from .operators import expectation_loop, s_window, verify_relation
+from .operators import (RELATION_KINDS, expectation_loop, s_window,
+                        verify_relation)
 from .semigroups import InvariantViolation, UnsupportedOperation, UsageError
 
 
@@ -158,7 +159,8 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
     def group_image():
         rev = is_left_reversible(sg)
         if not rev.holds:
-            return "not left reversible, witness %s" % (rev.witness,)
+            return "not left reversible, witness %s, %s" \
+                % tuple(map(sg.render, rev.witness))
         G = group_of_S(sg)
         seen = set()
         for s in win:
@@ -210,9 +212,8 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
     def relations():
         W = s_window(sg, size=window)
         counts = []
-        for kind in ("covariance", "semilattice", "isometry",
-                     "cs-grade-one", "intertwiner"):
-            rep = verify_relation(sg, kind, W, depth=depth, length=length,
+        for kind in RELATION_KINDS:
+            rep = verify_relation(sg, kind, W, family(), length=length,
                                   generators=generators)
             counts.append("%s:%d" % (kind, rep.count))
         return " ".join(counts)

@@ -17,8 +17,8 @@ from .group_image import gamma, group_of_S, is_left_reversible
 from .hull import enumerate_hull, estar_unitary_report, render_element
 from .ideals import (calculus, clifford_check, constructible_closure,
                      independence_check)
-from .operators import (intertwiner_matrix, isometry_matrix, hull_window,
-                        s_window, verify_relation)
+from .operators import (RELATION_KINDS, intertwiner_matrix, isometry_matrix,
+                        hull_window, s_window, verify_relation)
 from .semigroups import InvariantViolation, UnsupportedOperation, UsageError
 
 EXIT_OK = 0
@@ -48,7 +48,8 @@ def _verdicts(sg, depth, length, seed, generators):
     if rev.holds:
         pairs.append(("reversible.proof", rev.proof))
     else:
-        pairs.append(("reversible.witness", "%s %s" % rev.witness))
+        pairs.append(("reversible.witness",
+                      "%s %s" % tuple(map(sg.render, rev.witness))))
     cliff = clifford_check(sg)
     pairs.append(("clifford", "holds" if cliff.holds else "fails"))
     if not cliff.holds:
@@ -81,10 +82,9 @@ def cmd_analyze(sg, args, generators, out):
         pairs.append(("group", "none (not left reversible)"))
     W = s_window(sg, size=args.window)
     summary = []
-    for kind in ("covariance", "semilattice", "isometry", "cs-grade-one",
-                 "intertwiner"):
-        rep = verify_relation(sg, kind, W, depth=args.depth,
-                              length=args.length, generators=generators)
+    for kind in RELATION_KINDS:
+        rep = verify_relation(sg, kind, W, fam, length=args.length,
+                              generators=generators)
         summary.append("%s:%d" % (kind, rep.count))
     pairs.append(("relations", " ".join(summary)))
     _emit(pairs, args.format, out)
@@ -169,10 +169,10 @@ def cmd_matrix(sg, args, generators, out):
              ("hull.window", str(len(HW)))]
     for p in written:
         pairs.append(("written", p))
-    for kind in ("covariance", "semilattice", "isometry", "cs-grade-one",
-                 "intertwiner"):
-        rep = verify_relation(sg, kind, W, depth=args.depth,
-                              length=args.length, generators=generators)
+    fam = constructible_closure(sg, args.depth, generators)
+    for kind in RELATION_KINDS:
+        rep = verify_relation(sg, kind, W, fam, length=args.length,
+                              generators=generators)
         pairs.append(("relation.%s" % kind,
                       "ok instances=%d columns=%d"
                       % (rep.count, rep.checked_columns)))

@@ -61,9 +61,11 @@ def group_of_S(sg):
     """The enveloping group of a left reversible backend, concretely."""
     rev = is_left_reversible(sg)
     if not rev.holds:
+        cal = calculus(sg)
         raise UnsupportedOperation(
-            "no group of fractions: ideals %rS and %rS are disjoint"
-            % rev.witness, witness=rev.witness)
+            "no group of fractions: ideals %s and %s are disjoint"
+            % tuple(cal.render(cal.principal(s)) for s in rev.witness),
+            witness=rev.witness)
     return sg.fraction_group
 
 

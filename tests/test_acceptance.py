@@ -133,9 +133,10 @@ def test_criterion_05_relation_suites_and_expectation_loop():
     for sg, cut in OPERATOR_WINDOWS:
         W = s_window(sg, **cut)
         assert len(W) >= 30
+        family = constructible_closure(sg, 2)
         for kind in ("covariance", "semilattice", "isometry",
                      "cs-grade-one"):
-            rep = verify_relation(sg, kind, W, depth=2, length=2)
+            rep = verify_relation(sg, kind, W, family=family, length=2)
             assert rep.count > 0, (sg.describe(), kind)
         total, fixed = expectation_loop(sg, W, length=3)
         assert total == len(enumerate_hull(sg, 3))

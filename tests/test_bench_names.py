@@ -4,12 +4,14 @@ string; each of them must exist, or a traced run fails at install."""
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 
 import pytest
 
-from lefthull.ideals import IdealCalculus
-from lefthull.operators import RelationReport
+from lefthull.ideals import IdealCalculus, constructible_closure
+from lefthull.operators import (RELATION_KINDS, RelationReport,
+                                verify_relation)
 
 TRACING = os.path.join(os.path.dirname(__file__), "..", "lhbench",
                        "tracing.py")
@@ -41,3 +43,18 @@ def test_traced_ideal_operations_are_calculus_methods():
 def test_relation_report_has_the_traced_fields():
     names = {f.name for f in dataclasses.fields(RelationReport)}
     assert {"count", "checked_columns"} <= names
+
+
+def test_traced_relation_kinds_are_the_suites():
+    assert RELATION_KINDS == tracing.OPERATOR_KINDS
+
+
+def leading_parameters(fn, n):
+    return tuple(inspect.signature(fn).parameters)[:n]
+
+
+def test_traced_arguments_keep_their_positions():
+    # the tracer reads these arguments by position
+    assert leading_parameters(verify_relation, 3) == ("sg", "kind", "W")
+    assert leading_parameters(constructible_closure, 3) == \
+        ("sg", "depth", "generators")

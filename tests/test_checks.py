@@ -1,22 +1,52 @@
 """The check battery: shared work and how failures are reported."""
 
+import os
+import sys
+
+import pytest
+
+import lefthull
 from lefthull import PositiveCone, UsageError, checks, run_checks
+from lefthull.cli import main
 
 CLOSURE_CHECKS = ("ideal-adjunctions", "closure-family", "independence",
-                  "folner-bound", "filters")
+                  "folner-bound", "filters", "operator-relations")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def count_closures(monkeypatch):
+    """Count constructible_closure calls from every lefthull module that
+    binds the name."""
+    calls = []
+    real = lefthull.ideals.constructible_closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "lefthull" or name.startswith("lefthull."):
+            if getattr(mod, "constructible_closure", None) is real:
+                monkeypatch.setattr(mod, "constructible_closure", counted)
+    return calls
 
 
 def test_closure_is_built_once_per_run(monkeypatch):
-    calls = []
-    real = checks.constructible_closure
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(checks, "constructible_closure", counted)
+    calls = count_closures(monkeypatch)
     results = run_checks(PositiveCone(1), window=12)
     assert all(r.status != "fail" for r in results)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "matrix"])
+def test_closure_is_built_once_per_command(command, monkeypatch, tmp_path,
+                                           capsys):
+    calls = count_closures(monkeypatch)
+    argv = [command, os.path.join(CONFIGS, "cone2.cfg")]
+    if command == "matrix":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert "relation" in capsys.readouterr().out
     assert len(calls) == 1
 
 

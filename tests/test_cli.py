@@ -113,6 +113,22 @@ def test_group_of_axb_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("name, s, t", [("free2", "a", "b"),
+                                        ("axb", "(0,2)", "(1,2)")])
+def test_reversibility_witness_is_rendered(name, s, t, capsys):
+    code, out, err = run(["check", cfg(name)], capsys)
+    assert code == 0
+    assert "check.group-image: ok (not left reversible, witness %s, %s)\n" \
+        % (s, t) in out
+    code, out, err = run(["analyze", cfg(name)], capsys)
+    assert code == 0
+    assert "reversible: no\nreversible.witness: %s %s\n" % (s, t) in out
+    code, out, err = run(["group", cfg(name)], capsys)
+    assert code == 3 and out == ""
+    assert err == "unsupported: no group of fractions: ideals %sS and %sS " \
+        "are disjoint\n" % (s, t)
+
+
 # happy paths
 
 

@@ -16,7 +16,8 @@ from lefthull.hull import (ZERO, HullElement, apply_element, compose,
                            enumerate_hull, evaluate_word, identity_element,
                            is_idempotent, lambda_, star)
 from lefthull.matrices import Matrix
-from lefthull.operators import (RelationReport, TruncatedOperator, Window,
+from lefthull.operators import (RELATION_KINDS, RelationReport,
+                                TruncatedOperator, Window,
                                 char_projection, conditional_expectation,
                                 expectation_loop, hull_matrix, hull_window,
                                 intertwiner_matrix, isometry_matrix,
@@ -285,8 +286,9 @@ def test_expectation_loop_counts_and_guard():
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
 def test_relation_suites_pass(sg):
     W = s_window(sg, size=20)
+    family = constructible_closure(sg, 2)
     for kind in ("covariance", "semilattice", "isometry", "cs-grade-one"):
-        report = verify_relation(sg, kind, W, depth=2, length=2)
+        report = verify_relation(sg, kind, W, family=family, length=2)
         assert isinstance(report, RelationReport)
         assert report.count > 0 and report.checked_columns > 0
     report = verify_relation(sg, "intertwiner", W, length=2)
@@ -295,8 +297,10 @@ def test_relation_suites_pass(sg):
 
 def test_relation_reports_deterministic():
     W = s_window(LINE, size=12)
-    a = verify_relation(LINE, "covariance", W, depth=2)
-    b = verify_relation(LINE, "covariance", W, depth=2)
+    a = verify_relation(LINE, "covariance", W,
+                        family=constructible_closure(LINE, 2))
+    b = verify_relation(LINE, "covariance", W,
+                        family=constructible_closure(LINE, 2))
     assert a == b
     assert (a.count, a.checked_columns) == (b.count, b.checked_columns)
 
@@ -312,14 +316,21 @@ def test_relation_mismatch_names_its_instance(kind, instance, monkeypatch):
     monkeypatch.setattr(Matrix, "columns_agree", lambda *args: False)
     monkeypatch.setattr(Matrix, "__eq__", lambda *args: False)
     with pytest.raises(InvariantViolation) as err:
-        verify_relation(LINE, kind, s_window(LINE, size=8), depth=1,
-                        length=1)
+        verify_relation(LINE, kind, s_window(LINE, size=8),
+                        family=constructible_closure(LINE, 1), length=1)
     assert str(err.value) == "%s relation failed at %s" % (kind, instance)
 
 
 def test_relation_unknown_kind():
     with pytest.raises(UsageError):
         verify_relation(LINE, "norms", s_window(LINE, size=4))
+
+
+@pytest.mark.parametrize("kind", ["covariance", "semilattice"])
+def test_family_suites_need_a_family(kind):
+    with pytest.raises(UsageError) as err:
+        verify_relation(LINE, kind, s_window(LINE, size=4))
+    assert kind in str(err.value)
 
 
 def test_semilattice_instance_free_monoid():
@@ -329,7 +340,8 @@ def test_semilattice_instance_free_monoid():
     a = char_projection(free, (0,), W).matrix
     b = char_projection(free, (1,), W).matrix
     assert (a * b).is_zero()
-    verify_relation(free, "semilattice", W, depth=1)
+    verify_relation(free, "semilattice", W,
+                    family=constructible_closure(free, 1))
 
 
 def semilattice_per_pair(sg, W, family):
@@ -351,23 +363,21 @@ def semilattice_per_pair(sg, W, family):
                          ids=ids)
 def test_semilattice_suite_matches_per_pair_projections(sg):
     W = s_window(sg, size=20)
-    rep = verify_relation(sg, "semilattice", W, depth=2)
+    family = constructible_closure(sg, 2)
+    rep = verify_relation(sg, "semilattice", W, family=family)
     assert (rep.count, rep.checked_columns) == \
-        semilattice_per_pair(sg, W, constructible_closure(sg, 2))
+        semilattice_per_pair(sg, W, family)
 
 
-def test_semilattice_suite_builds_missing_meets(monkeypatch):
+def test_semilattice_suite_builds_missing_meets():
     # 2S n 3S = {5,6,...} is not in this family, so its projection is
     # built when the pair comes up
-    import lefthull.operators as operators
     sg = NumericalSemigroup((2, 3))
     cal = calculus(sg)
     family = (cal.full(), cal.principal(2), cal.principal(3))
     assert cal.intersect(family[1], family[2]) not in family
-    monkeypatch.setattr(operators, "constructible_closure",
-                        lambda *args: family)
     W = s_window(sg, size=20)
-    rep = verify_relation(sg, "semilattice", W, depth=2)
+    rep = verify_relation(sg, "semilattice", W, family=family)
     assert rep.count == 6
     assert (rep.count, rep.checked_columns) == \
         semilattice_per_pair(sg, W, family)
@@ -486,10 +496,9 @@ def test_relation_suites_match_dense_oracle(name, monkeypatch):
     generators = config_generators(sg, cfg)
     bounds = dict(DEFAULTS, **cfg.bounds)
     W = s_window(sg, size=bounds["window"])
-    for kind in ("covariance", "semilattice", "isometry", "cs-grade-one",
-                 "intertwiner"):
-        got = compared_matrices(monkeypatch, sg, kind, W,
-                                depth=bounds["depth"],
+    family = constructible_closure(sg, bounds["depth"], generators)
+    for kind in RELATION_KINDS:
+        got = compared_matrices(monkeypatch, sg, kind, W, family=family,
                                 length=bounds["length"],
                                 generators=generators)
         want = oracle_products(sg, kind, W, bounds["depth"],

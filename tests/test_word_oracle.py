@@ -1,12 +1,13 @@
 """The prefix walk of the cs-grade-one suite against the word-by-word
 oracle: the same instances, the same checked columns, the same safe set for
-every word, and the same first failing word under an injected fault."""
+every word, and the same first failing word under an injected fault.  The
+covariance suite's per-letter safe core against the step interpreter."""
 
 import os
 
 import pytest
 
-from lefthull import InvariantViolation, calculus
+from lefthull import InvariantViolation, calculus, constructible_closure
 from lefthull import operators
 from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
@@ -14,7 +15,7 @@ from lefthull.config import (build_backend, config_generators, load_config,
 from lefthull.matrices import Matrix
 from lefthull.operators import s_window, verify_relation
 
-from word_oracle import word_by_word
+from word_oracle import _safe_columns, word_by_word
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
@@ -22,23 +23,30 @@ TEXTS = {
     "axb-i": "kind = axb\ngenerators = (0,2) (0,3) (0,5)\n",
     "cyc12": "kind = table\nparams = cyclic 12\n",
     "cyc48-g1": "kind = table\nparams = cyclic 48\ngenerators = 1\n",
+    "axb-c": "kind = axb\ngenerators = (1,2) (0,3)\n",
+    "num-10-11": "kind = numerical\nparams = 10 11\n",
 }
 
 
-def suite_inputs(name, length=None):
-    """Backend, generators, window and length of a config at its bounds."""
+def config_bounds(name):
+    """Backend, generators and bounds of a config."""
     if name in TEXTS:
         cfg = parse_config(TEXTS[name])
     else:
         cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
     sg = build_backend(cfg)
-    bounds = dict(DEFAULTS, **cfg.bounds)
-    return (sg, config_generators(sg, cfg), s_window(sg, size=bounds["window"]),
+    return sg, config_generators(sg, cfg), dict(DEFAULTS, **cfg.bounds)
+
+
+def suite_inputs(name, length=None):
+    """Backend, generators, window and length of a config at its bounds."""
+    sg, generators, bounds = config_bounds(name)
+    return (sg, generators, s_window(sg, size=bounds["window"]),
             bounds["length"] if length is None else length)
 
 
-def suite_safe_sets(monkeypatch, sg, W, length, generators):
-    """The report of the suite and the column set of each comparison."""
+def suite_safe_sets(monkeypatch, sg, kind, W, **bounds):
+    """The report of a suite and the column set of each comparison."""
     seen = []
     agree = Matrix.columns_agree
 
@@ -48,8 +56,7 @@ def suite_safe_sets(monkeypatch, sg, W, length, generators):
 
     with monkeypatch.context() as m:
         m.setattr(Matrix, "columns_agree", spy)
-        rep = verify_relation(sg, "cs-grade-one", W, length=length,
-                              generators=generators)
+        rep = verify_relation(sg, kind, W, **bounds)
     return rep, seen
 
 
@@ -58,11 +65,31 @@ def suite_safe_sets(monkeypatch, sg, W, length, generators):
     ("axb-i", 2), ("cyc12", 2), ("cyc48-g1", 2)])
 def test_prefix_walk_matches_word_by_word(name, length, monkeypatch):
     sg, generators, W, length = suite_inputs(name, length)
-    rep, seen = suite_safe_sets(monkeypatch, sg, W, length, generators)
+    rep, seen = suite_safe_sets(monkeypatch, sg, "cs-grade-one", W,
+                                length=length, generators=generators)
     count, checked, safes = word_by_word(sg, W, length, generators)
     assert (rep.count, rep.checked_columns) == (count, checked)
     assert seen == safes
     assert count > 0
+
+
+@pytest.mark.parametrize("name, depth", [(n, None) for n in SHIPPED] + [
+    ("axb-c", 3), ("num-10-11", None)])
+def test_covariance_safe_core_matches_step_interpreter(name, depth,
+                                                       monkeypatch):
+    # the safe core of V_s e_X V_s* = e_{sX} is one column set per letter
+    sg, generators, bounds = config_bounds(name)
+    W = s_window(sg, size=bounds["window"])
+    family = constructible_closure(sg, depth or bounds["depth"], generators)
+    letters = generators if generators is not None else sg.generators()
+    want = [_safe_columns(sg, W, (("div", s), ("proj", X), ("mul", s)))
+            for s in letters for X in family]
+    rep, seen = suite_safe_sets(monkeypatch, sg, "covariance", W,
+                                family=family, generators=generators)
+    assert seen == want
+    assert (rep.count, rep.checked_columns) == \
+        (len(want), sum(map(len, want)))
+    assert rep.count > 0
 
 
 @pytest.mark.parametrize("name", ["free2", "cone2"])
@@ -78,7 +105,7 @@ def test_fault_names_the_same_first_word(name, monkeypatch):
         if X != full and entries:
             del entries[max(entries)]
         return operators.TruncatedOperator(
-            Matrix(len(W), len(W), entries), W, W, op.safe)
+            Matrix(len(W), len(W), entries), op.safe)
 
     monkeypatch.setattr(operators, "char_projection", faulty)
     with pytest.raises(InvariantViolation) as walked:

@@ -7,13 +7,48 @@ its pairs, and its safe columns from replaying its full step list on every
 basis vector.  This is how the suite checked the words before it walked
 them as a prefix tree.  ``char_projection`` is looked up on the operators
 module at call time, so a fault patched in there reaches both walks.
+
+The step interpreter ``_safe_columns`` is also the oracle for the
+covariance suite's safe core, which replays ("div", s), ("proj", X),
+("mul", s) on every column.
 """
 
 from lefthull import operators
 from lefthull.hull import ZERO, evaluate_word
-from lefthull.ideals import EMPTY
+from lefthull.ideals import EMPTY, calculus
 from lefthull.matrices import Matrix
-from lefthull.semigroups import InvariantViolation
+from lefthull.semigroups import InvariantViolation, UsageError
+
+
+def _run_steps(sg, W, t, steps):
+    """Apply multiply/divide/project steps in order to the basis vector at
+    t.  Returns ("ok", end), ("zero",) for genuine annihilation, or
+    ("out",) when any intermediate leaves the window."""
+    cal = calculus(sg)
+    cur = t
+    for op, arg in steps:
+        if op == "mul":
+            cur = sg.multiply(arg, cur)
+            if cur not in W.index:
+                return ("out",)
+        elif op == "div":
+            u = sg.left_divide(arg, cur)
+            if u is None:
+                return ("zero",)
+            if u not in W.index:
+                return ("out",)
+            cur = u
+        elif op == "proj":
+            if not cal.is_member(cur, arg):
+                return ("zero",)
+        else:
+            raise UsageError("unknown step %r" % (op,))
+    return ("ok", cur)
+
+
+def _safe_columns(sg, W, steps):
+    return frozenset(j for j, t in enumerate(W.elements)
+                     if _run_steps(sg, W, t, steps)[0] != "out")
 
 
 def word_by_word(sg, W, length, generators=None):
@@ -42,7 +77,7 @@ def word_by_word(sg, W, length, generators=None):
             steps.extend((("mul", s), ("div", t)))
         rhs = operators.char_projection(sg, EMPTY if f is ZERO else f.dom,
                                         W).matrix
-        safe = operators._safe_columns(sg, W, steps)
+        safe = _safe_columns(sg, W, steps)
         if not prod.columns_agree(rhs, safe):
             raise InvariantViolation(
                 "cs-grade-one relation failed at word %s" % " ".join(
