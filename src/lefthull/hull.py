@@ -13,6 +13,7 @@ points and excluded from comparisons; a failed left_divide inside the
 window is genuine undefinedness.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 import random
 
@@ -99,13 +100,6 @@ def evaluate_word(sg, pairs):
     return acc
 
 
-def word_atoms(sg, letters):
-    """The one-pair words star(lambda(t)) lambda(s), t-major over the
-    letters."""
-    return [compose(sg, star(sg, lambda_(sg, t)), lambda_(sg, s))
-            for t in letters for s in letters]
-
-
 def recompose(sg, p, q):
     """lambda(p) lambda(q)*, the Clifford-condition normal shape."""
     return compose(sg, lambda_(sg, p), star(sg, lambda_(sg, q)))
@@ -123,28 +117,49 @@ def hull_sort_key(sg):
     return key
 
 
-def enumerate_hull(sg, length, generators=None):
-    """All values of alternating words with at most ``length`` pairs whose
-    letters run over the generators plus the identity; deterministic order.
-    """
+# atoms star(lambda t) lambda s t-major, elements breadth-first from the
+# identity, index element -> id, succ[i][k] the id of elements[i] atoms[k]
+HullGraph = namedtuple("HullGraph", "atoms elements index succ")
+
+
+def hull_graph(sg, length, generators=None):
+    """The right Cayley graph of the hull over the atoms star(lambda t)
+    lambda s, t and s running over the identity plus the letters (a
+    repeated letter keeps its own atoms).  Every element first reached
+    below ``length`` has a successor row, one id per atom; ZERO is
+    absorbing and maps to itself without a compose."""
     if length < 0:
         raise UsageError("length must be >= 0")
-    atoms = word_atoms(sg, (sg.identity(),) + tuple(
-        generators if generators is not None else sg.generators()))
-    seen = {identity_element(sg)}
-    level = [identity_element(sg)]
+    ends = (sg.identity(),) + tuple(
+        generators if generators is not None else sg.generators())
+    atoms = tuple(compose(sg, star(sg, lambda_(sg, t)), lambda_(sg, s))
+                  for t in ends for s in ends)
+    elements = [identity_element(sg)]
+    index = {elements[0]: 0}
+    succ = []
     for _ in range(length):
-        nxt = []
-        for f in level:
+        for i in range(len(succ), len(elements)):
+            f = elements[i]
             if f is ZERO:
-                continue  # absorbing
+                succ.append((i,) * len(atoms))
+                continue
+            row = []
             for a in atoms:
                 g = compose(sg, f, a)
-                if g not in seen:
-                    seen.add(g)
-                    nxt.append(g)
-        level = nxt
-    return tuple(sorted(seen, key=hull_sort_key(sg)))
+                j = index.setdefault(g, len(elements))
+                if j == len(elements):
+                    elements.append(g)
+                row.append(j)
+            succ.append(tuple(row))
+    return HullGraph(atoms, tuple(elements), index, tuple(succ))
+
+
+def enumerate_hull(sg, length, generators=None):
+    """The values of the alternating words with at most ``length`` pairs
+    whose letters run over the generators plus the identity: the vertices
+    of ``hull_graph`` in deterministic order."""
+    return tuple(sorted(hull_graph(sg, length, generators).elements,
+                        key=hull_sort_key(sg)))
 
 
 def render_element(sg, f):

@@ -19,9 +19,11 @@ its quotient lies in the window.
 
 The cs-grade-one suite walks its words level by level, in the order of the
 word list t-major over the pairs, so the first failing word is the one a
-word-by-word walk names.  A word w p of n pairs keeps the state of its
-prefix w: its element is compose(f_w, a_p) with a_p = star(lambda t)
-lambda s, its product is P_w A_p with A_p = V_t* V_s, and its safe columns
+word-by-word walk names.  Its words are paths in the hull's right Cayley
+graph over the atoms a_p = star(lambda t) lambda s (``hull_graph``), built
+once per call.  A word w p of n pairs keeps the state of its prefix w: its
+element is the successor of f_w along a_p, read from the graph, its
+product is P_w A_p with A_p = V_t* V_s, and its safe columns
 are Z_p, where p itself annihilates (s x is visible and t does not divide
 it), together with the columns that A_p sends into safe(w).  This is
 exact: on a column the last pair acts first, so a trajectory of w p is
@@ -32,9 +34,8 @@ are dropped before any matrix is built.
 
 from dataclasses import dataclass
 
-from .hull import (ZERO, compose, enumerate_hull, hull_sort_key,
-                   identity_element, is_idempotent, lambda_, render_element,
-                   star, word_atoms)
+from .hull import (ZERO, compose, enumerate_hull, hull_graph, hull_sort_key,
+                   is_idempotent, lambda_, render_element, star)
 from .ideals import EMPTY, calculus
 from .matrices import Matrix
 from .semigroups import InvariantViolation, UsageError
@@ -261,28 +262,30 @@ def verify_relation(sg, kind, W, family=None, length=2, generators=None):
         # each word extends a word of the previous level by one pair
         one = sg.grading_group().identity()
         ends = (sg.identity(),) + letters
+        graph = hull_graph(sg, length, generators)
+        graded = [f is ZERO or f.grade == one for f in graph.elements]
         V = {s: isometry_matrix(sg, s, W).matrix for s in ends}
         pool = []
-        for (t, s), a in zip([(t, s) for t in ends for s in ends],
-                             word_atoms(sg, ends)):
-            A = V[t].transpose() * V[s]
-            zero = frozenset(j for j, i in V[s].entries.items()
-                             if sg.left_divide(t, W.elements[i]) is None)
-            pool.append(((t, s), a, A, zero))
+        for t in ends:
+            for s in ends:
+                A = V[t].transpose() * V[s]
+                zero = frozenset(j for j, i in V[s].entries.items()
+                                 if sg.left_divide(t, W.elements[i]) is None)
+                pool.append(((t, s), A, zero))
         proj = {}
-        level = [((), identity_element(sg), Matrix.identity(len(W)),
-                  frozenset(range(len(W))))]
+        level = [((), 0, Matrix.identity(len(W)), frozenset(range(len(W))))]
+        # the last level checks only the words of grade one
+        last = [[(j, x) for j, x in zip(row, pool) if graded[j]]
+                for row in graph.succ]
         for left in range(length - 1, -1, -1):
             nxt = []
-            for pairs, f, prod, safe in level:
-                for p, a, A, zero in pool:
-                    g = compose(sg, f, a)
-                    graded = g is ZERO or g.grade == one
-                    if not graded and not left:
-                        continue
+            for pairs, i, prod, safe in level:
+                row = zip(graph.succ[i], pool) if left else last[i]
+                for j, (p, A, zero) in row:
                     word, P = pairs + (p,), prod * A
-                    S = zero.union(j for j, i in A.entries.items() if i in safe)
-                    if graded:
+                    S = zero.union(c for c, r in A.entries.items() if r in safe)
+                    if graded[j]:
+                        g = graph.elements[j]
                         X = EMPTY if g is ZERO else g.dom
                         if X not in proj:
                             proj[X] = char_projection(sg, X, W).matrix
@@ -293,7 +296,7 @@ def verify_relation(sg, kind, W, family=None, length=2, generators=None):
                         count += 1
                         checked += len(S)
                     if left:
-                        nxt.append((word, g, P, S))
+                        nxt.append((word, j, P, S))
             level = nxt
 
     elif kind == "intertwiner":

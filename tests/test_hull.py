@@ -1,9 +1,11 @@
 """Inverse-hull algebra vs the pointwise materialization oracle."""
 
+import os
 import random
 
 import pytest
 
+from lefthull import hull
 from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
                       InvariantViolation, NumericalSemigroup, PositiveCone,
                       UnsupportedOperation, UsageError, constructible_closure,
@@ -12,10 +14,21 @@ from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
 from lefthull.hull import (ZERO, HullElement, PartialMap, apply_element,
                            clifford_normal_form,
                            compose, enumerate_hull, estar_unitary_report,
-                           evaluate_word, grading, identity_element,
-                           is_idempotent, lambda_, maps_agree,
-                           materialize_element, materialize_word,
+                           evaluate_word, grading, hull_graph,
+                           identity_element, is_idempotent, lambda_,
+                           maps_agree, materialize_element, materialize_word,
                            random_word, recompose, star)
+from lefthull.config import (build_backend, config_generators, load_config,
+                             parse_config)
+
+from hull_oracle import frontier_hull
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
+TEXTS = {
+    "axb-i": "kind = axb\ngenerators = (0,2) (0,3) (0,5)\n",
+    "cyc12": "kind = table\nparams = cyclic 12\n",
+}
 
 BACKENDS = [
     FreeMonoid(2),
@@ -164,6 +177,34 @@ def test_enumerate_hull_deterministic_and_growing():
         a = enumerate_hull(sg, 2)
         assert a == enumerate_hull(sg, 2)
         assert set(enumerate_hull(sg, 1)) <= set(a)
+
+
+@pytest.mark.parametrize("name, length", [
+    (n, L) for n in SHIPPED for L in range(4)] + [
+    (n, L) for n in TEXTS for L in (2, 3)])
+def test_hull_graph_matches_frontier_search(name, length, monkeypatch):
+    cfg = parse_config(TEXTS[name]) if name in TEXTS else \
+        load_config(os.path.join(CONFIGS, name + ".cfg"))
+    sg = build_backend(cfg)
+    generators = config_generators(sg, cfg)
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(hull, "compose", lambda *a: calls.append(1) or compose(*a))
+        graph = hull_graph(sg, length, generators)
+    atoms, levels, ordered = frontier_hull(sg, length, generators)
+    assert graph.atoms == tuple(atoms)
+    assert graph.elements == tuple(f for level in levels for f in level)
+    assert graph.index == {f: i for i, f in enumerate(graph.elements)}
+    # a full row for each element first reached below length, and no more
+    assert len(graph.succ) == sum(map(len, levels[:length]))
+    # one compose per atom and per (nonzero element, atom)
+    rows = sum(f is not ZERO for f in graph.elements[:len(graph.succ)])
+    assert len(calls) == len(atoms) * (1 + rows)
+    for i, row in enumerate(graph.succ):
+        f = graph.elements[i]
+        assert [graph.elements[j] for j in row] == \
+            [compose(sg, f, a) for a in atoms]
+    assert enumerate_hull(sg, length, generators) == ordered
 
 
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
