@@ -15,14 +15,13 @@ from .filters import (enumerate_filters, is_filter,
                       maximal_representation_check, truncate_semilattice)
 from .group_image import (folner_constant, folner_least_n, folner_mean, gamma,
                           group_of_S, is_left_reversible, left_thick_check)
-from .hull import (ZERO, enumerate_hull, estar_unitary_report, evaluate_word,
-                   clifford_normal_form, is_idempotent, lambda_,
-                   maps_agree, materialize_element, materialize_word,
-                   random_word, recompose, star, compose)
+from .hull import (ZERO, estar_unitary_report, evaluate_word,
+                   clifford_normal_form, hull_graph, lambda_, maps_agree,
+                   materialize_element, materialize_word, random_word,
+                   recompose, star, compose)
 from .ideals import (EMPTY, calculus, clifford_check, constructible_closure,
                      independence_check)
-from .operators import (RELATION_KINDS, expectation_loop, s_window,
-                        verify_relation)
+from .operators import expectation_loop, relation_summary, s_window
 from .semigroups import InvariantViolation, UnsupportedOperation, UsageError
 
 
@@ -53,6 +52,10 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
     def family():
         # not cached when it raises, so each check that asks reports it
         return constructible_closure(sg, depth, generators)
+
+    @cache
+    def hull():
+        return hull_graph(sg, length, generators)
 
     @cache
     def lattice():
@@ -153,8 +156,7 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
         return "%d elements" % done
 
     def estar():
-        return estar_unitary_report(sg, sample=60, length=2, seed=seed,
-                                    generators=generators).mode
+        return estar_unitary_report(sg, hull(), sample=60, seed=seed).mode
 
     def group_image():
         rev = is_left_reversible(sg)
@@ -210,19 +212,12 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
         return "%d filters" % len(fs)
 
     def relations():
-        W = s_window(sg, size=window)
-        counts = []
-        for kind in RELATION_KINDS:
-            rep = verify_relation(sg, kind, W, family(), length=length,
-                                  generators=generators)
-            counts.append("%s:%d" % (kind, rep.count))
-        return " ".join(counts)
+        return relation_summary(sg, s_window(sg, size=window), family(),
+                                hull(), generators)
 
     def expectation():
         W = s_window(sg, size=max(window, 30))
-        total, fixed, skipped = expectation_loop(sg, W, length=length,
-                                                 generators=generators,
-                                                 skip_invisible=True)
+        total, fixed, skipped = expectation_loop(sg, W, hull())
         note = ", %d invisible" % skipped if skipped else ""
         return "%d elements, %d idempotent%s" % (total, fixed, note)
 

@@ -14,11 +14,12 @@ from .config import ConfigError, build_backend, config_generators, load_config
 from .filters import (enumerate_filters, maximal_representation_check,
                       truncate_semilattice)
 from .group_image import gamma, group_of_S, is_left_reversible
-from .hull import enumerate_hull, estar_unitary_report, render_element
+from .hull import estar_unitary_report, hull_graph, render_element
 from .ideals import (calculus, clifford_check, constructible_closure,
                      independence_check)
 from .operators import (RELATION_KINDS, intertwiner_matrix, isometry_matrix,
-                        hull_window, s_window, verify_relation)
+                        hull_window, relation_summary, s_window,
+                        verify_relation)
 from .semigroups import InvariantViolation, UnsupportedOperation, UsageError
 
 EXIT_OK = 0
@@ -40,7 +41,7 @@ def _yesno(flag):
     return "yes" if flag else "no"
 
 
-def _verdicts(sg, depth, length, seed, generators):
+def _verdicts(sg, depth, graph, seed, generators):
     cal = calculus(sg)
     pairs = [("backend", sg.describe())]
     rev = is_left_reversible(sg)
@@ -62,18 +63,17 @@ def _verdicts(sg, depth, length, seed, generators):
         pairs.append(("independence.witness",
                       "%s = %s" % (" | ".join(cal.render(p) for p in parts),
                                    cal.render(target))))
-    rep = estar_unitary_report(sg, sample=100, length=min(length, 2),
-                               seed=seed, generators=generators)
+    rep = estar_unitary_report(sg, graph, sample=100, seed=seed)
     pairs.append(("estar.mode", rep.mode))
     pairs.append(("ordered", _yesno(sg.units_trivial())))
     return pairs, fam
 
 
 def cmd_analyze(sg, args, generators, out):
-    pairs, fam = _verdicts(sg, args.depth, args.length, args.seed, generators)
+    graph = hull_graph(sg, args.length, generators)
+    pairs, fam = _verdicts(sg, args.depth, graph, args.seed, generators)
     pairs.append(("ideals.count", str(len(fam))))
-    hull = enumerate_hull(sg, args.length, generators)
-    pairs.append(("hull.count", str(len(hull))))
+    pairs.append(("hull.count", str(len(graph.ordered))))
     lat = truncate_semilattice(sg, fam)
     pairs.append(("filters.count", str(len(enumerate_filters(lat)))))
     try:
@@ -81,12 +81,8 @@ def cmd_analyze(sg, args, generators, out):
     except UnsupportedOperation:
         pairs.append(("group", "none (not left reversible)"))
     W = s_window(sg, size=args.window)
-    summary = []
-    for kind in RELATION_KINDS:
-        rep = verify_relation(sg, kind, W, fam, length=args.length,
-                              generators=generators)
-        summary.append("%s:%d" % (kind, rep.count))
-    pairs.append(("relations", " ".join(summary)))
+    pairs.append(("relations", relation_summary(sg, W, fam, graph,
+                                                generators)))
     _emit(pairs, args.format, out)
     return EXIT_OK
 
@@ -107,13 +103,12 @@ def cmd_ideals(sg, args, generators, out):
 
 
 def cmd_hull(sg, args, generators, out):
-    hull = enumerate_hull(sg, args.length, generators)
+    graph = hull_graph(sg, args.length, generators)
     pairs = [("backend", sg.describe()), ("length", str(args.length)),
-             ("count", str(len(hull)))]
-    for i, f in enumerate(hull):
+             ("count", str(len(graph.ordered)))]
+    for i, f in enumerate(graph.ordered):
         pairs.append(("element.%d" % i, render_element(sg, f)))
-    rep = estar_unitary_report(sg, sample=100, length=min(args.length, 2),
-                               seed=args.seed, generators=generators)
+    rep = estar_unitary_report(sg, graph, sample=100, seed=args.seed)
     pairs.append(("estar.mode", rep.mode))
     pairs.append(("zero.present", _yesno(rep.zero_present)))
     _emit(pairs, args.format, out)
@@ -149,7 +144,8 @@ def cmd_group(sg, args, generators, out):
 def cmd_matrix(sg, args, generators, out):
     W = s_window(sg, size=args.window)
     letters = tuple(generators if generators is not None else sg.generators())
-    HW = hull_window(sg, args.length, generators, include=W)
+    graph = hull_graph(sg, args.length, generators)
+    HW = hull_window(sg, graph, include=W)
     exports = [("isometry_%d.txt" % i, isometry_matrix(sg, s, W))
                for i, s in enumerate(letters)]
     exports.append(("intertwiner.txt", intertwiner_matrix(sg, W, HW)))
@@ -171,8 +167,7 @@ def cmd_matrix(sg, args, generators, out):
         pairs.append(("written", p))
     fam = constructible_closure(sg, args.depth, generators)
     for kind in RELATION_KINDS:
-        rep = verify_relation(sg, kind, W, fam, length=args.length,
-                              generators=generators)
+        rep = verify_relation(sg, kind, W, fam, graph, generators)
         pairs.append(("relation.%s" % kind,
                       "ok instances=%d columns=%d"
                       % (rep.count, rep.checked_columns)))

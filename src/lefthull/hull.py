@@ -117,9 +117,11 @@ def hull_sort_key(sg):
     return key
 
 
-# atoms star(lambda t) lambda s t-major, elements breadth-first from the
-# identity, index element -> id, succ[i][k] the id of elements[i] atoms[k]
-HullGraph = namedtuple("HullGraph", "atoms elements index succ")
+# ends the identity then the letters, atoms star(lambda t) lambda s t-major,
+# elements breadth-first from the identity, index element -> id, succ[i][k]
+# the id of elements[i] atoms[k], ordered the elements by hull_sort_key
+HullGraph = namedtuple("HullGraph",
+                       "length ends atoms elements index succ ordered")
 
 
 def hull_graph(sg, length, generators=None):
@@ -127,7 +129,8 @@ def hull_graph(sg, length, generators=None):
     lambda s, t and s running over the identity plus the letters (a
     repeated letter keeps its own atoms).  Every element first reached
     below ``length`` has a successor row, one id per atom; ZERO is
-    absorbing and maps to itself without a compose."""
+    absorbing and maps to itself without a compose.  A command builds it
+    once and hands it to every consumer."""
     if length < 0:
         raise UsageError("length must be >= 0")
     ends = (sg.identity(),) + tuple(
@@ -151,15 +154,16 @@ def hull_graph(sg, length, generators=None):
                     elements.append(g)
                 row.append(j)
             succ.append(tuple(row))
-    return HullGraph(atoms, tuple(elements), index, tuple(succ))
+    ordered = tuple(sorted(elements, key=hull_sort_key(sg)))
+    return HullGraph(length, ends, atoms, tuple(elements), index,
+                     tuple(succ), ordered)
 
 
 def enumerate_hull(sg, length, generators=None):
     """The values of the alternating words with at most ``length`` pairs
     whose letters run over the generators plus the identity: the vertices
     of ``hull_graph`` in deterministic order."""
-    return tuple(sorted(hull_graph(sg, length, generators).elements,
-                        key=hull_sort_key(sg)))
+    return hull_graph(sg, length, generators).ordered
 
 
 def render_element(sg, f):
@@ -281,21 +285,20 @@ class EStarReport:
     proof: str
 
 
-def estar_unitary_report(sg, sample=200, length=2, seed=7, window_size=20,
-                         generators=None):
+def estar_unitary_report(sg, graph, sample=200, seed=7, window_size=20):
     """Idempotent purity of the grading, plus a sampled check that
-    compose(f, e) = e forces f idempotent; counterexamples are hard
+    compose(f, e) = e forces f idempotent, f and e drawn from the built
+    hull ``graph`` and f also from random words; counterexamples are hard
     failures since they would contradict the grading.
     """
     rng = random.Random(seed)
-    elements = list(enumerate_hull(sg, length, generators))
-    zero_present = ZERO in elements
+    zero_present = ZERO in graph.index
     reversible = is_left_reversible(sg).holds
     if zero_present and reversible:
         raise InvariantViolation("ZERO reachable in a left reversible hull")
     win = sg.window_of_size(window_size)
-    idems = [f for f in elements if f is not ZERO and is_idempotent(sg, f)]
-    pool = [f for f in elements if f is not ZERO]
+    pool = [f for f in graph.ordered if f is not ZERO]
+    idems = [f for f in pool if is_idempotent(sg, f)]
     hits = 0
     bad = 0
     for i in range(sample):

@@ -10,32 +10,33 @@ The intertwiner suite builds T* L(f) T directly on the semigroup window,
 from the columns of L(f) at the basis vectors lambda(s) that T hits.
 
 The covariance and semilattice suites check the ideal family their caller
-passes, so a command that has built the constructible closure hands it
-over instead of building it again.  The safe core of covariance,
-V_s e_X V_s* = e_{sX}, does not depend on X: on the basis vector at t the
-left side divides by s, projects, and multiplies by s again, which gives
-back t.  So the column is safe when s does not divide t (annihilated) or
-its quotient lies in the window.
+passes, and the cs-grade-one and intertwiner suites the hull graph
+(``hull_graph``) it passes, so a command builds the constructible closure
+and the hull once and hands them to every consumer.  The safe core of
+covariance, V_s e_X V_s* = e_{sX}, does not depend on X: on the basis
+vector at t the left side divides by s, projects, and multiplies by s
+again, which gives back t.  So the column is safe when s does not divide
+t (annihilated) or its quotient lies in the window.
 
 The cs-grade-one suite walks its words level by level, in the order of the
 word list t-major over the pairs, so the first failing word is the one a
 word-by-word walk names.  Its words are paths in the hull's right Cayley
-graph over the atoms a_p = star(lambda t) lambda s (``hull_graph``), built
-once per call.  A word w p of n pairs keeps the state of its prefix w: its
-element is the successor of f_w along a_p, read from the graph, its
-product is P_w A_p with A_p = V_t* V_s, and its safe columns
-are Z_p, where p itself annihilates (s x is visible and t does not divide
-it), together with the columns that A_p sends into safe(w).  This is
-exact: on a column the last pair acts first, so a trajectory of w p is
-the trajectory of p followed by the trajectory of w from where p ends.
-Only the previous level is kept, and words off grade 1 at the last level
-are dropped before any matrix is built.
+graph over the atoms a_p = star(lambda t) lambda s, up to the graph's
+length and over its letters.  A word w p of n pairs keeps the state of
+its prefix w: its element is the successor of f_w along a_p, read from
+the graph, its product is P_w A_p with A_p = V_t* V_s, and its safe
+columns are Z_p, where p itself annihilates (s x is visible and t does
+not divide it), together with the columns that A_p sends into safe(w).
+This is exact: on a column the last pair acts first, so a trajectory of
+w p is the trajectory of p followed by the trajectory of w from where p
+ends.  Only the previous level is kept, and words off grade 1 at the last
+level are dropped before any matrix is built.
 """
 
 from dataclasses import dataclass
 
-from .hull import (ZERO, compose, enumerate_hull, hull_graph, hull_sort_key,
-                   is_idempotent, lambda_, render_element, star)
+from .hull import (ZERO, compose, hull_sort_key, is_idempotent, lambda_,
+                   render_element, star)
 from .ideals import EMPTY, calculus
 from .matrices import Matrix
 from .semigroups import InvariantViolation, UsageError
@@ -77,17 +78,15 @@ def s_window(sg, size=None, bound=None):
     return Window(elements)
 
 
-def hull_window(sg, length, generators=None, include=None):
-    """Hull elements of word length <= length; when a semigroup window is
-    passed, the missing lambda(s) are appended so the intertwiner always
-    has its targets."""
-    elems = list(enumerate_hull(sg, length, generators))
+def hull_window(sg, graph, include=None):
+    """The elements of the built hull ``graph``; when a semigroup window
+    is passed, the missing lambda(s) are appended so the intertwiner
+    always has its targets."""
+    elems = list(graph.ordered)
     if include is not None:
-        seen = set(elems)
         extra = [lambda_(sg, s) for s in include]
-        extra = [f for f in extra if f not in seen]
-        extra.sort(key=hull_sort_key(sg))
-        elems.extend(extra)
+        elems.extend(sorted((f for f in extra if f not in graph.index),
+                            key=hull_sort_key(sg)))
     return Window(elems)
 
 
@@ -199,16 +198,19 @@ def _mismatch(kind, instance, detail=""):
                              % (kind, instance, detail))
 
 
-def verify_relation(sg, kind, W, family=None, length=2, generators=None):
+def verify_relation(sg, kind, W, family=None, graph=None, generators=None):
     """Exact verification of one relation suite on its safe cores.
 
     kind is one of RELATION_KINDS; covariance and semilattice check the
-    given ideal family.  Any mismatch on a safe column raises, naming the
-    instance; the report counts the instances checked and the columns that
-    amounted to.
+    given ideal family, cs-grade-one and intertwiner the given hull graph,
+    covariance and isometry the generators.  Any mismatch on a safe column
+    raises, naming the instance; the report counts the instances checked
+    and the columns that amounted to.
     """
     if kind in ("covariance", "semilattice") and family is None:
         raise UsageError("the %s relation needs an ideal family" % kind)
+    if kind in ("cs-grade-one", "intertwiner") and graph is None:
+        raise UsageError("the %s relation needs a hull graph" % kind)
     cal = calculus(sg)
     letters = tuple(generators if generators is not None else sg.generators())
     count = checked = 0
@@ -261,13 +263,11 @@ def verify_relation(sg, kind, W, family=None, length=2, generators=None):
         # identity-graded words act as the projection onto their domain;
         # each word extends a word of the previous level by one pair
         one = sg.grading_group().identity()
-        ends = (sg.identity(),) + letters
-        graph = hull_graph(sg, length, generators)
         graded = [f is ZERO or f.grade == one for f in graph.elements]
-        V = {s: isometry_matrix(sg, s, W).matrix for s in ends}
+        V = {s: isometry_matrix(sg, s, W).matrix for s in graph.ends}
         pool = []
-        for t in ends:
-            for s in ends:
+        for t in graph.ends:
+            for s in graph.ends:
                 A = V[t].transpose() * V[s]
                 zero = frozenset(j for j, i in V[s].entries.items()
                                  if sg.left_divide(t, W.elements[i]) is None)
@@ -277,7 +277,7 @@ def verify_relation(sg, kind, W, family=None, length=2, generators=None):
         # the last level checks only the words of grade one
         last = [[(j, x) for j, x in zip(row, pool) if graded[j]]
                 for row in graph.succ]
-        for left in range(length - 1, -1, -1):
+        for left in range(graph.length - 1, -1, -1):
             nxt = []
             for pairs, i, prod, safe in level:
                 row = zip(graph.succ[i], pool) if left else last[i]
@@ -305,7 +305,7 @@ def verify_relation(sg, kind, W, family=None, length=2, generators=None):
         # when L(f) sends lambda(s) to lambda(s') with s' in W, else zero.
         at = {lambda_(sg, s): j for j, s in enumerate(W.elements)}
         n = len(W)
-        for f in enumerate_hull(sg, length, generators):
+        for f in graph.ordered:
             image = _regular_rule(sg, f)
             lhs = Matrix(n, n, {j: at[fq] for ls, j in at.items()
                                 if (fq := image(ls)) in at})
@@ -321,26 +321,31 @@ def verify_relation(sg, kind, W, family=None, length=2, generators=None):
     return RelationReport(kind, count, checked)
 
 
-def expectation_loop(sg, W, length=3, generators=None, skip_invisible=False):
+def relation_summary(sg, W, family, graph, generators=None):
+    """Every relation suite, in RELATION_KINDS order, as kind:count."""
+    return " ".join(
+        "%s:%d" % (kind, verify_relation(sg, kind, W, family, graph,
+                                         generators).count)
+        for kind in RELATION_KINDS)
+
+
+def expectation_loop(sg, W, graph):
     """E fixes the compression of a hull element exactly when the element
-    is idempotent.  Verified for every enumerated element; a
-    non-idempotent whose action misses the window entirely proves
-    nothing, so it either raises or, when skip_invisible is set, is
-    counted and left out."""
+    is idempotent.  Verified for every element of the built hull
+    ``graph``; a non-idempotent whose action misses the window entirely
+    proves nothing, so it is counted as invisible and left out.  Returns
+    (total, fixed, skipped)."""
     total = fixed = skipped = 0
-    for f in enumerate_hull(sg, length, generators):
+    for f in graph.ordered:
         op = hull_matrix(sg, f, W)
         isfixed = conditional_expectation(op).matrix == op.matrix
         expected = is_idempotent(sg, f)
         if f is not ZERO and not expected and op.matrix.is_zero():
-            if skip_invisible:
-                skipped += 1
-                continue
-            raise InvariantViolation(
-                "window too small: %s acts invisibly" % render_element(sg, f))
+            skipped += 1
+            continue
         if isfixed != expected:
             raise InvariantViolation(
                 "expectation loop failed at %s" % render_element(sg, f))
         total += 1
         fixed += isfixed
-    return (total, fixed, skipped) if skip_invisible else (total, fixed)
+    return total, fixed, skipped

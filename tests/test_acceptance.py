@@ -23,6 +23,7 @@ from lefthull import (EMPTY, ZERO, AxPlusB, FiniteTable, FreeMonoid,
                       materialize_element, materialize_word,
                       maximal_representation_check, random_word, recompose,
                       s_window, star, truncate_semilattice, verify_relation)
+from lefthull.hull import hull_graph
 from lefthull.operators import expectation_loop
 from lefthull.cli import main as cli_main
 
@@ -136,12 +137,14 @@ def test_criterion_05_relation_suites_and_expectation_loop():
         family = constructible_closure(sg, 2)
         for kind in ("covariance", "semilattice", "isometry",
                      "cs-grade-one"):
-            rep = verify_relation(sg, kind, W, family=family, length=2)
+            rep = verify_relation(sg, kind, W, family=family,
+                                  graph=hull_graph(sg, 2))
             assert rep.count > 0, (sg.describe(), kind)
-        total, fixed = expectation_loop(sg, W, length=3)
+        total, fixed, skipped = expectation_loop(sg, W, hull_graph(sg, 3))
         assert total == len(enumerate_hull(sg, 3))
         assert fixed == sum(1 for f in enumerate_hull(sg, 3)
                             if is_idempotent(sg, f))
+        assert skipped == 0
     print("PASS criterion 5: relation suites exact on safe cores; "
           "expectation fixes exactly the idempotents at length 3")
 
@@ -149,7 +152,7 @@ def test_criterion_05_relation_suites_and_expectation_loop():
 def test_criterion_06_intertwiner_exact_on_every_element():
     for sg, cut in OPERATOR_WINDOWS:
         W = s_window(sg, **cut)
-        rep = verify_relation(sg, "intertwiner", W, length=3)
+        rep = verify_relation(sg, "intertwiner", W, graph=hull_graph(sg, 3))
         assert rep.count == len(enumerate_hull(sg, 3))
     print("PASS criterion 6: T* Lambda(f) T = omega(f) exactly for every "
           "hull element at length 3")

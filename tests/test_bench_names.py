@@ -1,6 +1,7 @@
 """The benchmark's tracer (lhbench/tracing.py) wraps lefthull names by
 string; each of them must exist, or a traced run fails at install."""
 
+from collections.abc import Sequence
 import dataclasses
 import importlib
 import importlib.util
@@ -9,7 +10,10 @@ import os
 
 import pytest
 
+from lefthull import semigroups
+from lefthull.hull import ZERO, HullElement, enumerate_hull
 from lefthull.ideals import IdealCalculus, constructible_closure
+from lefthull.matrices import Matrix
 from lefthull.operators import (RELATION_KINDS, RelationReport,
                                 verify_relation)
 
@@ -33,6 +37,29 @@ tracing = load_tracing()
 def test_traced_functions_exist(module, function):
     assert callable(getattr(importlib.import_module("lefthull." + module),
                             function))
+
+
+@pytest.mark.parametrize("name", tracing.BACKEND_CLASSES)
+def test_traced_backend_classes_exist(name):
+    cls = getattr(semigroups, name)
+    assert isinstance(cls, type) and issubclass(cls, semigroups.Semigroup)
+    # the tracer wraps the methods a class defines itself, so each backend
+    # must define at least one of them
+    assert set(tracing.BACKEND_METHODS) & set(vars(cls)), name
+
+
+@pytest.mark.parametrize("method", ["__mul__", "transpose", "columns_agree",
+                                    "__init__"])
+def test_traced_matrix_methods_are_defined_on_matrix(method):
+    assert callable(vars(Matrix).get(method)), method
+
+
+def test_enumerated_hull_is_a_sized_sequence_of_elements():
+    # the tracer takes len() of what enumerate_hull returns
+    sg = semigroups.FreeMonoid(2)
+    hull = enumerate_hull(sg, 1)
+    assert isinstance(hull, Sequence) and len(hull) > 1
+    assert all(f is ZERO or isinstance(f, HullElement) for f in hull)
 
 
 def test_traced_ideal_operations_are_calculus_methods():

@@ -14,11 +14,11 @@ CLOSURE_CHECKS = ("ideal-adjunctions", "closure-family", "independence",
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
-def count_closures(monkeypatch):
-    """Count constructible_closure calls from every lefthull module that
+def count_calls(monkeypatch, module, fname):
+    """Count the calls of module.fname from every lefthull module that
     binds the name."""
     calls = []
-    real = lefthull.ideals.constructible_closure
+    real = getattr(module, fname)
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -26,13 +26,13 @@ def count_closures(monkeypatch):
 
     for name, mod in list(sys.modules.items()):
         if name == "lefthull" or name.startswith("lefthull."):
-            if getattr(mod, "constructible_closure", None) is real:
-                monkeypatch.setattr(mod, "constructible_closure", counted)
+            if getattr(mod, fname, None) is real:
+                monkeypatch.setattr(mod, fname, counted)
     return calls
 
 
 def test_closure_is_built_once_per_run(monkeypatch):
-    calls = count_closures(monkeypatch)
+    calls = count_calls(monkeypatch, lefthull.ideals, "constructible_closure")
     results = run_checks(PositiveCone(1), window=12)
     assert all(r.status != "fail" for r in results)
     assert len(calls) == 1
@@ -41,13 +41,38 @@ def test_closure_is_built_once_per_run(monkeypatch):
 @pytest.mark.parametrize("command", ["analyze", "matrix"])
 def test_closure_is_built_once_per_command(command, monkeypatch, tmp_path,
                                            capsys):
-    calls = count_closures(monkeypatch)
+    calls = count_calls(monkeypatch, lefthull.ideals, "constructible_closure")
     argv = [command, os.path.join(CONFIGS, "cone2.cfg")]
     if command == "matrix":
         argv += ["--out", str(tmp_path)]
     assert main(argv) == 0
     assert "relation" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, length", [
+    ("check", 2), ("check", 3), ("analyze", 2), ("hull", 2), ("matrix", 2)])
+def test_hull_is_built_once_per_command(command, length, monkeypatch,
+                                        tmp_path, capsys):
+    calls = count_calls(monkeypatch, lefthull.hull, "hull_graph")
+    argv = [command, os.path.join(CONFIGS, "cone2.cfg"),
+            "--length", str(length)]
+    if command == "matrix":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert [args[1] for args in calls] == [length]
+
+
+def test_check_and_analyze_share_the_relation_summary(capsys):
+    path = os.path.join(CONFIGS, "axb.cfg")
+    summary = {}
+    for command, key in (("check", "check.operator-relations"),
+                         ("analyze", "relations")):
+        assert main([command, path, "--format", "machine"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        summary[command] = dict(line.split("=", 1) for line in lines)[key]
+    assert summary["check"] == "ok (%s)" % summary["analyze"]
 
 
 def test_closure_failure_is_reported_by_each_check(monkeypatch):

@@ -305,16 +305,21 @@ def test_lift_relation_frozen_and_errors():
     assert apply_element(cone, f, (0,)) is None  # 0 outside dom
 
 
+def estar_at(sg, sample, length=2, generators=None):
+    return estar_unitary_report(sg, hull_graph(sg, length, generators),
+                                sample=sample)
+
+
 def test_estar_reports():
-    r = estar_unitary_report(PositiveCone(1), sample=80)
+    r = estar_at(PositiveCone(1), 80)
     assert r.mode == "E-unitary" and not r.zero_present
     assert r.premise_hits > 0
-    r = estar_unitary_report(NumericalSemigroup((2, 3)), sample=80)
+    r = estar_at(NumericalSemigroup((2, 3)), 80)
     assert r.mode == "E-unitary" and not r.zero_present
-    r = estar_unitary_report(FreeMonoid(2), sample=80, length=1)
+    r = estar_at(FreeMonoid(2), 80, length=1)
     assert r.mode == "strongly E*-unitary" and r.zero_present
-    r = estar_unitary_report(AxPlusB(), sample=60)
+    r = estar_at(AxPlusB(), 60)
     assert r.mode == "strongly E*-unitary" and r.zero_present
     # on the letter a alone the free monoid's hull never reaches ZERO
-    r = estar_unitary_report(FreeMonoid(2), sample=40, generators=((0,),))
+    r = estar_at(FreeMonoid(2), 40, generators=((0,),))
     assert r.mode == "strongly E*-unitary" and not r.zero_present

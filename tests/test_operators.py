@@ -13,8 +13,8 @@ from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
 from lefthull.cli import DEFAULTS
 from lefthull.config import build_backend, config_generators, load_config
 from lefthull.hull import (ZERO, HullElement, apply_element, compose,
-                           enumerate_hull, evaluate_word, identity_element,
-                           is_idempotent, lambda_, star)
+                           enumerate_hull, evaluate_word, hull_graph,
+                           identity_element, is_idempotent, lambda_, star)
 from lefthull.matrices import Matrix
 from lefthull.operators import (RELATION_KINDS, RelationReport,
                                 TruncatedOperator, Window,
@@ -65,10 +65,10 @@ def test_s_window_arguments():
 
 def test_hull_window_appends_lambdas():
     W = s_window(LINE, size=12)
-    HW = hull_window(LINE, 1, include=W)
+    HW = hull_window(LINE, hull_graph(LINE, 1), include=W)
     for s in W:
         assert lambda_(LINE, s) in HW
-    bare = hull_window(LINE, 1)
+    bare = hull_window(LINE, hull_graph(LINE, 1))
     assert lambda_(LINE, (7,)) not in bare
 
 
@@ -171,7 +171,7 @@ def test_hull_matrix_is_multiplicative_on_joint_core(sg):
 
 
 def test_regular_rep_frozen():
-    HW = hull_window(LINE, 2)
+    HW = hull_window(LINE, hull_graph(LINE, 2))
     eye = regular_rep_matrix(LINE, identity_element(LINE), HW)
     assert eye.matrix == Matrix.identity(len(HW))
     # the one-step shift permutes the window where star f f q = q holds
@@ -188,7 +188,7 @@ def test_regular_rep_frozen():
 
 def test_regular_rep_zero_is_rank_one():
     free = FreeMonoid(2)
-    HW = hull_window(free, 1)
+    HW = hull_window(free, hull_graph(free, 1))
     z = HW.position(ZERO)
     L = regular_rep_matrix(free, ZERO, HW)
     assert L.matrix.entries == {z: z}
@@ -199,7 +199,7 @@ def test_regular_rep_zero_is_rank_one():
 
 def test_intertwiner_shape_and_isometry():
     W = s_window(LINE, size=8)
-    HW = hull_window(LINE, 2, include=W)
+    HW = hull_window(LINE, hull_graph(LINE, 2), include=W)
     T = intertwiner_matrix(LINE, W, HW)
     assert T.matrix.rows == len(HW) and T.matrix.cols == len(W)
     assert sorted(T.matrix.entries) == list(range(len(W)))
@@ -208,7 +208,8 @@ def test_intertwiner_shape_and_isometry():
 
 def test_intertwiner_needs_lambdas():
     W = s_window(LINE, size=10)
-    bare = hull_window(LINE, 1)  # misses lambda(7) among others
+    # misses lambda(7) among others
+    bare = hull_window(LINE, hull_graph(LINE, 1))
     with pytest.raises(UsageError):
         intertwiner_matrix(LINE, W, bare)
 
@@ -225,7 +226,7 @@ def test_expectation_basics():
     assert conditional_expectation(V1).matrix.is_zero()
     with pytest.raises(UsageError):
         conditional_expectation(intertwiner_matrix(
-            LINE, W, hull_window(LINE, 1, include=W)))
+            LINE, W, hull_window(LINE, hull_graph(LINE, 1), include=W)))
 
 
 def test_expectation_is_idempotent_linear_bimodule():
@@ -273,10 +274,14 @@ def test_expectation_fixes_exactly_idempotents(sg):
 
 
 def test_expectation_loop_counts_and_guard():
-    total, fixed = expectation_loop(LINE, s_window(LINE, size=30), 3)
-    assert total == 10 and fixed == 2
-    with pytest.raises(InvariantViolation):
-        expectation_loop(LINE, s_window(LINE, size=2), 3)
+    graph = hull_graph(LINE, 3)
+    total, fixed, skipped = expectation_loop(LINE, s_window(LINE, size=30),
+                                             graph)
+    assert (total, fixed, skipped) == (10, 2, 0)
+    # on two basis vectors the longer shifts act invisibly and are set aside
+    total, fixed, skipped = expectation_loop(LINE, s_window(LINE, size=2),
+                                             graph)
+    assert skipped > 0 and total + skipped == 10
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +291,12 @@ def test_expectation_loop_counts_and_guard():
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
 def test_relation_suites_pass(sg):
     W = s_window(sg, size=20)
-    family = constructible_closure(sg, 2)
+    family, graph = constructible_closure(sg, 2), hull_graph(sg, 2)
     for kind in ("covariance", "semilattice", "isometry", "cs-grade-one"):
-        report = verify_relation(sg, kind, W, family=family, length=2)
+        report = verify_relation(sg, kind, W, family=family, graph=graph)
         assert isinstance(report, RelationReport)
         assert report.count > 0 and report.checked_columns > 0
-    report = verify_relation(sg, "intertwiner", W, length=2)
+    report = verify_relation(sg, "intertwiner", W, graph=graph)
     assert report.count == len(enumerate_hull(sg, 2))
 
 
@@ -317,7 +322,8 @@ def test_relation_mismatch_names_its_instance(kind, instance, monkeypatch):
     monkeypatch.setattr(Matrix, "__eq__", lambda *args: False)
     with pytest.raises(InvariantViolation) as err:
         verify_relation(LINE, kind, s_window(LINE, size=8),
-                        family=constructible_closure(LINE, 1), length=1)
+                        family=constructible_closure(LINE, 1),
+                        graph=hull_graph(LINE, 1))
     assert str(err.value) == "%s relation failed at %s" % (kind, instance)
 
 
@@ -330,6 +336,14 @@ def test_relation_unknown_kind():
 def test_family_suites_need_a_family(kind):
     with pytest.raises(UsageError) as err:
         verify_relation(LINE, kind, s_window(LINE, size=4))
+    assert kind in str(err.value)
+
+
+@pytest.mark.parametrize("kind", ["cs-grade-one", "intertwiner"])
+def test_hull_suites_need_a_graph(kind):
+    with pytest.raises(UsageError) as err:
+        verify_relation(LINE, kind, s_window(LINE, size=4),
+                        family=constructible_closure(LINE, 1))
     assert kind in str(err.value)
 
 
@@ -409,7 +423,7 @@ def test_covariance_specific_instance():
 
 def test_intertwiner_matches_hull_rep_pointwise():
     W = s_window(LINE, size=14)
-    HW = hull_window(LINE, 2, include=W)
+    HW = hull_window(LINE, hull_graph(LINE, 2), include=W)
     T = intertwiner_matrix(LINE, W, HW)
     for f in enumerate_hull(LINE, 2):
         lhs = T.matrix.transpose() \
@@ -482,7 +496,7 @@ def oracle_products(sg, kind, W, depth, length, generators):
                 out.append(prod)
         return out
     assert kind == "intertwiner"
-    HW = hull_window(sg, length, generators, include=W)
+    HW = hull_window(sg, hull_graph(sg, length, generators), include=W)
     T = intertwiner_matrix(sg, W, HW).matrix
     return [dense_product(T.transpose(), regular_rep_matrix(sg, f, HW).matrix,
                           T)
@@ -499,7 +513,8 @@ def test_relation_suites_match_dense_oracle(name, monkeypatch):
     family = constructible_closure(sg, bounds["depth"], generators)
     for kind in RELATION_KINDS:
         got = compared_matrices(monkeypatch, sg, kind, W, family=family,
-                                length=bounds["length"],
+                                graph=hull_graph(sg, bounds["length"],
+                                                 generators),
                                 generators=generators)
         want = oracle_products(sg, kind, W, bounds["depth"],
                                bounds["length"], generators)

@@ -12,6 +12,7 @@ from lefthull import operators
 from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
+from lefthull.hull import hull_graph
 from lefthull.matrices import Matrix
 from lefthull.operators import s_window, verify_relation
 
@@ -68,7 +69,8 @@ def suite_safe_sets(monkeypatch, sg, kind, W, **bounds):
 def test_prefix_walk_matches_word_by_word(name, length, monkeypatch):
     sg, generators, W, length = suite_inputs(name, length)
     rep, seen = suite_safe_sets(monkeypatch, sg, "cs-grade-one", W,
-                                length=length, generators=generators)
+                                graph=hull_graph(sg, length, generators),
+                                generators=generators)
     count, checked, safes = word_by_word(sg, W, length, generators)
     assert (rep.count, rep.checked_columns) == (count, checked)
     assert seen == safes
@@ -78,7 +80,8 @@ def test_prefix_walk_matches_word_by_word(name, length, monkeypatch):
 def test_prefix_walk_of_length_zero_checks_nothing(monkeypatch):
     sg, generators, W, _ = suite_inputs("free2")
     rep, seen = suite_safe_sets(monkeypatch, sg, "cs-grade-one", W,
-                                length=0, generators=generators)
+                                graph=hull_graph(sg, 0, generators),
+                                generators=generators)
     assert (rep.count, rep.checked_columns, seen) == (0, 0, [])
     assert word_by_word(sg, W, 0, generators) == (0, 0, [])
 
@@ -95,7 +98,8 @@ def test_repeated_letters_keep_their_words(text, count):
     sg = build_backend(cfg)
     generators = config_generators(sg, cfg)
     W = s_window(sg, size=DEFAULTS["window"])
-    rep = verify_relation(sg, "cs-grade-one", W, length=2,
+    rep = verify_relation(sg, "cs-grade-one", W,
+                          graph=hull_graph(sg, 2, generators),
                           generators=generators)
     assert rep.count == count
     assert (rep.count, rep.checked_columns) == \
@@ -146,7 +150,8 @@ def test_fault_names_the_same_first_word(name, monkeypatch):
 
     monkeypatch.setattr(operators, "char_projection", faulty)
     with pytest.raises(InvariantViolation) as walked:
-        verify_relation(sg, "cs-grade-one", W, length=length,
+        verify_relation(sg, "cs-grade-one", W,
+                        graph=hull_graph(sg, length, generators),
                         generators=generators)
     with pytest.raises(InvariantViolation) as oracle:
         word_by_word(sg, W, length, generators)
