@@ -81,7 +81,7 @@ def cmd_analyze(sg, args, generators, out):
     except UnsupportedOperation:
         pairs.append(("group", "none (not left reversible)"))
     W = s_window(sg, size=args.window)
-    pairs.append(("relations", relation_summary(sg, W, fam, graph,
+    pairs.append(("relations", relation_summary(sg, W, lat, graph,
                                                 generators)))
     _emit(pairs, args.format, out)
     return EXIT_OK
@@ -143,11 +143,10 @@ def cmd_group(sg, args, generators, out):
 
 def cmd_matrix(sg, args, generators, out):
     W = s_window(sg, size=args.window)
-    letters = tuple(generators if generators is not None else sg.generators())
     graph = hull_graph(sg, args.length, generators)
     HW = hull_window(sg, graph, include=W)
     exports = [("isometry_%d.txt" % i, isometry_matrix(sg, s, W))
-               for i, s in enumerate(letters)]
+               for i, s in enumerate(graph.ends[1:])]
     exports.append(("intertwiner.txt", intertwiner_matrix(sg, W, HW)))
     written = []
     try:
@@ -165,9 +164,10 @@ def cmd_matrix(sg, args, generators, out):
              ("hull.window", str(len(HW)))]
     for p in written:
         pairs.append(("written", p))
-    fam = constructible_closure(sg, args.depth, generators)
+    lat = truncate_semilattice(
+        sg, constructible_closure(sg, args.depth, generators))
     for kind in RELATION_KINDS:
-        rep = verify_relation(sg, kind, W, fam, graph, generators)
+        rep = verify_relation(sg, kind, W, lat, graph, generators)
         pairs.append(("relation.%s" % kind,
                       "ok instances=%d columns=%d"
                       % (rep.count, rep.checked_columns)))

@@ -19,14 +19,15 @@ from .semigroups import UsageError, set_bits
 class FiniteSemilattice:
     """A finite meet-semilattice of canonical right ideals with an
     adjoined zero.  Elements are indexed; index 0 is the top (the whole
-    semigroup) and the last index is the zero (the empty set)."""
+    semigroup) and the last index is the zero (the empty set).  ``family``
+    is the family it was built from, in the caller's order."""
 
     def __init__(self, sg, family):
         cal = calculus(sg)
-        elements = sorted(set(family) | {EMPTY}, key=cal.key)
+        self.sg, self.family = sg, tuple(family)
+        elements = sorted(set(self.family) | {EMPTY}, key=cal.key)
         if not elements or elements[0] != cal.full():
             raise UsageError("the family must contain the full ideal")
-        self.sg = sg
         self.elements = tuple(elements)
         self.top = 0
         self.zero = len(elements) - 1

@@ -9,14 +9,15 @@ failing on its safe core is a genuine counterexample, never an artifact.
 The intertwiner suite builds T* L(f) T directly on the semigroup window,
 from the columns of L(f) at the basis vectors lambda(s) that T hits.
 
-The covariance and semilattice suites check the ideal family their caller
-passes, and the cs-grade-one and intertwiner suites the hull graph
-(``hull_graph``) it passes, so a command builds the constructible closure
-and the hull once and hands them to every consumer.  The safe core of
-covariance, V_s e_X V_s* = e_{sX}, does not depend on X: on the basis
-vector at t the left side divides by s, projects, and multiplies by s
-again, which gives back t.  So the column is safe when s does not divide
-t (annihilated) or its quotient lies in the window.
+The covariance and semilattice suites check the ideal lattice their caller
+passes (``truncate_semilattice``), and the cs-grade-one and intertwiner
+suites the hull graph (``hull_graph``), so a command builds each once.
+e_X is diagonal, the int bitset B(X) of the columns j with W_j in X, so
+e_X e_Y = e_{X meet Y} is one AND, the meet read off the lattice's table.
+The safe core of covariance, V_s e_X V_s* = e_{sX}, does not depend on X:
+on the basis vector at t the left side divides by s, projects, and
+multiplies by s again, which gives back t.  So the column is safe when s
+does not divide t (annihilated) or its quotient lies in the window.
 
 The cs-grade-one suite walks its words level by level, in the order of the
 word list t-major over the pairs, so the first failing word is the one a
@@ -198,17 +199,17 @@ def _mismatch(kind, instance, detail=""):
                              % (kind, instance, detail))
 
 
-def verify_relation(sg, kind, W, family=None, graph=None, generators=None):
+def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
     """Exact verification of one relation suite on its safe cores.
 
     kind is one of RELATION_KINDS; covariance and semilattice check the
-    given ideal family, cs-grade-one and intertwiner the given hull graph,
+    given ideal lattice, cs-grade-one and intertwiner the given hull graph,
     covariance and isometry the generators.  Any mismatch on a safe column
     raises, naming the instance; the report counts the instances checked
     and the columns that amounted to.
     """
-    if kind in ("covariance", "semilattice") and family is None:
-        raise UsageError("the %s relation needs an ideal family" % kind)
+    if kind in ("covariance", "semilattice") and lattice is None:
+        raise UsageError("the %s relation needs an ideal lattice" % kind)
     if kind in ("cs-grade-one", "intertwiner") and graph is None:
         raise UsageError("the %s relation needs a hull graph" % kind)
     cal = calculus(sg)
@@ -222,7 +223,7 @@ def verify_relation(sg, kind, W, family=None, graph=None, generators=None):
             safe = frozenset(j for j, t in enumerate(W.elements)
                              if (u := sg.left_divide(s, t)) is None
                              or u in W.index)
-            for X in family:
+            for X in lattice.family:
                 lhs = V.matrix * char_projection(sg, X, W).matrix \
                     * V.matrix.transpose()
                 rhs = char_projection(sg, cal.translate(s, X), W).matrix
@@ -233,20 +234,18 @@ def verify_relation(sg, kind, W, family=None, graph=None, generators=None):
                 checked += len(safe)
 
     elif kind == "semilattice":
-        # e_X e_Y = e_{X meet Y}; diagonal, so every column is safe
-        n = len(W)
-        proj = {X: char_projection(sg, X, W).matrix for X in family}
-        for i, X in enumerate(family):
-            for Y in family[i:]:
-                lhs = proj[X] * proj[Y]
-                Z = cal.intersect(X, Y)
-                rhs = proj[Z] if Z in proj else \
-                    char_projection(sg, Z, W).matrix
-                if lhs != rhs:
+        # B(X) & B(Y) == B(X meet Y) over the family's pairs; all safe
+        bits = [sum(1 << j for j, t in enumerate(W.elements)
+                    if cal.is_member(t, X)) for X in lattice.elements]
+        at = [lattice.index(X) for X in lattice.family]
+        for a, i in enumerate(at):
+            row, b = lattice.table[i], bits[i]
+            for k in at[a:]:
+                if b & bits[k] != bits[row[k]]:
                     _mismatch(kind, "semilattice X=%s Y=%s"
-                              % (cal.render(X), cal.render(Y)))
-                count += 1
-                checked += n
+                              % (lattice.render(i), lattice.render(k)))
+        count = len(at) * (len(at) + 1) // 2
+        checked = count * len(W)
 
     elif kind == "isometry":
         # V_s* V_s = 1 wherever the shift stays visible
@@ -321,10 +320,10 @@ def verify_relation(sg, kind, W, family=None, graph=None, generators=None):
     return RelationReport(kind, count, checked)
 
 
-def relation_summary(sg, W, family, graph, generators=None):
+def relation_summary(sg, W, lattice, graph, generators=None):
     """Every relation suite, in RELATION_KINDS order, as kind:count."""
     return " ".join(
-        "%s:%d" % (kind, verify_relation(sg, kind, W, family, graph,
+        "%s:%d" % (kind, verify_relation(sg, kind, W, lattice, graph,
                                          generators).count)
         for kind in RELATION_KINDS)
 

@@ -134,10 +134,10 @@ def test_criterion_05_relation_suites_and_expectation_loop():
     for sg, cut in OPERATOR_WINDOWS:
         W = s_window(sg, **cut)
         assert len(W) >= 30
-        family = constructible_closure(sg, 2)
+        lattice = truncate_semilattice(sg, constructible_closure(sg, 2))
         for kind in ("covariance", "semilattice", "isometry",
                      "cs-grade-one"):
-            rep = verify_relation(sg, kind, W, family=family,
+            rep = verify_relation(sg, kind, W, lattice=lattice,
                                   graph=hull_graph(sg, 2))
             assert rep.count > 0, (sg.describe(), kind)
         total, fixed, skipped = expectation_loop(sg, W, hull_graph(sg, 3))

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from lefthull import semigroups
+from lefthull.filters import truncate_semilattice
 from lefthull.hull import ZERO, HullElement, enumerate_hull
 from lefthull.ideals import IdealCalculus, constructible_closure
 from lefthull.matrices import Matrix
@@ -60,6 +61,14 @@ def test_enumerated_hull_is_a_sized_sequence_of_elements():
     hull = enumerate_hull(sg, 1)
     assert isinstance(hull, Sequence) and len(hull) > 1
     assert all(f is ZERO or isinstance(f, HullElement) for f in hull)
+
+
+def test_truncated_semilattice_is_sized():
+    # the tracer takes len() of what truncate_semilattice returns
+    sg = semigroups.FreeMonoid(2)
+    family = constructible_closure(sg, 1)
+    lattice = truncate_semilattice(sg, family)
+    assert len(lattice) == len(set(family) | {lattice.elements[-1]}) > 1
 
 
 def test_traced_ideal_operations_are_calculus_methods():

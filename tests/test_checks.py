@@ -100,6 +100,19 @@ def test_lattice_is_built_once_per_run(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "analyze", "filters",
+                                     "matrix"])
+def test_lattice_is_built_once_per_command(command, monkeypatch, tmp_path,
+                                           capsys):
+    calls = count_calls(monkeypatch, lefthull.filters, "truncate_semilattice")
+    argv = [command, os.path.join(CONFIGS, "cone2.cfg")]
+    if command == "matrix":
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_missing_meet_fails_closure_family_and_filters(monkeypatch):
     sg = PositiveCone(2)
     full = checks.constructible_closure(sg, 2)
@@ -109,6 +122,7 @@ def test_missing_meet_fails_closure_family_and_filters(monkeypatch):
     monkeypatch.setattr(checks, "constructible_closure", lambda *args: family)
     results = run_checks(sg, window=12)
     failed = {r.name: r.detail for r in results if r.status == "fail"}
-    assert set(failed) == {"closure-family", "filters"}
+    # a relation suite reads its meets off the lattice, so it fails too
+    assert set(failed) == {"closure-family", "filters", "operator-relations"}
     for detail in failed.values():
         assert detail.startswith("family is not intersection closed")

@@ -11,7 +11,9 @@ from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
                       UsageError, calculus, constructible_closure,
                       cyclic_table)
 from lefthull.cli import DEFAULTS
-from lefthull.config import build_backend, config_generators, load_config
+from lefthull.config import (build_backend, config_generators, load_config,
+                             parse_config)
+from lefthull.filters import truncate_semilattice
 from lefthull.hull import (ZERO, HullElement, apply_element, compose,
                            enumerate_hull, evaluate_word, hull_graph,
                            identity_element, is_idempotent, lambda_, star)
@@ -39,6 +41,8 @@ def ids(sg):
 
 
 LINE = PositiveCone(1)
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +295,24 @@ def test_expectation_loop_counts_and_guard():
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
 def test_relation_suites_pass(sg):
     W = s_window(sg, size=20)
-    family, graph = constructible_closure(sg, 2), hull_graph(sg, 2)
+    lattice = truncate_semilattice(sg, constructible_closure(sg, 2))
+    graph = hull_graph(sg, 2)
     for kind in ("covariance", "semilattice", "isometry", "cs-grade-one"):
-        report = verify_relation(sg, kind, W, family=family, graph=graph)
+        report = verify_relation(sg, kind, W, lattice=lattice, graph=graph)
         assert isinstance(report, RelationReport)
         assert report.count > 0 and report.checked_columns > 0
     report = verify_relation(sg, "intertwiner", W, graph=graph)
     assert report.count == len(enumerate_hull(sg, 2))
 
 
+def line_lattice(depth):
+    return truncate_semilattice(LINE, constructible_closure(LINE, depth))
+
+
 def test_relation_reports_deterministic():
     W = s_window(LINE, size=12)
-    a = verify_relation(LINE, "covariance", W,
-                        family=constructible_closure(LINE, 2))
-    b = verify_relation(LINE, "covariance", W,
-                        family=constructible_closure(LINE, 2))
+    a = verify_relation(LINE, "covariance", W, lattice=line_lattice(2))
+    b = verify_relation(LINE, "covariance", W, lattice=line_lattice(2))
     assert a == b
     assert (a.count, a.checked_columns) == (b.count, b.checked_columns)
 
@@ -317,12 +324,14 @@ def test_relation_reports_deterministic():
     ("cs-grade-one", "word (0)*.(0)"),
     ("intertwiner", "intertwiner f=(-1) | (1)+S")])
 def test_relation_mismatch_names_its_instance(kind, instance, monkeypatch):
-    # every comparison fails, so each suite names its first instance
+    # every comparison fails, so each suite names its first instance; the
+    # semilattice suite compares no matrices, and every meet in its table
+    # is made the zero
     monkeypatch.setattr(Matrix, "columns_agree", lambda *args: False)
-    monkeypatch.setattr(Matrix, "__eq__", lambda *args: False)
+    lattice = line_lattice(1)
+    lattice.table = ((lattice.zero,) * len(lattice),) * len(lattice)
     with pytest.raises(InvariantViolation) as err:
-        verify_relation(LINE, kind, s_window(LINE, size=8),
-                        family=constructible_closure(LINE, 1),
+        verify_relation(LINE, kind, s_window(LINE, size=8), lattice=lattice,
                         graph=hull_graph(LINE, 1))
     assert str(err.value) == "%s relation failed at %s" % (kind, instance)
 
@@ -343,7 +352,7 @@ def test_family_suites_need_a_family(kind):
 def test_hull_suites_need_a_graph(kind):
     with pytest.raises(UsageError) as err:
         verify_relation(LINE, kind, s_window(LINE, size=4),
-                        family=constructible_closure(LINE, 1))
+                        lattice=line_lattice(1))
     assert kind in str(err.value)
 
 
@@ -355,7 +364,8 @@ def test_semilattice_instance_free_monoid():
     b = char_projection(free, (1,), W).matrix
     assert (a * b).is_zero()
     verify_relation(free, "semilattice", W,
-                    family=constructible_closure(free, 1))
+                    lattice=truncate_semilattice(
+                        free, constructible_closure(free, 1)))
 
 
 def semilattice_per_pair(sg, W, family):
@@ -378,23 +388,87 @@ def semilattice_per_pair(sg, W, family):
 def test_semilattice_suite_matches_per_pair_projections(sg):
     W = s_window(sg, size=20)
     family = constructible_closure(sg, 2)
-    rep = verify_relation(sg, "semilattice", W, family=family)
+    rep = verify_relation(sg, "semilattice", W,
+                          lattice=truncate_semilattice(sg, family))
     assert (rep.count, rep.checked_columns) == \
         semilattice_per_pair(sg, W, family)
 
 
-def test_semilattice_suite_builds_missing_meets():
-    # 2S n 3S = {5,6,...} is not in this family, so its projection is
-    # built when the pair comes up
+ORACLE_TEXTS = {"num-10-11": "kind = numerical\nparams = 10 11\n",
+                "cone4": "kind = cone\nparams = 4\n"}
+
+
+def config_inputs(name):
+    """Backend, generators and bounds of a shipped config or a text."""
+    if name in ORACLE_TEXTS:
+        cfg = parse_config(ORACLE_TEXTS[name])
+    else:
+        cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
+    sg = build_backend(cfg)
+    return sg, config_generators(sg, cfg), dict(DEFAULTS, **cfg.bounds)
+
+
+@pytest.mark.parametrize("name", SHIPPED + sorted(ORACLE_TEXTS))
+def test_semilattice_suite_matches_oracle_on_configs(name):
+    # the bitsets and the meet table against three fresh projections and a
+    # fresh intersection for every pair, at depth 2
+    sg, generators, bounds = config_inputs(name)
+    W = s_window(sg, size=bounds["window"])
+    family = constructible_closure(sg, 2, generators)
+    rep = verify_relation(sg, "semilattice", W,
+                          lattice=truncate_semilattice(sg, family))
+    assert (rep.count, rep.checked_columns) == \
+        semilattice_per_pair(sg, W, family)
+    assert rep.count > 0
+
+
+def test_lattice_build_rejects_a_missing_meet():
+    # 2S n 3S = {5,6,...} is not in this family, so no semilattice suite
+    # can be asked to check it
     sg = NumericalSemigroup((2, 3))
     cal = calculus(sg)
     family = (cal.full(), cal.principal(2), cal.principal(3))
     assert cal.intersect(family[1], family[2]) not in family
+    with pytest.raises(UsageError) as err:
+        truncate_semilattice(sg, family)
+    assert str(err.value).startswith("family is not intersection closed")
+
+
+def test_semilattice_suite_catches_a_wrong_meet():
+    sg = PositiveCone(2)
+    lattice = truncate_semilattice(sg, constructible_closure(sg, 2))
+    # the suite reads each pair once, at i < k; the build has checked
+    # that the table is commutative
+    i, k = sorted((lattice.index((1, 0)), lattice.index((0, 1))))
+    assert lattice.meet(i, k) == lattice.index((1, 1))
     W = s_window(sg, size=20)
-    rep = verify_relation(sg, "semilattice", W, family=family)
-    assert rep.count == 6
-    assert (rep.count, rep.checked_columns) == \
-        semilattice_per_pair(sg, W, family)
+    verify_relation(sg, "semilattice", W, lattice=lattice)
+    # one off-diagonal entry now names the first of the two as the meet
+    rows = [list(row) for row in lattice.table]
+    rows[i][k] = i
+    lattice.table = tuple(map(tuple, rows))
+    with pytest.raises(InvariantViolation) as err:
+        verify_relation(sg, "semilattice", W, lattice=lattice)
+    assert str(err.value) == "semilattice relation failed at semilattice " \
+        "X=%s Y=%s" % (lattice.render(i), lattice.render(k))
+
+
+def test_semilattice_suite_catches_a_dropped_member(monkeypatch):
+    # (1,1) is left out of the whole semigroup only, so e_S e_Y misses a
+    # column that e_Y has for every Y holding (1,1)
+    sg = PositiveCone(2)
+    cal = calculus(sg)
+    lattice = truncate_semilattice(sg, constructible_closure(sg, 2))
+    member = type(cal).is_member
+
+    def dropped(self, x, X):
+        return member(self, x, X) and not (x == (1, 1) and X == cal.full())
+
+    monkeypatch.setattr(type(cal), "is_member", dropped)
+    with pytest.raises(InvariantViolation) as err:
+        verify_relation(sg, "semilattice", s_window(sg, size=20),
+                        lattice=lattice)
+    assert "X=S" in str(err.value)
 
 
 def test_cs_grade_one_specific_word():
@@ -436,26 +510,18 @@ def test_intertwiner_matches_hull_rep_pointwise():
 # every matrix a relation suite compares, against the dense product of its
 # factors; the intertwiner's against T* L(f) T over the full hull window
 
-CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
-SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
-
 
 def compared_matrices(monkeypatch, sg, kind, W, **bounds):
     """The left-hand matrices verify_relation compares, in order."""
     seen = []
-    agree, equal = Matrix.columns_agree, Matrix.__eq__
+    agree = Matrix.columns_agree
 
     def spy_agree(self, other, cols):
         seen.append(self)
         return agree(self, other, cols)
 
-    def spy_equal(self, other):
-        seen.append(self)
-        return equal(self, other)
-
     with monkeypatch.context() as m:
         m.setattr(Matrix, "columns_agree", spy_agree)
-        m.setattr(Matrix, "__eq__", spy_equal)
         verify_relation(sg, kind, W, **bounds)
     return seen
 
@@ -472,11 +538,6 @@ def oracle_products(sg, kind, W, depth, length, generators):
         return [dense_product(V[s], char_projection(sg, X, W).matrix,
                               V[s].transpose())
                 for s in letters for X in family]
-    if kind == "semilattice":
-        family = constructible_closure(sg, depth, generators)
-        return [dense_product(char_projection(sg, X, W).matrix,
-                              char_projection(sg, Y, W).matrix)
-                for i, X in enumerate(family) for Y in family[i:]]
     if kind == "isometry":
         return [dense_product(V[s].transpose(), V[s]) for s in letters]
     if kind == "cs-grade-one":
@@ -505,14 +566,14 @@ def oracle_products(sg, kind, W, depth, length, generators):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_relation_suites_match_dense_oracle(name, monkeypatch):
-    cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
-    sg = build_backend(cfg)
-    generators = config_generators(sg, cfg)
-    bounds = dict(DEFAULTS, **cfg.bounds)
+    sg, generators, bounds = config_inputs(name)
     W = s_window(sg, size=bounds["window"])
-    family = constructible_closure(sg, bounds["depth"], generators)
-    for kind in RELATION_KINDS:
-        got = compared_matrices(monkeypatch, sg, kind, W, family=family,
+    lattice = truncate_semilattice(
+        sg, constructible_closure(sg, bounds["depth"], generators))
+    # the semilattice suite compares bitsets, not matrices; its oracle is
+    # test_semilattice_suite_matches_oracle_on_configs
+    for kind in (k for k in RELATION_KINDS if k != "semilattice"):
+        got = compared_matrices(monkeypatch, sg, kind, W, lattice=lattice,
                                 graph=hull_graph(sg, bounds["length"],
                                                  generators),
                                 generators=generators)
