@@ -73,14 +73,6 @@ def compose(sg, f, h):
     return HullElement(G.mul(f.grade, h.grade), dom)
 
 
-def apply_element(sg, f, x):
-    """f(x), or None where undefined."""
-    sg._check(x)
-    if f is ZERO or not calculus(sg).is_member(x, f.dom):
-        return None
-    return sg.act(f.grade, x)
-
-
 def is_idempotent(sg, f):
     return f is ZERO or f.grade == sg.grading_group().identity()
 

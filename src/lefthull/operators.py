@@ -19,19 +19,23 @@ on the basis vector at t the left side divides by s, projects, and
 multiplies by s again, which gives back t.  So the column is safe when s
 does not divide t (annihilated) or its quotient lies in the window.
 
-The cs-grade-one suite walks its words level by level, in the order of the
-word list t-major over the pairs, so the first failing word is the one a
-word-by-word walk names.  Its words are paths in the hull's right Cayley
-graph over the atoms a_p = star(lambda t) lambda s, up to the graph's
-length and over its letters.  A word w p of n pairs keeps the state of
-its prefix w: its element is the successor of f_w along a_p, read from
-the graph, its product is P_w A_p with A_p = V_t* V_s, and its safe
-columns are Z_p, where p itself annihilates (s x is visible and t does
-not divide it), together with the columns that A_p sends into safe(w).
-This is exact: on a column the last pair acts first, so a trajectory of
-w p is the trajectory of p followed by the trajectory of w from where p
-ends.  Only the previous level is kept, and words off grade 1 at the last
-level are dropped before any matrix is built.
+The cs-grade-one suite walks the words of the hull's right Cayley graph
+over the atoms a_p = star(lambda t) lambda s, up to the graph's length and
+over its letters, level by level and t-major over the pairs.  A word w p
+of n pairs extends its prefix w: its element is the successor of f_w along
+a_p, its product is P_w A_p with A_p = V_t* V_s, and its safe columns are
+Z_p, where p itself annihilates (s x is visible and t does not divide it),
+together with the columns that A_p sends into safe(w); on a column the
+last pair acts first.  This state (element, product, safe set) decides
+everything below the word: its check and every child's state.  So a level
+keeps each distinct state once, in order of first occurrence, with the
+first word that reached it and a multiplicity; a word reaching a held
+state adds its multiplicity and is neither checked nor extended, and the
+counts add multiplicity times the per-state figures.  The first failing
+word in level order, w p, is the first word with its state: the first
+word w0 with the state of w fails as w0 p, which comes no later, so
+w = w0, and the suite names the word a word-by-word walk names.  Words
+off grade 1 at the last level are dropped before any matrix is built.
 """
 
 from dataclasses import dataclass
@@ -215,6 +219,13 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
     cal = calculus(sg)
     letters = tuple(generators if generators is not None else sg.generators())
     count = checked = 0
+    proj = {}
+
+    def e(X):
+        """e_X, built once per call."""
+        if X not in proj:
+            proj[X] = char_projection(sg, X, W).matrix
+        return proj[X]
 
     if kind == "covariance":
         # V_s e_X V_s* = e_{sX}
@@ -224,10 +235,8 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
                              if (u := sg.left_divide(s, t)) is None
                              or u in W.index)
             for X in lattice.family:
-                lhs = V.matrix * char_projection(sg, X, W).matrix \
-                    * V.matrix.transpose()
-                rhs = char_projection(sg, cal.translate(s, X), W).matrix
-                if not lhs.columns_agree(rhs, safe):
+                lhs = V.matrix * e(X) * V.matrix.transpose()
+                if not lhs.columns_agree(e(cal.translate(s, X)), safe):
                     _mismatch(kind, "covariance s=%s X=%s"
                               % (sg.render(s), cal.render(X)))
                 count += 1
@@ -271,31 +280,34 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
                 zero = frozenset(j for j, i in V[s].entries.items()
                                  if sg.left_divide(t, W.elements[i]) is None)
                 pool.append(((t, s), A, zero))
-        proj = {}
-        level = [((), 0, Matrix.identity(len(W)), frozenset(range(len(W))))]
+        # a level maps each distinct state (id, product entries, safe set)
+        # to [its first word, its product, its multiplicity], in order of
+        # first occurrence
+        n = len(W)
+        level = {(0, None, frozenset(range(n))): [(), Matrix.identity(n), 1]}
         # the last level checks only the words of grade one
         last = [[(j, x) for j, x in zip(row, pool) if graded[j]]
                 for row in graph.succ]
         for left in range(graph.length - 1, -1, -1):
-            nxt = []
-            for pairs, i, prod, safe in level:
+            nxt = {}
+            for (i, _, safe), (pairs, prod, m) in level.items():
                 row = zip(graph.succ[i], pool) if left else last[i]
                 for j, (p, A, zero) in row:
-                    word, P = pairs + (p,), prod * A
+                    P = prod * A
                     S = zero.union(c for c, r in A.entries.items() if r in safe)
-                    if graded[j]:
+                    key = (j, frozenset(P.entries.items()), S)
+                    if key not in nxt:
+                        nxt[key] = [pairs + (p,), P, 0]
                         g = graph.elements[j]
-                        X = EMPTY if g is ZERO else g.dom
-                        if X not in proj:
-                            proj[X] = char_projection(sg, X, W).matrix
-                        if not P.columns_agree(proj[X], S):
+                        if graded[j] and not P.columns_agree(
+                                e(EMPTY if g is ZERO else g.dom), S):
                             _mismatch(kind, "word %s" % " ".join(
                                 "%s*.%s" % (sg.render(t), sg.render(s))
-                                for t, s in word))
-                        count += 1
-                        checked += len(S)
-                    if left:
-                        nxt.append((word, j, P, S))
+                                for t, s in pairs + (p,)))
+                    nxt[key][2] += m
+                    if graded[j]:
+                        count += m
+                        checked += m * len(S)
             level = nxt
 
     elif kind == "intertwiner":

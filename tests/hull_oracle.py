@@ -6,10 +6,22 @@ of the Cayley graph: the atoms star(lambda t) lambda s are listed t-major
 over the identity plus the letters, and each level composes every new
 nonzero element of the previous level with every atom.  ZERO is absorbing,
 so it is never extended.
+
+``apply_element`` evaluates a hull element pointwise, the oracle for the
+partial maps the hull elements stand for.
 """
 
 from lefthull.hull import (ZERO, compose, hull_sort_key, identity_element,
                            lambda_, star)
+from lefthull.ideals import calculus
+
+
+def apply_element(sg, f, x):
+    """f(x), or None where undefined."""
+    sg._check(x)
+    if f is ZERO or not calculus(sg).is_member(x, f.dom):
+        return None
+    return sg.act(f.grade, x)
 
 
 def word_atoms(sg, letters):

@@ -237,6 +237,14 @@ def test_check_exit_0_and_reports_all(capsys):
     assert "check.operator-relations: ok" in out
 
 
+def test_check_walks_cyclic_14_at_length_3(capsys, tmp_path):
+    # 7,529,536 words at the last level, but few distinct states
+    path = write(tmp_path, "kind = table\nparams = cyclic 14\n")
+    code, out, err = run(["check", path, "--length", "3"], capsys)
+    assert code == 0, err
+    assert "cs-grade-one:540582 " in out
+
+
 def test_check_deterministic_bytes(capsys):
     code1, out1, err1 = run(["check", cfg("num23")], capsys)
     code2, out2, err2 = run(["check", cfg("num23")], capsys)

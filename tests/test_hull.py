@@ -11,7 +11,7 @@ from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
                       UnsupportedOperation, UsageError, constructible_closure,
                       reachable_ideals,
                       cyclic_table)
-from lefthull.hull import (ZERO, HullElement, PartialMap, apply_element,
+from lefthull.hull import (ZERO, HullElement, PartialMap,
                            clifford_normal_form,
                            compose, enumerate_hull, estar_unitary_report,
                            evaluate_word, grading, hull_graph,
@@ -21,7 +21,7 @@ from lefthull.hull import (ZERO, HullElement, PartialMap, apply_element,
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
 
-from hull_oracle import frontier_hull
+from hull_oracle import apply_element, frontier_hull
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))

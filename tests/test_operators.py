@@ -14,9 +14,9 @@ from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
 from lefthull.filters import truncate_semilattice
-from lefthull.hull import (ZERO, HullElement, apply_element, compose,
-                           enumerate_hull, evaluate_word, hull_graph,
-                           identity_element, is_idempotent, lambda_, star)
+from lefthull.hull import (ZERO, HullElement, compose, enumerate_hull,
+                           evaluate_word, hull_graph, identity_element,
+                           is_idempotent, lambda_, star)
 from lefthull.matrices import Matrix
 from lefthull.operators import (RELATION_KINDS, RelationReport,
                                 TruncatedOperator, Window,
@@ -26,6 +26,8 @@ from lefthull.operators import (RELATION_KINDS, RelationReport,
                                 regular_rep_matrix, s_window, verify_relation)
 
 from dense_oracle import dense, dense_identity, dense_mul, dense_product
+from hull_oracle import apply_element
+from word_oracle import level_walk
 
 BACKENDS = [
     FreeMonoid(2),
@@ -511,8 +513,9 @@ def test_intertwiner_matches_hull_rep_pointwise():
 # factors; the intertwiner's against T* L(f) T over the full hull window
 
 
-def compared_matrices(monkeypatch, sg, kind, W, **bounds):
-    """The left-hand matrices verify_relation compares, in order."""
+def compared_matrices(monkeypatch, walk, *args, **kwargs):
+    """What ``walk`` returns and the left-hand matrices it compares, in
+    order."""
     seen = []
     agree = Matrix.columns_agree
 
@@ -522,8 +525,8 @@ def compared_matrices(monkeypatch, sg, kind, W, **bounds):
 
     with monkeypatch.context() as m:
         m.setattr(Matrix, "columns_agree", spy_agree)
-        verify_relation(sg, kind, W, **bounds)
-    return seen
+        out = walk(*args, **kwargs)
+    return out, seen
 
 
 def oracle_products(sg, kind, W, depth, length, generators):
@@ -570,15 +573,22 @@ def test_relation_suites_match_dense_oracle(name, monkeypatch):
     W = s_window(sg, size=bounds["window"])
     lattice = truncate_semilattice(
         sg, constructible_closure(sg, bounds["depth"], generators))
+    graph = hull_graph(sg, bounds["length"], generators)
     # the semilattice suite compares bitsets, not matrices; its oracle is
     # test_semilattice_suite_matches_oracle_on_configs
     for kind in (k for k in RELATION_KINDS if k != "semilattice"):
-        got = compared_matrices(monkeypatch, sg, kind, W, lattice=lattice,
-                                graph=hull_graph(sg, bounds["length"],
-                                                 generators),
-                                generators=generators)
+        rep, got = compared_matrices(monkeypatch, verify_relation, sg, kind,
+                                     W, lattice=lattice, graph=graph,
+                                     generators=generators)
         want = oracle_products(sg, kind, W, bounds["depth"],
                                bounds["length"], generators)
+        if kind == "cs-grade-one":
+            # the suite compares each distinct state of a level once; the
+            # level walk compares every word, in the oracle's order
+            assert rep.count == len(want)
+            assert {tuple(map(tuple, dense(m))) for m in got} == \
+                {tuple(map(tuple, d)) for d in want}
+            _, got = compared_matrices(monkeypatch, level_walk, sg, W, graph)
         assert len(got) == len(want) > 0, kind
         for i, (m, d) in enumerate(zip(got, want)):
             assert dense(m) == d, (kind, i)

@@ -1,6 +1,9 @@
-"""The prefix walk of the cs-grade-one suite against the word-by-word
-oracle: the same instances, the same checked columns, the same safe set for
-every word, and the same first failing word under an injected fault.  The
+"""The walks of the cs-grade-one suite against each other.  The level walk
+against the word-by-word oracle: the same instances, the same checked
+columns and the same safe set for every word.  The suite's state walk
+against the level walk: the same instances and checked columns, and one
+comparison per distinct state of a level, in order of first occurrence.
+Under an injected fault every walk names the same first failing word.  The
 covariance suite's per-letter safe core against the step interpreter."""
 
 import os
@@ -17,7 +20,7 @@ from lefthull.hull import hull_graph
 from lefthull.matrices import Matrix
 from lefthull.operators import s_window, verify_relation
 
-from word_oracle import _safe_columns, word_by_word
+from word_oracle import _safe_columns, level_walk, word_by_word
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
@@ -26,6 +29,12 @@ TEXTS = {
     "cyc12": "kind = table\nparams = cyclic 12\n",
     "cyc14": "kind = table\nparams = cyclic 14\n",
     "cyc48-g1": "kind = table\nparams = cyclic 48\ngenerators = 1\n",
+    "cyc9": "kind = table\nparams = cyclic 9\n",
+    # free2 and cone2 at length 3
+    "free2-l3": "kind = free\nparams = 2\n"
+                "bounds = depth:2 length:3 window:20 seed:7\n",
+    "cone2-l3": "kind = cone\nparams = 2\n"
+                "bounds = depth:2 length:3 window:25 seed:7\n",
     "axb-c": "kind = axb\ngenerators = (1,2) (0,3)\n",
     "num-10-11": "kind = numerical\nparams = 10 11\n",
 }
@@ -48,8 +57,9 @@ def suite_inputs(name, length=None):
             bounds["length"] if length is None else length)
 
 
-def suite_safe_sets(monkeypatch, sg, kind, W, **bounds):
-    """The report of a suite and the column set of each comparison."""
+def spied_safe_sets(monkeypatch, walk, *args, **kwargs):
+    """What ``walk`` returns and the column set of each comparison it
+    makes."""
     seen = []
     agree = Matrix.columns_agree
 
@@ -59,23 +69,59 @@ def suite_safe_sets(monkeypatch, sg, kind, W, **bounds):
 
     with monkeypatch.context() as m:
         m.setattr(Matrix, "columns_agree", spy)
-        rep = verify_relation(sg, kind, W, **bounds)
-    return rep, seen
+        out = walk(*args, **kwargs)
+    return out, seen
 
 
-@pytest.mark.parametrize("name, length", [(n, None) for n in SHIPPED] + [
+def suite_safe_sets(monkeypatch, sg, kind, W, **bounds):
+    """The report of a suite and the column set of each comparison."""
+    return spied_safe_sets(monkeypatch, verify_relation, sg, kind, W,
+                           **bounds)
+
+
+PREFIX_CASES = [(n, None) for n in SHIPPED] + [
     ("free2", 1), ("free2", 3), ("cone2", 3), ("axb", 3),
     ("axb-i", 2), ("axb-i", 3), ("cyc12", 2), ("cyc14", 2),
-    ("cyc48-g1", 2)])
+    ("cyc48-g1", 2)]
+
+
+@pytest.mark.parametrize("name, length", PREFIX_CASES)
 def test_prefix_walk_matches_word_by_word(name, length, monkeypatch):
     sg, generators, W, length = suite_inputs(name, length)
-    rep, seen = suite_safe_sets(monkeypatch, sg, "cs-grade-one", W,
-                                graph=hull_graph(sg, length, generators),
-                                generators=generators)
+    (rep, _), seen = spied_safe_sets(monkeypatch, level_walk, sg, W,
+                                     hull_graph(sg, length, generators))
     count, checked, safes = word_by_word(sg, W, length, generators)
     assert (rep.count, rep.checked_columns) == (count, checked)
     assert seen == safes
     assert count > 0
+
+
+# cyclic 9 at length 3 has 1,010,100 words, 59,787 of grade one
+@pytest.mark.parametrize("name, length", PREFIX_CASES + [("cyc9", 3)])
+def test_merged_walk_matches_level_walk(name, length, monkeypatch):
+    sg, generators, W, length = suite_inputs(name, length)
+    graph = hull_graph(sg, length, generators)
+    seen = []
+    agree = Matrix.columns_agree
+
+    def spy(self, other, cols):
+        seen.append((frozenset(self.entries.items()), frozenset(cols)))
+        return agree(self, other, cols)
+
+    with monkeypatch.context() as m:
+        m.setattr(Matrix, "columns_agree", spy)
+        rep = verify_relation(sg, "cs-grade-one", W, graph=graph,
+                              generators=generators)
+    want, states = level_walk(sg, W, graph)
+    assert (rep.count, rep.checked_columns) == \
+        (want.count, want.checked_columns)
+    # every repeat of a (level, state) is dropped; the rest keep their order
+    first = list(dict.fromkeys(states))
+    assert [S for _, S in seen] == [S for *_, S in first]
+    assert seen == [(P, S) for _, _, P, S in first]
+    if name == "cyc9":
+        assert (want.count, len(states)) == (59787, 59787)
+        assert len(first) < len(states) // 100
 
 
 def test_prefix_walk_of_length_zero_checks_nothing(monkeypatch):
@@ -131,7 +177,10 @@ def test_covariance_safe_core_matches_step_interpreter(name, depth,
 FAULT_CASES = {
     "free2": (None, None), "cone2": (None, None),
     # the successor of this word is shared by several prefixes
-    "axb-i": (3, "(0,1)*.(0,2) (0,2)*.(0,1)")}
+    "axb-i": (3, "(0,1)*.(0,2) (0,2)*.(0,1)"),
+    # a word of two pairs fails first, and the walk goes on to length 3
+    "free2-l3": (None, "1*.a a*.1"),
+    "cone2-l3": (None, "(0,0)*.(1,0) (1,0)*.(0,0)")}
 
 
 @pytest.mark.parametrize("name", FAULT_CASES)
@@ -163,3 +212,57 @@ def test_fault_names_the_same_first_word(name, monkeypatch):
     assert not str(oracle.value).endswith("word " + first)
     if word is not None:
         assert str(oracle.value).endswith("word " + word)
+
+
+# name, length, the one domain the fault touches, and the first failing
+# word: a word of three pairs whose state a later word of its level reaches
+SHARED_FAULTS = [
+    ("cone2", 3, "(1,1)+S", "(0,0)*.(1,0) (1,0)*.(0,1) (0,1)*.(0,0)"),
+    ("num23", 3, "{5,6,7,8,...}", "0*.2 2*.3 3*.0")]
+
+
+@pytest.mark.parametrize("name, length, domain, word", SHARED_FAULTS)
+def test_fault_on_a_shared_state_names_the_same_first_word(
+        name, length, domain, word, monkeypatch):
+    sg, generators, W, length = suite_inputs(name, length)
+    graph = hull_graph(sg, length, generators)
+    _, states = level_walk(sg, W, graph)
+    cal = calculus(sg)
+    projection = operators.char_projection
+
+    def faulty(sg, X, W):
+        # the last member column of one domain is dropped
+        op = projection(sg, X, W)
+        entries = dict(op.matrix.entries)
+        if cal.render(X) == domain:
+            del entries[max(entries)]
+        return operators.TruncatedOperator(
+            Matrix(len(W), len(W), entries), op.safe)
+
+    monkeypatch.setattr(operators, "char_projection", faulty)
+    messages = []
+    for walk in (lambda: verify_relation(sg, "cs-grade-one", W, graph=graph,
+                                         generators=generators),
+                 lambda: level_walk(sg, W, graph),
+                 lambda: word_by_word(sg, W, length, generators)):
+        with pytest.raises(InvariantViolation) as failed:
+            walk()
+        messages.append(str(failed.value))
+    assert messages == [messages[0]] * 3
+    assert messages[0].endswith("word " + word)
+    # the level walk fails at its k-th check, on the first of several words
+    # of its level with that state
+    seen = []
+    agree = Matrix.columns_agree
+
+    def spy(self, other, cols):
+        seen.append(cols)
+        return agree(self, other, cols)
+
+    with monkeypatch.context() as m:
+        m.setattr(Matrix, "columns_agree", spy)
+        with pytest.raises(InvariantViolation):
+            level_walk(sg, W, graph)
+    k = len(seen) - 1
+    assert states.index(states[k]) == k
+    assert states[k][0] == 3 and states[k] in states[k + 1:]
