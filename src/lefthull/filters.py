@@ -89,10 +89,6 @@ class FiniteSemilattice:
     def meet(self, i, j):
         return self.table[i][j]
 
-    def leq(self, i, j):
-        # a <= b exactly when b a = a
-        return self.meet(i, j) == i
-
     def index(self, X):
         if X not in self._index:
             raise UsageError("%r is not an element of the truncation" % (X,))

@@ -337,16 +337,6 @@ def _mask_bits(X):
         return sum(1 << m for m in X[1])
 
 
-def _least_bits(bits, k):
-    """The positions of the k lowest set bits of bits, ascending."""
-    out = []
-    while bits and len(out) < k:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
-
-
 class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
     """Cofinite descriptions (threshold, mask) with exact set arithmetic.
 
@@ -432,7 +422,7 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
 
     def min_member(self, X):
         cut = X[0] + self.sg.conductor + self.sg.gcd + 1
-        least = _least_bits(self._below(X, cut), 1)
+        least = set_bits(self._below(X, cut))[:1]
         if not least:
             raise InvariantViolation("nonempty ideal with no member found")
         return least[0]
@@ -506,13 +496,14 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
     def _render(self, X):
         sg = self.sg
         cut = X[0] + sg.conductor + 4 * sg.gcd + 1
-        lead = _least_bits(self._below(X, cut), 4)
+        lead = set_bits(self._below(X, cut))[:4]
         return "{%s,...}" % ",".join(str(m) for m in lead)
 
 
-def _minimal_cover(cal, below, Y, limit=3):
-    # smallest sub-family of strictly-below members whose union is Y
-    for size in range(2, min(limit, len(below)) + 1):
+def _minimal_cover(cal, below, Y):
+    # smallest sub-family of at most three strictly-below members whose
+    # union is Y, else all of them
+    for size in range(2, min(3, len(below)) + 1):
         for combo in combinations(below, size):
             if cal.union_equals(combo, Y):
                 return combo

@@ -270,8 +270,7 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
     elif kind == "cs-grade-one":
         # identity-graded words act as the projection onto their domain;
         # each word extends a word of the previous level by one pair
-        one = sg.grading_group().identity()
-        graded = [f is ZERO or f.grade == one for f in graph.elements]
+        graded = [is_idempotent(sg, f) for f in graph.elements]
         V = {s: isometry_matrix(sg, s, W).matrix for s in graph.ends}
         pool = []
         for t in graph.ends:

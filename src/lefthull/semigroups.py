@@ -14,6 +14,10 @@ grading; the group classes live here as well so the two layers share one
 vocabulary.  Grades are plain ints or int tuples for every backend, the
 rational ax+b grades included.
 
+A numerical semigroup holds its membership once, as one int bitset of the
+members below its conductor, sieved by shifts up to Schur's bound on the
+conductor; its gcd and conductor are read off the same sieve.
+
 Each backend class also supplies, in one place, the facts the other modules
 ask of it: its grading group and ideal calculus (both built once per
 instance), and where S is left reversible its enveloping ``fraction_group``,
@@ -22,7 +26,7 @@ the injection ``gamma``, ``generator_word``, ``fraction_basis`` and
 Folner densities are facts about ideals, stated by the calculus classes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 import math
@@ -602,53 +606,14 @@ def set_bits(bits):
                          .translate(_BIT_BYTES)))
 
 
-class _NumericalData:
-    """Membership table, gcd and conductor for a numerical semigroup.
-
-    Everything is computed on the scaled semigroup S/d (gcd 1).  The scaled
-    conductor exists because S/d is cofinite in Z+; it is detected from a run
-    of min-generator consecutive members, then minimized.
-    """
-
-    def __init__(self, gens):
-        self.d = math.gcd(*gens)
-        self.scaled = tuple(g // self.d for g in gens)
-        self.table = [False]
-        self.table[0] = True
-        self._limit = 0
-        self.scaled_conductor = self._find_conductor()
-
-    def _grow(self, limit):
-        if limit <= self._limit:
-            return
-        old = self._limit
-        self.table.extend([False] * (limit - old))
-        for x in range(old + 1, limit + 1):
-            self.table[x] = any(g <= x and self.table[x - g] for g in self.scaled)
-        self._limit = limit
-
-    def _find_conductor(self):
-        m = min(self.scaled)
-        bound = 4 * max(self.scaled)
-        while True:
-            self._grow(bound)
-            run = 0
-            for x in range(bound + 1):
-                run = run + 1 if self.table[x] else 0
-                if run >= m:
-                    c = x - m + 1
-                    while c > 0 and self.table[c - 1]:
-                        c -= 1
-                    return c
-            bound *= 2
-
-
 @dataclass(frozen=True)
 class NumericalSemigroup(Semigroup):
     """Submonoid of (Z+,+) generated by integers >= 2.
 
-    Generators are stored sorted and duplicate-free.  The gcd of the
+    Generators are stored sorted and duplicate-free.  The gcd d of the
     generators may exceed 1; membership and ideal arithmetic account for it.
+    Membership is one bitset, sieved once up to Schur's bound on the
+    conductor; the gcd, the conductor and every membership question read it.
     """
 
     gens: tuple
@@ -662,22 +627,40 @@ class NumericalSemigroup(Semigroup):
         object.__setattr__(self, "gens", gens)
 
     @cached_property
-    def _data(self):
-        return _NumericalData(self.gens)
+    def _sieve(self):
+        # (d, the conductor C, the members below C as a bitset).  By Schur's
+        # bound the conductor of S/d is at most (a - 1)(b - 1), a and b its
+        # least and greatest generators, so every gap of S lies below
+        # d (a - 1)(b - 1).  Each generator g in turn closes the bits below
+        # that bound under + g, by shifts of g, 2g, 4g, ...
+        gens = self.gens
+        d = math.gcd(*gens)
+        bound = (gens[0] - d) * (gens[-1] // d - 1)
+        mask = (1 << bound) - 1
+        bits = 1
+        for g in gens:
+            shift = g
+            while shift < bound:
+                bits = (bits | bits << shift) & mask
+                shift *= 2
+        # the gaps: the multiples of d below the bound that are not members
+        gaps = mask // ((1 << d) - 1) & ~bits
+        conductor = gaps.bit_length() - 1 + d if gaps else 0
+        return d, conductor, bits & ((1 << conductor) - 1)
 
     @cached_property
     def gcd(self):
-        return self._data.d
+        return self._sieve[0]
 
     @cached_property
     def conductor(self):
         """Least C with every multiple of gcd at or above C in S."""
-        return self._data.d * self._data.scaled_conductor
+        return self._sieve[1]
 
     def contains(self, x):
         if not isinstance(x, int) or x < 0 or x % self.gcd:
             return False
-        return x >= self.conductor or self._bits_below_conductor >> x & 1 == 1
+        return x >= self.conductor or self._sieve[2] >> x & 1 == 1
 
     def identity(self):
         return 0
@@ -735,12 +718,6 @@ class NumericalSemigroup(Semigroup):
         return self.gens
 
     @cached_property
-    def _bits_below_conductor(self):
-        data = self._data
-        return sum(1 << data.d * x for x in range(data.scaled_conductor)
-                   if data.table[x])
-
-    @cached_property
     def _member_bits_memo(self):
         return {}
 
@@ -749,15 +726,14 @@ class NumericalSemigroup(Semigroup):
         exactly when x is a member."""
         bits = self._member_bits_memo.get(bound)
         if bits is None:
-            c, d = self.conductor, self.gcd
+            d, c, below = self._sieve
             if bound <= c:
-                bits = self._bits_below_conductor & ((1 << max(bound, 0)) - 1)
+                bits = below & ((1 << max(bound, 0)) - 1)
             else:
                 # from the conductor on, the members are the k multiples of
                 # d in [c, bound): the bits 0, d, ..., (k - 1) d shifted to c
                 k = -(-(bound - c) // d)
-                bits = self._bits_below_conductor \
-                    | ((1 << k * d) - 1) // ((1 << d) - 1) << c
+                bits = below | ((1 << k * d) - 1) // ((1 << d) - 1) << c
             self._member_bits_memo[bound] = bits
         return bits
 

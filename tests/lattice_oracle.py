@@ -3,8 +3,9 @@ pairwise independence search, kept as the oracle for the down-set and
 up-set bitsets of ``lefthull.filters`` and for the independence verdict
 each ideal calculus states.
 
-Every function here reads only the meet table (through ``meet`` and
-``leq``) and the ideal calculus' ``subset`` and ``union_equals``.
+Every function here reads only the meet table (through ``meet``, and
+``leq`` on top of it) and the ideal calculus' ``subset`` and
+``union_equals``.
 """
 
 from itertools import combinations
@@ -12,8 +13,13 @@ from itertools import combinations
 from lefthull import EMPTY, calculus
 
 
+def leq(lattice, i, j):
+    """i <= j in the lattice: exactly when the meet of i and j is i."""
+    return lattice.meet(i, j) == i
+
+
 def up_set(lattice, i):
-    return frozenset(j for j in range(len(lattice)) if lattice.leq(i, j))
+    return frozenset(j for j in range(len(lattice)) if leq(lattice, i, j))
 
 
 def is_filter(subset, lattice):
@@ -26,7 +32,7 @@ def is_filter(subset, lattice):
             if lattice.meet(i, j) not in members:
                 return False
         for j in range(len(lattice)):
-            if lattice.leq(i, j) and j not in members:
+            if leq(lattice, i, j) and j not in members:
                 return False
     return True
 
@@ -39,7 +45,7 @@ def maximality(lattice):
         if b == lattice.zero:
             continue
         below = [a for a in range(len(lattice))
-                 if a not in (b, lattice.zero) and lattice.leq(a, b)]
+                 if a not in (b, lattice.zero) and leq(lattice, a, b)]
         if not below:
             continue
         parts = [lattice.elements[a] for a in below]

@@ -14,14 +14,17 @@ class TupleLoopIdeals:
     def __init__(self, gens):
         self.gens = tuple(sorted(set(gens)))
         self.gcd = math.gcd(*self.gens)
-        # every multiple of the gcd beyond the largest gap is a member, and
-        # that gap lies below the square of the largest generator
-        limit = 2 * max(self.gens) ** 2 + 2 * max(self.gens)
-        member = [False] * (limit + 1)
-        member[0] = True
-        for x in range(1, limit + 1):
-            member[x] = any(x >= g and member[x - g] for g in self.gens)
-        gaps = [x for x in range(0, limit + 1, self.gcd) if not member[x]]
+        # sieve member by member until a run of least / gcd consecutive
+        # multiples of the gcd are members: adding the least generator to
+        # the run gives every later multiple, so every gap lies before it
+        least, member, run = self.gens[0], [], 0
+        while run < least // self.gcd:
+            x = len(member)
+            member.append(x == 0 or any(x >= g and member[x - g]
+                                        for g in self.gens))
+            if x % self.gcd == 0:
+                run = run + 1 if member[x] else 0
+        gaps = [x for x in range(0, len(member), self.gcd) if not member[x]]
         self.conductor = gaps[-1] + self.gcd if gaps else 0
         self._member = member
 

@@ -14,7 +14,7 @@ from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
 from lefthull.hull import (ZERO, HullElement, PartialMap,
                            clifford_normal_form,
                            compose, enumerate_hull, estar_unitary_report,
-                           evaluate_word, grading, hull_graph,
+                           evaluate_word, hull_graph,
                            identity_element, is_idempotent, lambda_,
                            maps_agree, materialize_element, materialize_word,
                            random_word, recompose, star)
@@ -153,9 +153,6 @@ def test_idempotent_iff_trivial_grade(sg):
             assert is_idempotent(sg, f)
             continue
         assert is_idempotent(sg, f) == (f.grade == G.identity())
-        assert grading(sg, f) == f.grade
-    with pytest.raises(UsageError):
-        grading(sg, ZERO)
 
 
 def test_enumerate_hull_frozen():
@@ -323,3 +320,41 @@ def test_estar_reports():
     # on the letter a alone the free monoid's hull never reaches ZERO
     r = estar_at(FreeMonoid(2), 40, generators=((0,),))
     assert r.mode == "strongly E*-unitary" and not r.zero_present
+
+
+def idempotents_blind_compose(sg, f, h):
+    """compose with a fault: h for any two nonzero idempotents f and h,
+    whatever f's domain."""
+    if f is not ZERO and h is not ZERO and is_idempotent(sg, f) \
+            and is_idempotent(sg, h):
+        return h
+    return compose(sg, f, h)
+
+
+@pytest.mark.parametrize("sg", [FreeMonoid(2), NumericalSemigroup((2, 3)),
+                                AxPlusB()], ids=ids)
+def test_estar_catches_a_compose_blind_to_domains(sg, monkeypatch):
+    # the fault makes compose(f, e) = e for an idempotent f whose domain
+    # misses part of e's: f is idempotent, and compose(f, e) materializes
+    # like e, so only f's own action on e's domain shows the fault
+    graph = hull_graph(sg, 2)
+    assert estar_at(sg, 60).premise_hits
+    monkeypatch.setattr(hull, "compose", idempotents_blind_compose)
+    with pytest.raises(InvariantViolation, match="E\\*-unitarity"):
+        estar_unitary_report(sg, graph, sample=60)
+
+
+def test_normal_form_replay_catches_a_wrong_q(monkeypatch):
+    # principal_witness answers q (0,2) for the ideal qS, a generator of a
+    # smaller ideal, and recompose shares the fault, answering f whatever
+    # it is given: only the pointwise replay of lambda(p) lambda(q)* sees q
+    sg = AxPlusB()
+    f = compose(sg, lambda_(sg, (1, 3)), star(sg, lambda_(sg, (0, 2))))
+    assert clifford_normal_form(sg, f) == ((1, 3), (0, 2))
+    cal = hull.calculus(sg)
+    witness = cal.principal_witness
+    monkeypatch.setattr(cal, "principal_witness",
+                        lambda X: sg.multiply(witness(X), (0, 2)))
+    monkeypatch.setattr(hull, "recompose", lambda sg, p, q: f)
+    with pytest.raises(InvariantViolation, match="does not recompose"):
+        clifford_normal_form(sg, f)

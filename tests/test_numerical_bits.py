@@ -79,6 +79,33 @@ def test_member_bits_match_a_sieve(gens):
         assert sg.members_below(bound) == want, bound
 
 
+def assert_sieve_matches(gens):
+    """gcd, conductor and member bits, below, at and past the conductor."""
+    sg, ora = NumericalSemigroup(gens), TupleLoopIdeals(gens)
+    assert (sg.gcd, sg.conductor) == (ora.gcd, ora.conductor), gens
+    for bound in (sg.conductor // 2, sg.conductor,
+                  sg.conductor + 2 * max(gens)):
+        assert sg.member_bits(bound) == sum(
+            1 << x for x in ora.members_below(bound)), (gens, bound)
+
+
+# two generators meet Schur's bound (a - 1)(b - 1) on the conductor; a
+# scaled generator of 1 and a single generator leave no gaps
+@pytest.mark.parametrize("gens, conductor", [
+    ((10, 11), 90), ((30, 31), 870), ((2, 4), 0), ((3,), 0)],
+    ids=lambda case: ids(case) if isinstance(case, tuple) else str(case))
+def test_sieve_at_the_schur_bound_and_without_gaps(gens, conductor):
+    assert NumericalSemigroup(gens).conductor == conductor
+    assert_sieve_matches(gens)
+
+
+def test_sieve_matches_tuple_loops_on_a_sweep():
+    rng = random.Random(14)
+    for _ in range(300):
+        assert_sieve_matches(tuple(rng.sample(range(2, 200),
+                                              rng.randint(1, 5))))
+
+
 @pytest.mark.parametrize("gens", GENS, ids=ids)
 def test_bitset_operations_match_tuple_loops(gens):
     sg = NumericalSemigroup(gens)
