@@ -72,6 +72,11 @@ def compose(sg, f, h):
     return HullElement(G.mul(f.grade, h.grade), dom)
 
 
+def domain(f):
+    """The domain of a hull element: EMPTY for ZERO."""
+    return EMPTY if f is ZERO else f.dom
+
+
 def is_idempotent(sg, f):
     return f is ZERO or f.grade == sg.grading_group().identity()
 

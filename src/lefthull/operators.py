@@ -8,6 +8,9 @@ both sides of the relation provably stays inside the window.  A relation
 failing on its safe core is a genuine counterexample, never an artifact.
 The intertwiner suite builds T* L(f) T directly on the semigroup window,
 from the columns of L(f) at the basis vectors lambda(s) that T hits.
+L(f) keeps lambda(s) when star(f) f lambda(s) = lambda(s): that test and
+the window columns in dom f are decided once per call for each distinct
+idempotent star(f) f and domain, and f lambda(s) is composed if kept.
 
 The covariance and semilattice suites check the ideal lattice their caller
 passes (``truncate_semilattice``), and the cs-grade-one and intertwiner
@@ -39,10 +42,11 @@ off grade 1 at the last level are dropped before any matrix is built.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
-from .hull import (ZERO, compose, hull_sort_key, is_idempotent, lambda_,
-                   render_element, star)
-from .ideals import EMPTY, calculus
+from .hull import (ZERO, compose, domain, hull_sort_key, is_idempotent,
+                   lambda_, render_element, star)
+from .ideals import calculus
 from .matrices import Matrix
 from .semigroups import InvariantViolation, UsageError
 
@@ -114,54 +118,45 @@ def isometry_matrix(sg, s, W):
     return TruncatedOperator(Matrix(n, n, entries), frozenset(safe))
 
 
+def window_columns(sg, X, W):
+    """The columns j with W_j in X, in window order."""
+    cal = calculus(sg)
+    return tuple(j for j, t in enumerate(W.elements) if cal.is_member(t, X))
+
+
 def char_projection(sg, X, W):
-    cal = calculus(sg)
-    entries = {j: j for j, t in enumerate(W.elements)
-               if cal.is_member(t, X)}
     n = len(W)
-    return TruncatedOperator(Matrix(n, n, entries), frozenset(range(n)))
+    return TruncatedOperator(
+        Matrix(n, n, {j: j for j in window_columns(sg, X, W)}),
+        frozenset(range(n)))
 
 
-def hull_matrix(sg, f, W):
-    """The pointwise action of a hull element on the semigroup window."""
+def hull_matrix(sg, f, W, cols):
+    """The pointwise action of a hull element on the semigroup window;
+    ``cols`` are the window columns in its domain.  Every other column is
+    genuinely annihilated, no truncation involved, so it is safe."""
     n = len(W)
-    if f is ZERO:
-        return TruncatedOperator(Matrix(n, n), frozenset(range(n)))
-    cal = calculus(sg)
-    entries, safe = {}, set()
-    for j, t in enumerate(W.elements):
-        if cal.is_member(t, f.dom):
-            ft = sg.act(f.grade, t)
-            if ft in W.index:
-                entries[j] = W.index[ft]
-                safe.add(j)
-        else:
-            safe.add(j)  # genuinely annihilated, no truncation involved
+    entries, safe = {}, set(range(n)).difference(cols)
+    for j in cols:
+        ft = sg.act(f.grade, W.elements[j])
+        if ft in W.index:
+            entries[j] = W.index[ft]
+            safe.add(j)
     return TruncatedOperator(Matrix(n, n, entries), frozenset(safe))
 
 
-def _regular_rule(sg, f):
-    """The column rule of the left regular representation L(f): the hull
-    basis vector at q goes to f q when star(f) f q = q, and to zero (None)
-    otherwise."""
-    ff = ZERO if f is ZERO else compose(sg, star(sg, f), f)
-
-    def image(q):
-        return compose(sg, f, q) if compose(sg, ff, q) == q else None
-    return image
-
-
 def regular_rep_matrix(sg, f, HW):
-    """L(f) on the hull window; a column whose image f q falls outside the
-    window is left out of the safe core."""
+    """L(f) on the hull window: the basis vector at q goes to f q when
+    star(f) f q = q, and to zero otherwise.  A column whose image f q falls
+    outside the window is left out of the safe core."""
     n = len(HW)
-    image = _regular_rule(sg, f)
+    ff = compose(sg, star(sg, f), f)
     entries, safe = {}, set()
     for j, q in enumerate(HW.elements):
-        fq = image(q)
-        if fq in HW.index:
+        if compose(sg, ff, q) != q:
+            safe.add(j)
+        elif (fq := compose(sg, f, q)) in HW.index:
             entries[j] = HW.index[fq]
-        if fq is None or fq in HW.index:
             safe.add(j)
     return TruncatedOperator(Matrix(n, n, entries), frozenset(safe))
 
@@ -219,13 +214,7 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
     cal = calculus(sg)
     letters = tuple(generators if generators is not None else sg.generators())
     count = checked = 0
-    proj = {}
-
-    def e(X):
-        """e_X, built once per call."""
-        if X not in proj:
-            proj[X] = char_projection(sg, X, W).matrix
-        return proj[X]
+    e = cache(lambda X: char_projection(sg, X, W).matrix)  # once per call
 
     if kind == "covariance":
         # V_s e_X V_s* = e_{sX}
@@ -244,8 +233,8 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
 
     elif kind == "semilattice":
         # B(X) & B(Y) == B(X meet Y) over the family's pairs; all safe
-        bits = [sum(1 << j for j, t in enumerate(W.elements)
-                    if cal.is_member(t, X)) for X in lattice.elements]
+        bits = [sum(1 << j for j in window_columns(sg, X, W))
+                for X in lattice.elements]
         at = [lattice.index(X) for X in lattice.family]
         for a, i in enumerate(at):
             row, b = lattice.table[i], bits[i]
@@ -297,9 +286,8 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
                     key = (j, frozenset(P.entries.items()), S)
                     if key not in nxt:
                         nxt[key] = [pairs + (p,), P, 0]
-                        g = graph.elements[j]
                         if graded[j] and not P.columns_agree(
-                                e(EMPTY if g is ZERO else g.dom), S):
+                                e(domain(graph.elements[j])), S):
                             _mismatch(kind, "word %s" % " ".join(
                                 "%s*.%s" % (sg.render(t), sg.render(s))
                                 for t, s in pairs + (p,)))
@@ -310,16 +298,20 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
             level = nxt
 
     elif kind == "intertwiner":
-        # T* L(f) T = w(f) for every enumerated hull element.  T e_s is the
-        # hull basis vector at lambda(s), so column s of T* L(f) T is e_s'
-        # when L(f) sends lambda(s) to lambda(s') with s' in W, else zero.
+        # T* L(f) T = w(f) for every element of the hull graph.  T e_s is
+        # the hull basis vector at lambda(s), so column s of T* L(f) T is
+        # e_s' when L(f) keeps lambda(s) and sends it to lambda(s') with s'
+        # in W, else zero.
         at = {lambda_(sg, s): j for j, s in enumerate(W.elements)}
+        kept = cache(lambda ff: [(ls, j) for ls, j in at.items()
+                                 if compose(sg, ff, ls) == ls])
+        columns = cache(lambda X: window_columns(sg, X, W))
         n = len(W)
         for f in graph.ordered:
-            image = _regular_rule(sg, f)
-            lhs = Matrix(n, n, {j: at[fq] for ls, j in at.items()
-                                if (fq := image(ls)) in at})
-            rep = hull_matrix(sg, f, W)
+            ff = compose(sg, star(sg, f), f)
+            lhs = Matrix(n, n, {j: at[fq] for ls, j in kept(ff)
+                                if (fq := compose(sg, f, ls)) in at})
+            rep = hull_matrix(sg, f, W, columns(domain(f)))
             if not lhs.columns_agree(rep.matrix, rep.safe):
                 _mismatch(kind, "intertwiner f=%s" % render_element(sg, f))
             count += 1
@@ -346,8 +338,9 @@ def expectation_loop(sg, W, graph):
     proves nothing, so it is counted as invisible and left out.  Returns
     (total, fixed, skipped)."""
     total = fixed = skipped = 0
+    columns = cache(lambda X: window_columns(sg, X, W))
     for f in graph.ordered:
-        op = hull_matrix(sg, f, W)
+        op = hull_matrix(sg, f, W, columns(domain(f)))
         isfixed = conditional_expectation(op).matrix == op.matrix
         expected = is_idempotent(sg, f)
         if f is not ZERO and not expected and op.matrix.is_zero():

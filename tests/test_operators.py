@@ -6,27 +6,31 @@ import random
 
 import pytest
 
+import lefthull
 from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
                       InvariantViolation, NumericalSemigroup, PositiveCone,
                       UsageError, calculus, constructible_closure,
-                      cyclic_table)
+                      cyclic_table, operators)
 from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
 from lefthull.filters import truncate_semilattice
-from lefthull.hull import (ZERO, HullElement, compose, enumerate_hull,
-                           evaluate_word, hull_graph, identity_element,
-                           is_idempotent, lambda_, star)
+from lefthull.hull import (ZERO, HullElement, compose, domain,
+                           enumerate_hull, evaluate_word, hull_graph,
+                           identity_element, is_idempotent, lambda_,
+                           render_element, star)
 from lefthull.matrices import Matrix
 from lefthull.operators import (RELATION_KINDS, RelationReport,
                                 TruncatedOperator, Window,
                                 char_projection, conditional_expectation,
                                 expectation_loop, hull_matrix, hull_window,
                                 intertwiner_matrix, isometry_matrix,
-                                regular_rep_matrix, s_window, verify_relation)
+                                regular_rep_matrix, s_window, verify_relation,
+                                window_columns)
 
 from dense_oracle import dense, dense_identity, dense_mul, dense_product
 from hull_oracle import apply_element
+from test_checks import count_calls
 from word_oracle import level_walk
 
 BACKENDS = [
@@ -45,6 +49,11 @@ def ids(sg):
 LINE = PositiveCone(1)
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
+
+
+def hull_op(sg, f, W):
+    """``hull_matrix`` of f on the window columns of its domain."""
+    return hull_matrix(sg, f, W, window_columns(sg, domain(f), W))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +113,7 @@ def test_single_element_operators_have_thin_columns(sg):
     # partial permutation shape: at most one 1 per column and per row
     W = s_window(sg, size=14)
     ops = [isometry_matrix(sg, s, W) for s in list(W)[:6]]
-    ops += [hull_matrix(sg, f, W) for f in enumerate_hull(sg, 1)]
+    ops += [hull_op(sg, f, W) for f in enumerate_hull(sg, 1)]
     for op in ops:
         d = dense(op.matrix)
         assert all(sum(row) <= 1 for row in d)
@@ -135,20 +144,20 @@ def test_projection_products_are_intersections(sg):
 
 def test_hull_matrix_frozen():
     W = s_window(LINE, size=5)
-    assert hull_matrix(LINE, identity_element(LINE), W).matrix == \
+    assert hull_op(LINE, identity_element(LINE), W).matrix == \
         Matrix.identity(5)
     V1 = isometry_matrix(LINE, (1,), W)
-    assert hull_matrix(LINE, lambda_(LINE, (1,)), W).matrix == V1.matrix
+    assert hull_op(LINE, lambda_(LINE, (1,)), W).matrix == V1.matrix
     back = HullElement((-1,), (1,))
-    assert hull_matrix(LINE, back, W).matrix == V1.matrix.transpose()
-    z = hull_matrix(LINE, ZERO, W)
+    assert hull_op(LINE, back, W).matrix == V1.matrix.transpose()
+    z = hull_op(LINE, ZERO, W)
     assert z.matrix.is_zero() and z.safe == frozenset(range(5))
 
 
 def test_hull_matrix_safe_core_definition():
     W = s_window(LINE, size=5)
     f = lambda_(LINE, (2,))  # 3 and 4 shift out of the window
-    M = hull_matrix(LINE, f, W)
+    M = hull_op(LINE, f, W)
     assert M.safe == frozenset({0, 1, 2})
 
 
@@ -160,8 +169,8 @@ def test_hull_matrix_is_multiplicative_on_joint_core(sg):
     for _ in range(30):
         f = pool[rng.randrange(len(pool))]
         h = pool[rng.randrange(len(pool))]
-        lhs = hull_matrix(sg, compose(sg, f, h), W).matrix
-        rhs = hull_matrix(sg, f, W).matrix * hull_matrix(sg, h, W).matrix
+        lhs = hull_op(sg, compose(sg, f, h), W).matrix
+        rhs = hull_op(sg, f, W).matrix * hull_op(sg, h, W).matrix
         joint = []
         for j, t in enumerate(W.elements):
             y = apply_element(sg, h, t)
@@ -226,7 +235,7 @@ def test_intertwiner_needs_lambdas():
 
 def test_expectation_basics():
     W = s_window(LINE, size=6)
-    eye = hull_matrix(LINE, identity_element(LINE), W)
+    eye = hull_op(LINE, identity_element(LINE), W)
     assert conditional_expectation(eye).matrix == Matrix.identity(6)
     V1 = isometry_matrix(LINE, (1,), W)
     assert conditional_expectation(V1).matrix.is_zero()
@@ -238,7 +247,7 @@ def test_expectation_basics():
 def test_expectation_is_idempotent_linear_bimodule():
     rng = random.Random(9)
     W = s_window(LINE, size=6)
-    mats = [hull_matrix(LINE, f, W).matrix for f in enumerate_hull(LINE, 2)]
+    mats = [hull_op(LINE, f, W).matrix for f in enumerate_hull(LINE, 2)]
 
     def E(m):
         return m.diagonal()
@@ -267,7 +276,7 @@ def test_expectation_fixes_exactly_idempotents(sg):
     W = s_window(sg, size=30)
     visible = 0
     for f in enumerate_hull(sg, 2):
-        op = hull_matrix(sg, f, W)
+        op = hull_op(sg, f, W)
         fixed = conditional_expectation(op).matrix == op.matrix
         if f is not ZERO and not is_idempotent(sg, f) and op.matrix.is_zero():
             continue  # the window cannot see this element act at all
@@ -398,12 +407,19 @@ def test_semilattice_suite_matches_per_pair_projections(sg):
 
 ORACLE_TEXTS = {"num-10-11": "kind = numerical\nparams = 10 11\n",
                 "cone4": "kind = cone\nparams = 4\n"}
+# hulls whose elements share few domains: 285 elements with 20 distinct
+# star(f) f, and 65 with 23
+SHARING_TEXTS = {
+    "axb-i-l3": "kind = axb\ngenerators = (0,2) (0,3) (0,5)\n"
+                "bounds = depth:2 length:3 window:20 seed:7\n",
+    "num-3-5-7": "kind = numerical\nparams = 3 5 7\n"}
 
 
 def config_inputs(name):
     """Backend, generators and bounds of a shipped config or a text."""
-    if name in ORACLE_TEXTS:
-        cfg = parse_config(ORACLE_TEXTS[name])
+    text = ORACLE_TEXTS.get(name, SHARING_TEXTS.get(name))
+    if text is not None:
+        cfg = parse_config(text)
     else:
         cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
     sg = build_backend(cfg)
@@ -504,8 +520,114 @@ def test_intertwiner_matches_hull_rep_pointwise():
     for f in enumerate_hull(LINE, 2):
         lhs = T.matrix.transpose() \
             * regular_rep_matrix(LINE, f, HW).matrix * T.matrix
-        rep = hull_matrix(LINE, f, W)
+        rep = hull_op(LINE, f, W)
         assert lhs.columns_agree(rep.matrix, rep.safe)
+
+
+def intertwiner_per_element(sg, W, graph):
+    """The intertwiner suite as it was built before, kept as the oracle:
+    for every element f the column test star(f) f lambda(s) = lambda(s) is
+    made afresh on every window column, and the right side is f applied
+    pointwise.  ``compose`` is looked up on the operators module at call
+    time, so a fault patched in there reaches the oracle too."""
+    compose = operators.compose
+    at = {lambda_(sg, s): j for j, s in enumerate(W.elements)}
+    n = len(W)
+    count = checked = 0
+    for f in graph.ordered:
+        ff = ZERO if f is ZERO else compose(sg, star(sg, f), f)
+        lhs = Matrix(n, n, {j: at[fq] for ls, j in at.items()
+                            if compose(sg, ff, ls) == ls
+                            and (fq := compose(sg, f, ls)) in at})
+        entries, safe = {}, set()
+        for j, t in enumerate(W.elements):
+            y = apply_element(sg, f, t)
+            if y in W.index:
+                entries[j] = W.index[y]
+            if y is None or y in W.index:
+                safe.add(j)
+        if not lhs.columns_agree(Matrix(n, n, entries), safe):
+            raise InvariantViolation("intertwiner relation failed at "
+                                     "intertwiner f=%s"
+                                     % render_element(sg, f))
+        count += 1
+        checked += len(safe)
+    return RelationReport("intertwiner", count, checked)
+
+
+def intertwiner_inputs(name):
+    """Backend, generators, window and hull graph of a config."""
+    sg, generators, bounds = config_inputs(name)
+    return (sg, generators, s_window(sg, size=bounds["window"]),
+            hull_graph(sg, bounds["length"], generators))
+
+
+def test_intertwiner_decides_each_domain_once(monkeypatch):
+    # one star(f) f per element, the column test once per distinct star(f) f
+    # and window column, and f lambda(s) only on the columns it keeps
+    sg, generators, W, graph = intertwiner_inputs("axb-i-l3")
+    ls = [lambda_(sg, s) for s in W]
+    ffs = [compose(sg, star(sg, f), f) for f in graph.ordered]
+    kept = sum(compose(sg, ff, x) == x for ff in ffs for x in ls)
+    bound = len(graph.ordered) + len(set(ffs)) * len(W) + kept
+    calls = count_calls(monkeypatch, lefthull.hull, "compose")
+    rep = verify_relation(sg, "intertwiner", W, graph=graph,
+                          generators=generators)
+    assert rep.count == len(graph.ordered) == 285
+    assert len(calls) <= bound == 1180
+
+
+def failures(sg, W, graph):
+    """The messages of the suite and of its per-element oracle."""
+    messages = []
+    for walk in (lambda: verify_relation(sg, "intertwiner", W, graph=graph),
+                 lambda: intertwiner_per_element(sg, W, graph)):
+        with pytest.raises(InvariantViolation) as failed:
+            walk()
+        messages.append(str(failed.value))
+    return messages
+
+
+def test_wrong_column_test_names_the_same_first_element(monkeypatch):
+    # compose answers star(f) f lambda(W_0) wrongly for star(f) f = 1.  The
+    # first element with that star(f) f sends W_0 out of the window, so
+    # the suite caches the wrong answer there and a later element shows it
+    sg, generators, W, graph = intertwiner_inputs("axb")
+    one, target = identity_element(sg), lambda_(sg, W.elements[0])
+    first = graph.ordered[0]
+    assert compose(sg, star(sg, first), first) == one
+    assert 0 not in hull_op(sg, first, W).safe
+    real = operators.compose
+
+    def faulty(sg, f, h):
+        return ZERO if (f, h) == (one, target) else real(sg, f, h)
+
+    monkeypatch.setattr(operators, "compose", faulty)
+    suite, oracle = failures(sg, W, graph)
+    assert suite == oracle
+    assert oracle.endswith("f=(-3,2) | S")
+
+
+def test_wrong_product_on_a_shared_domain_names_that_element(monkeypatch):
+    # compose gets f lambda(s) wrong for one non-idempotent f, on a column
+    # it keeps in sight; an earlier element has the same star(f) f, so the
+    # column test is read from the memo
+    sg, generators, W, graph = intertwiner_inputs("axb-i-l3")
+    i, f = next((i, f) for i, f in enumerate(graph.ordered)
+                if render_element(sg, f) == "(0,1/2) | (0,2)S")
+    ff = compose(sg, star(sg, f), f)
+    assert not is_idempotent(sg, f)
+    assert any(compose(sg, star(sg, g), g) == ff for g in graph.ordered[:i])
+    target = lambda_(sg, W.elements[min(hull_op(sg, f, W).matrix.entries)])
+    real = operators.compose
+
+    def faulty(sg, g, h):
+        return ZERO if (g, h) == (f, target) else real(sg, g, h)
+
+    monkeypatch.setattr(operators, "compose", faulty)
+    suite, oracle = failures(sg, W, graph)
+    assert suite == oracle
+    assert oracle.endswith("f=(0,1/2) | (0,2)S")
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +689,7 @@ def oracle_products(sg, kind, W, depth, length, generators):
             for f in enumerate_hull(sg, length, generators)]
 
 
-@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("name", SHIPPED + sorted(SHARING_TEXTS))
 def test_relation_suites_match_dense_oracle(name, monkeypatch):
     sg, generators, bounds = config_inputs(name)
     W = s_window(sg, size=bounds["window"])
@@ -575,8 +697,11 @@ def test_relation_suites_match_dense_oracle(name, monkeypatch):
         sg, constructible_closure(sg, bounds["depth"], generators))
     graph = hull_graph(sg, bounds["length"], generators)
     # the semilattice suite compares bitsets, not matrices; its oracle is
-    # test_semilattice_suite_matches_oracle_on_configs
-    for kind in (k for k in RELATION_KINDS if k != "semilattice"):
+    # test_semilattice_suite_matches_oracle_on_configs.  The configs with
+    # shared domains are there for the intertwiner.
+    kinds = ("intertwiner",) if name in SHARING_TEXTS else \
+        [k for k in RELATION_KINDS if k != "semilattice"]
+    for kind in kinds:
         rep, got = compared_matrices(monkeypatch, verify_relation, sg, kind,
                                      W, lattice=lattice, graph=graph,
                                      generators=generators)
@@ -589,6 +714,8 @@ def test_relation_suites_match_dense_oracle(name, monkeypatch):
             assert {tuple(map(tuple, dense(m))) for m in got} == \
                 {tuple(map(tuple, d)) for d in want}
             _, got = compared_matrices(monkeypatch, level_walk, sg, W, graph)
+        if kind == "intertwiner":
+            assert rep == intertwiner_per_element(sg, W, graph)
         assert len(got) == len(want) > 0, kind
         for i, (m, d) in enumerate(zip(got, want)):
             assert dense(m) == d, (kind, i)
