@@ -12,7 +12,7 @@ from .semigroups import (AxPlusB, FiniteGroup, FiniteTable, FreeGroup,
                          cyclic_table)
 from .ideals import (EMPTY, calculus, clifford_check, constructible_closure,
                      reachable_ideals, independence_check, intersect,
-                     preimage, principal, translate)
+                     preimage, principal, translate, Verdict)
 from .hull import (ZERO, clifford_normal_form, compose, enumerate_hull,
                    evaluate_word, identity_element, is_idempotent, lambda_,
                    maps_agree, materialize_element, materialize_word,

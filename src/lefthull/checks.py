@@ -75,8 +75,7 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
                     raise InvariantViolation("divide fails at (%s, %s)"
                                              % (sg.render(s), sg.render(t)))
                 for r in sample[:5]:
-                    if sg.multiply(sg.multiply(s, t), r) != \
-                            sg.multiply(s, sg.multiply(t, r)):
+                    if sg.multiply(st, r) != sg.multiply(s, sg.multiply(t, r)):
                         raise InvariantViolation("associativity fails")
         return "%d elements" % len(sample)
 
@@ -178,7 +177,7 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
             gs.append(sg.embed(cur))
             cur = sg.multiply(cur, s)
         v = left_thick_check(sg, gs)
-        if not v.nonempty:
+        if not v.holds:
             raise InvariantViolation("a principal chain must be thick")
         return "witness %s" % sg.render(v.witness)
 

@@ -207,8 +207,7 @@ def build_parser():
         description="Exact computations with partial translation maps of "
                     "left cancellative semigroups.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "ideals", "hull", "filters", "group", "matrix",
-                 "check"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("config", help="path to a key = value config file")
         p.add_argument("--depth", type=int, help="ideal closure depth")

@@ -12,7 +12,7 @@ elements is another one, goes to the ideal calculus.
 from dataclasses import dataclass
 from functools import reduce
 
-from .ideals import EMPTY, calculus
+from .ideals import EMPTY, Verdict, calculus
 from .semigroups import UsageError, set_bits
 
 
@@ -148,13 +148,6 @@ def enumerate_filters(lattice):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MaximalityVerdict:
-    holds: bool
-    witness: tuple = None  # (parts, target) ideals when a union collapses
-    proof: str = None
-
-
 def maximal_representation_check(lattice):
     """Whether the inclusion of the truncation into subsets of S is a
     maximal representation: no element may be the union of strictly
@@ -172,8 +165,8 @@ def maximal_representation_check(lattice):
         parts = [lattice.elements[a] for a in below]
         target = lattice.elements[b]
         if cal.union_equals(parts, target):
-            return MaximalityVerdict(
+            return Verdict(
                 False, witness=(tuple(parts), target),
                 proof="strictly smaller ideals cover %s" % cal.render(target))
-    return MaximalityVerdict(True, proof="no element is a union of "
-                                         "strictly smaller ones")
+    return Verdict(True, proof="no element is a union of strictly smaller "
+                               "ones")

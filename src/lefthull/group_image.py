@@ -11,24 +11,13 @@ shared by all backends.
 from dataclasses import dataclass
 import random
 
-from .ideals import EMPTY, calculus
+from .ideals import EMPTY, Verdict, calculus
 from .semigroups import InvariantViolation, UnsupportedOperation, UsageError
 
 
 def is_left_reversible(sg):
     """Whether every two principal right ideals intersect."""
     return calculus(sg).left_reversible()
-
-
-@dataclass(frozen=True)
-class ThicknessVerdict:
-    status: str            # "nonempty" | "empty"
-    witness: object = None  # a common member when nonempty
-    proof: str = None
-
-    @property
-    def nonempty(self):
-        return self.status == "nonempty"
 
 
 def left_thick_check(sg, gs):
@@ -42,11 +31,10 @@ def left_thick_check(sg, gs):
         if not G.contains(g):
             raise UsageError("%r is not a grading-group element" % (g,))
     if not gs:
-        return ThicknessVerdict("nonempty", witness=sg.identity(),
-                                proof="empty list")
+        return Verdict(True, witness=sg.identity(), proof="empty list")
     x, proof = calculus(sg).thick_witness(gs)
     if x is None:
-        return ThicknessVerdict("empty", proof=proof)
+        return Verdict(False, proof=proof)
     if not sg.contains(x):
         raise InvariantViolation("witness %r is not in S" % (x,))
     for g in gs:
@@ -54,7 +42,7 @@ def left_thick_check(sg, gs):
         if sg.group_element_of(u) is None:
             raise InvariantViolation("witness %r misses translate by %r"
                                      % (x, g))
-    return ThicknessVerdict("nonempty", witness=x, proof=proof)
+    return Verdict(True, witness=x, proof=proof)
 
 
 def group_of_S(sg):

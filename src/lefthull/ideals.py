@@ -61,36 +61,14 @@ _TABLE_FULL = _TableFull()
 
 
 @dataclass(frozen=True)
-class ReversibilityVerdict:
+class Verdict:
+    """The answer of every decision procedure: whether the property holds,
+    a witness (e.g. (s, t) with sS and tS disjoint, or the parts and target
+    of a union that collapses), and the exact argument behind it."""
+
     holds: bool
-    witness: tuple = None  # (s, t) with sS and tS disjoint
+    witness: object = None
     proof: str = None
-
-
-@dataclass(frozen=True)
-class CliffordVerdict:
-    """Outcome of the pairwise-intersection principality test."""
-
-    status: str            # "holds" | "fails"
-    proof: str = None      # exact argument tag when status == "holds"
-    witness: tuple = None  # (s, t, intersection) when status == "fails"
-
-    @property
-    def holds(self):
-        return self.status == "holds"
-
-
-@dataclass(frozen=True)
-class IndependenceVerdict:
-    """Whether no family member is a union of other members."""
-
-    independent: bool
-    proof: str = None
-    witness: tuple = None  # (members tuple, Y) with union(members) == Y
-
-    @property
-    def holds(self):
-        return self.independent
 
 
 class IdealCalculus:
@@ -113,16 +91,16 @@ class IdealCalculus:
     # folner_mean(X, N) >= 1 - c/N for every N >= folner_least_n().
 
     def left_reversible(self):
-        return ReversibilityVerdict(True, proof=self.reversible_proof)
+        return Verdict(True, proof=self.reversible_proof)
 
     def clifford(self):
-        return CliffordVerdict("holds", proof=self.clifford_proof)
+        return Verdict(True, proof=self.clifford_proof)
 
     def independence(self, members):
         """Whether no member of an intersection-closed family of nonempty
         ideals is the union of other members.  This default holds where
         every nonempty constructible ideal is principal."""
-        return IndependenceVerdict(
+        return Verdict(
             True, proof="a union of members strictly inside qS must cover q, "
                         "which puts qS inside one of them")
 
@@ -202,10 +180,9 @@ class _FreeMonoidIdeals(IdealCalculus, backend=FreeMonoid):
 
     def left_reversible(self):
         if self.sg.alphabet_size == 1:
-            return ReversibilityVerdict(True, proof="principal ideals chain")
-        return ReversibilityVerdict(False, witness=((0,), (1,)),
-                                    proof="distinct letters give disjoint "
-                                          "prefix ideals")
+            return Verdict(True, proof="principal ideals chain")
+        return Verdict(False, witness=((0,), (1,)),
+                       proof="distinct letters give disjoint prefix ideals")
 
     clifford_proof = "prefix-comparable intersections"
 
@@ -364,8 +341,7 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
     def clifford(self):
         sg = self.sg
         if sg.conductor == 0:
-            return CliffordVerdict(
-                "holds", proof="rescaled copy of Z+ (gcd %d)" % sg.gcd)
+            return Verdict(True, proof="rescaled copy of Z+ (gcd %d)" % sg.gcd)
         # m the least nonzero member, n the least member outside mZ (the
         # least such generator; S is not mZ+).  The least member of mS n nS
         # is n + m, as n - m is not in S; but the least multiple jm with
@@ -373,7 +349,7 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         m = sg.gens[0]
         n = next(g for g in sg.gens if g % m)
         meet = self.intersect(self.principal(m), self.principal(n))
-        return CliffordVerdict("fails", witness=(m, n, meet))
+        return Verdict(False, witness=(m, n, meet))
 
     def thick_witness(self, gs):
         d, c = self.sg.gcd, self.sg.conductor
@@ -474,9 +450,9 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
             if below and self.union_equals(below, Y):
                 below.sort(key=lambda X: (self.principal_witness(X) is None,
                                           self.key(X)))
-                return IndependenceVerdict(
-                    False, witness=(_minimal_cover(self, below, Y), Y))
-        return IndependenceVerdict(True, proof="pairwise union check")
+                return Verdict(False,
+                               witness=(_minimal_cover(self, below, Y), Y))
+        return Verdict(True, proof="pairwise union check")
 
     def union_equals(self, members, Y):
         parts = [m for m in members if m is not EMPTY]
@@ -531,7 +507,7 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
 
     def left_reversible(self):
         # (0,2)S and (1,2)S are the even and the odd offsets at slope 2
-        return ReversibilityVerdict(
+        return Verdict(
             False, witness=((0, 2), (1, 2)),
             proof="residue classes with a common modulus are disjoint")
 

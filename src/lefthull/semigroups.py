@@ -436,7 +436,7 @@ class FreeMonoid(Semigroup):
         return tuple(l + 1 for l in s)
 
     def act(self, g, x):
-        r = _reduce_signed(g + self.embed(x))
+        r = _reduce_signed(g + tuple(l + 1 for l in x))
         if any(v < 0 for v in r):
             raise InvariantViolation("group element does not map %r into S" % (x,))
         return tuple(v - 1 for v in r)

@@ -86,23 +86,23 @@ def test_thick_cone_frozen():
     sg = PositiveCone(2)
     gs = [(1, 2), (3, -1)]
     v = left_thick_check(sg, gs)
-    assert v.nonempty and v.witness == (3, 2)
+    assert v.holds and v.witness == (3, 2)
     assert_witness_in_all_translates(sg, gs, v.witness)
 
 
 def test_thick_numerical():
     sg = NumericalSemigroup((2, 3))
     v = left_thick_check(sg, [5])
-    assert v.nonempty and v.witness == 7
+    assert v.holds and v.witness == 7
     assert_witness_in_all_translates(sg, [5], v.witness)
     v = left_thick_check(sg, [-3])
-    assert v.nonempty and v.witness == 2
+    assert v.holds and v.witness == 2
     assert_witness_in_all_translates(sg, [-3], v.witness, size=60)
 
     even = NumericalSemigroup((4, 6))
-    assert left_thick_check(even, [3]).status == "empty"
+    assert not left_thick_check(even, [3]).holds
     v = left_thick_check(even, [2])
-    assert v.nonempty and v.witness == 6
+    assert v.holds and v.witness == 6
     assert_witness_in_all_translates(even, [2], v.witness)
 
 
@@ -113,29 +113,29 @@ def test_thick_free_monoid():
     g = G.mul(sg.embed((0, 1)), G.inv(sg.embed((1,))))
     assert g == (1,)
     v = left_thick_check(sg, [g])
-    assert v.nonempty and v.witness == (0,)
+    assert v.holds and v.witness == (0,)
     assert_witness_in_all_translates(sg, [g], v.witness)
     # an inverse letter left of a positive one can never be filled
-    assert left_thick_check(sg, [(-1, 2)]).status == "empty"
+    assert not left_thick_check(sg, [(-1, 2)]).holds
     # incomparable positive parts a and b
-    assert left_thick_check(sg, [(1,), (2,)]).status == "empty"
+    assert not left_thick_check(sg, [(1,), (2,)]).holds
     v = left_thick_check(sg, [(1,), (1, 2)])
-    assert v.nonempty and v.witness == (0, 1)
+    assert v.holds and v.witness == (0, 1)
 
 
 def test_thick_axb():
     sg = AxPlusB()
     one = Fraction(1)
     v = left_thick_check(sg, [to_triple((Fraction(0), 2 * one))])
-    assert v.nonempty and v.witness == (0, 2)
+    assert v.holds and v.witness == (0, 2)
     assert_witness_in_all_translates(
         sg, [to_triple((Fraction(0), 2 * one))], v.witness)
     # a half-integer offset with integer slope can never land in S
-    assert left_thick_check(
-        sg, [to_triple((Fraction(1, 2), one))]).status == "empty"
+    assert not left_thick_check(
+        sg, [to_triple((Fraction(1, 2), one))]).holds
     # even and odd offsets at slope 2 are incompatible
     gs = [to_triple((Fraction(0), 2 * one)), to_triple((one, 2 * one))]
-    assert left_thick_check(sg, gs).status == "empty"
+    assert not left_thick_check(sg, gs).holds
 
 
 def test_thick_axb_rejects_fraction_pairs():
@@ -157,12 +157,12 @@ def test_thick_empty_falsified_on_window():
 def test_thick_edge_cases():
     sg = PositiveCone(2)
     v = left_thick_check(sg, [])
-    assert v.nonempty and v.witness == sg.identity()
+    assert v.holds and v.witness == sg.identity()
     with pytest.raises(UsageError):
         left_thick_check(sg, [(1,)])
     tab = FiniteTable(cyclic_table(5))
     v = left_thick_check(tab, [2, 3])
-    assert v.nonempty and v.witness == 0
+    assert v.holds and v.witness == 0
 
 
 # ---------------------------------------------------------------------------
