@@ -13,13 +13,9 @@ from .semigroups import (AxPlusB, FiniteTable, FreeMonoid,
 
 
 class ConfigError(Exception):
-    def __init__(self, message, line=None, key=None):
-        self.line = line
-        self.key = key
-        where = ""
-        if line is not None:
-            where = " (line %d)" % line
-        super().__init__(message + where)
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None
+                         else "%s (line %d)" % (message, line))
 
 
 KEYS = ("kind", "params", "generators", "bounds")
@@ -46,12 +42,12 @@ def parse_config(text):
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in KEYS:
-            raise ConfigError("unknown key %r" % key, line=lineno, key=key)
+            raise ConfigError("unknown key %r" % key, line=lineno)
         if key in seen:
-            raise ConfigError("duplicate key %r" % key, line=lineno, key=key)
+            raise ConfigError("duplicate key %r" % key, line=lineno)
         seen[key] = (value, lineno)
     if "kind" not in seen:
-        raise ConfigError("missing required key 'kind'", key="kind")
+        raise ConfigError("missing required key 'kind'")
 
     kind = seen["kind"][0]
     params = tuple(seen["params"][0].split()) if "params" in seen else ()
@@ -66,12 +62,12 @@ def parse_config(text):
             if not colon or name not in BOUND_NAMES:
                 raise ConfigError("bad bound %r, expected name:int with "
                                   "name among %s" % (piece, ", ".join(BOUND_NAMES)),
-                                  line=lineno, key="bounds")
+                                  line=lineno)
             try:
                 bounds[name] = int(num)
             except ValueError:
                 raise ConfigError("bound %r is not an integer" % piece,
-                                  line=lineno, key="bounds")
+                                  line=lineno)
     return Config(kind, params, generators, bounds)
 
 
@@ -89,12 +85,10 @@ def _int_params(cfg, count=None):
     try:
         nums = tuple(int(p) for p in cfg.params)
     except ValueError:
-        raise ConfigError("params for kind %r must be integers" % cfg.kind,
-                          key="params")
+        raise ConfigError("params for kind %r must be integers" % cfg.kind)
     if count is not None and len(nums) != count:
         raise ConfigError("kind %r takes exactly %d integer parameter%s"
-                          % (cfg.kind, count, "" if count == 1 else "s"),
-                          key="params")
+                          % (cfg.kind, count, "" if count == 1 else "s"))
     return nums
 
 
@@ -105,7 +99,7 @@ def build_backend(cfg):
         return _construct(cfg)
     except (UsageError, ValueError) as err:
         raise ConfigError("kind %r rejects params %r: %s" % (
-            cfg.kind, " ".join(cfg.params), err), key="params")
+            cfg.kind, " ".join(cfg.params), err))
 
 
 def _construct(cfg):
@@ -116,19 +110,17 @@ def _construct(cfg):
     if cfg.kind == "numerical":
         nums = _int_params(cfg)
         if not nums:
-            raise ConfigError("kind 'numerical' needs generator parameters",
-                              key="params")
+            raise ConfigError("kind 'numerical' needs generator parameters")
         return NumericalSemigroup(nums)
     if cfg.kind == "axb":
         if cfg.params:
-            raise ConfigError("kind 'axb' takes no parameters", key="params")
+            raise ConfigError("kind 'axb' takes no parameters")
         return AxPlusB()
     if cfg.kind == "table":
         if len(cfg.params) == 2 and cfg.params[0] == "cyclic":
             return FiniteTable(cyclic_table(int(cfg.params[1])))
-        raise ConfigError("kind 'table' expects params 'cyclic N'",
-                          key="params")
-    raise ConfigError("unknown kind %r" % cfg.kind, key="kind")
+        raise ConfigError("kind 'table' expects params 'cyclic N'")
+    raise ConfigError("unknown kind %r" % cfg.kind)
 
 
 def config_generators(sg, cfg):
@@ -141,5 +133,5 @@ def config_generators(sg, cfg):
             out.append(sg.parse(text))
         except Exception:
             raise ConfigError("cannot parse generator %r for %s"
-                              % (text, sg.describe()), key="generators")
+                              % (text, sg.describe()))
     return tuple(out)

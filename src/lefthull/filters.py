@@ -2,17 +2,17 @@
 
 A truncation keeps the canonical ideal values as element semantics and
 validates the meet table laws outright.  Every order question is then read
-off the validated table: the build keeps each element's down-set
-D(j) = {i : i <= j} and up-set U(i) = {j : i <= j} as int bitsets, and
-up-sets, filters and the elements strictly below an element are a few
-whole-int operations on them.  Only set semantics, whether a union of
-elements is another one, goes to the ideal calculus.
+off the validated table: the build keeps each element's up-set
+U(i) = {j : i <= j} as an int bitset, and up-sets and filters are a few
+whole-int operations on it.  Set semantics, whether some element is a union
+of strictly smaller ones, is the independence of the family the truncation
+was built from, which the ideal calculus decides.
 """
 
 from dataclasses import dataclass
 from functools import reduce
 
-from .ideals import EMPTY, Verdict, calculus
+from .ideals import EMPTY, calculus, independence_check
 from .semigroups import UsageError, set_bits
 
 
@@ -74,8 +74,8 @@ class FiniteSemilattice:
                     raise UsageError("meet table is not commutative")
         # D(j) read off row j, the table being commutative, and U(i) the
         # entries of row i that equal i
-        self.down = down = [sum(1 << i for i, m in enumerate(row) if m == i)
-                            for row in table]
+        down = [sum(1 << i for i, m in enumerate(row) if m == i)
+                for row in table]
         self.up = [sum(1 << j for j, m in enumerate(row) if m == i)
                    for i, row in enumerate(table)]
         for i, row in enumerate(table):
@@ -99,10 +99,6 @@ class FiniteSemilattice:
 
     def render(self, i):
         return calculus(self.sg).render(self.elements[i])
-
-    def describe(self):
-        return "semilattice on %d ideals over %s" % (len(self.elements),
-                                                     self.sg.describe())
 
 
 def truncate_semilattice(sg, family):
@@ -150,23 +146,7 @@ def enumerate_filters(lattice):
 
 def maximal_representation_check(lattice):
     """Whether the inclusion of the truncation into subsets of S is a
-    maximal representation: no element may be the union of strictly
-    smaller nonzero elements.  The elements below b are read off D(b),
-    and the ideal calculus decides whether their union is b.
-    """
-    cal = calculus(lattice.sg)
-    zero = 1 << lattice.zero
-    for b in range(len(lattice)):
-        if b == lattice.zero:
-            continue
-        below = set_bits(lattice.down[b] & ~(1 << b | zero))
-        if not below:
-            continue
-        parts = [lattice.elements[a] for a in below]
-        target = lattice.elements[b]
-        if cal.union_equals(parts, target):
-            return Verdict(
-                False, witness=(tuple(parts), target),
-                proof="strictly smaller ideals cover %s" % cal.render(target))
-    return Verdict(True, proof="no element is a union of strictly smaller "
-                               "ones")
+    maximal representation: no element is the union of strictly smaller
+    nonzero elements.  That is the independence of the family the
+    truncation was built from, so this is the calculus' verdict on it."""
+    return independence_check(lattice.sg, lattice.family)

