@@ -11,8 +11,9 @@ was built from, which the ideal calculus decides.
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 
-from .ideals import EMPTY, calculus, independence_check
+from .ideals import EMPTY, calculus, independence_check, meet_keys
 from .semigroups import UsageError, set_bits
 
 
@@ -31,19 +32,19 @@ class FiniteSemilattice:
         self.elements = tuple(elements)
         self.top = 0
         self.zero = len(elements) - 1
-        index = {X: i for i, X in enumerate(elements)}
+        # keys separate every meet, so a missing key is a missing meet
+        keys, meet = meet_keys(cal, self.elements)
+        by_key = {k: i for i, k in enumerate(keys)}
         table = []
-        for X in elements:
-            row = []
-            for Y in elements:
-                Z = cal.intersect(X, Y)
-                if Z not in index:
-                    raise UsageError("family is not intersection closed: "
-                                     "missing %s" % cal.render(Z))
-                row.append(index[Z])
-            table.append(tuple(row))
+        for i, a in enumerate(keys):
+            row = tuple(map(by_key.get, map(meet, repeat(a), keys)))
+            if None in row:
+                Z = cal.intersect(elements[i], elements[row.index(None)])
+                raise UsageError("family is not intersection closed: "
+                                 "missing %s" % cal.render(Z))
+            table.append(row)
         self.table = tuple(table)
-        self._index = index
+        self._index = {X: i for i, X in enumerate(elements)}
         self._validate()
 
     def _validate(self):

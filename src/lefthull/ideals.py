@@ -28,12 +28,18 @@ names the backend it serves, which builds it once per instance.
 Independence is such a per-calculus fact: where every nonempty
 constructible ideal is principal it holds by one argument, and only the
 numerical calculus searches a family for a union that collapses.
+
+``signatures`` gives an ideal's points on a set D that separates meets:
+* numerical: [0, M), M past the conductor and thresholds: all agree from M
+* axb: Z/L, L the lcm of the moduli, which divides every meet's modulus
+* cone: the box [0, B]^d, B the top coordinate: x in p + S iff min(x, B) is
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 import math
+from operator import and_
 
 from .semigroups import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
                          NumericalSemigroup, PositiveCone,
@@ -58,6 +64,10 @@ class _TableFull:
 
 
 _TABLE_FULL = _TableFull()
+
+# near this many points, building the closure and table by & costs what
+# it does by intersect on ax+b; cones cross later
+SIGNATURE_POINTS = 7000
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,11 @@ class IdealCalculus:
         return Verdict(
             True, proof="a union of members strictly inside qS must cover q, "
                         "which puts qS inside one of them")
+
+    def signatures(self, family):
+        """Each member's points on D as an int, 0 for EMPTY only, so that &
+        is the meet; None for no D, or D past SIGNATURE_POINTS points."""
+        return None
 
     def _no_folner_boxes(self, *args):
         raise UnsupportedOperation("no Folner boxes for %s"
@@ -262,6 +277,18 @@ class _ConeIdeals(IdealCalculus, backend=PositiveCone):
     def folner_least_n(self):
         return 1
 
+    def signatures(self, family):
+        # x in the box is bit sum x_k side^k, and p + S is the product of
+        # the stripes [p_k, B]: an int product of one repunit per coordinate
+        side = 1 + max((max(p) for p in family if p is not EMPTY), default=0)
+        if side ** self.sg.dimension > SIGNATURE_POINTS:
+            return None
+        runs = [[((1 << (side - a) * w) - 1) // ((1 << w) - 1) << a * w
+                 for a in range(side)]
+                for w in (side ** k for k in range(self.sg.dimension))]
+        return [0 if p is EMPTY else math.prod(r[a] for r, a in zip(runs, p))
+                for p in family]
+
     def full(self):
         return self.sg.identity()
 
@@ -372,6 +399,14 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
 
     def full(self):
         return _NUMERICAL_FULL
+
+    def signatures(self, family):
+        # the first multiple of the gcd from top on is a member below the
+        # bound; no cap, as intersect builds bitsets of this size itself
+        sg = self.sg
+        top = max([sg.conductor] + [X[0] for X in family if X is not EMPTY])
+        return [0 if X is EMPTY else self._below(X, top + sg.gcd)
+                for X in family]
 
     def _canonical(self, bits, bound):
         # the ideal bits u (S n [bound, oo)), bits a set of members below
@@ -539,6 +574,15 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
     def full(self):
         return (0, 1)
 
+    def signatures(self, family):
+        # (b, a) is the class b + aZ: in Z/L its points b, b + a, ...
+        modulus = math.lcm(*(X[1] for X in family if X is not EMPTY))
+        if modulus > SIGNATURE_POINTS:
+            return None
+        every = (1 << modulus) - 1
+        return [0 if X is EMPTY else every // ((1 << X[1]) - 1) << X[0]
+                for X in family]
+
     def _member(self, x, X):
         b, a = X
         return (x[0] - b) % a == 0 and x[1] % a == 0
@@ -688,25 +732,40 @@ def reachable_ideals(sg, depth, generators=None):
     return tuple(sorted(family, key=cal.key))
 
 
+def meet_keys(cal, members):
+    """Keys for distinct members and their meet: signatures and &, else
+    the members and intersect."""
+    keys = cal.signatures(members)
+    if keys is None:
+        return members, cal.intersect
+    if len(set(keys)) < len(members):
+        raise InvariantViolation("signatures tie two distinct ideals")
+    return keys, and_
+
+
 def constructible_closure(sg, depth, generators=None):
     """The reachable ideals at ``depth``, closed under pairwise intersection.
     Sorted canonically, Full first.
     """
     cal = calculus(sg)
     reach = reachable_ideals(sg, depth, generators)
-    family = set(reach)
+    keys, meet = meet_keys(cal, reach)
+    family = dict(zip(keys, reach))
     # semi-naive: every member of the closure is a meet X1 n ... n Xk of
     # reachable ideals, and meets associate, so it is found by meeting
     # X1 n ... n X(k-1) with Xk.  The first pass meets every pair of
     # reachable ideals; each later pass meets only the ideals the pass
-    # before it found with the reachable ones
-    fresh = {Z for i, X in enumerate(reach) for Y in reach[i + 1:]
-             if (Z := cal.intersect(X, Y)) not in family}
-    while fresh:
-        family |= fresh
-        fresh = {Z for X in fresh for Y in reach
-                 if (Z := cal.intersect(X, Y)) not in family}
-    return tuple(sorted(family, key=cal.key))
+    # before it found with the reachable ones.  A key not seen before is
+    # built once, by intersecting one pair whose keys meet in it
+    rows = [(a, X, i + 1) for i, (a, X) in enumerate(family.items())]
+    while rows:
+        fresh = {}
+        for a, X, start in rows:
+            row = dict(zip(map(meet, repeat(a), keys[start:]), reach[start:]))
+            for c in set(row).difference(family):
+                family[c] = fresh[c] = cal.intersect(X, row[c])
+        rows = [(a, X, 0) for a, X in fresh.items()]
+    return tuple(sorted(family.values(), key=cal.key))
 
 
 def clifford_check(sg):

@@ -2,16 +2,54 @@
 down-set maximality search and the pairwise independence search, kept as
 the oracle for the up-set bitsets of ``lefthull.filters``, for
 ``maximal_representation_check`` and for the independence verdict each
-ideal calculus states.
+ideal calculus states.  The pairwise meet table and the pairwise
+semi-naive closure are the oracle for the meets ``lefthull`` reads off the
+ideals' signatures.
 
 Every function here reads only the meet table (through ``meet``, and
-``leq`` on top of it) and the ideal calculus' ``subset`` and
-``union_equals``.
+``leq`` on top of it) and the ideal calculus' ``intersect``, ``subset``
+and ``union_equals``.
 """
 
 from itertools import combinations
 
-from lefthull import EMPTY, calculus
+from lefthull import EMPTY, UsageError, calculus, reachable_ideals
+
+
+def pairwise_table(sg, family):
+    """The meet table of the family and EMPTY in canonical order, one
+    ``intersect`` call per ordered pair; UsageError at the first missing
+    meet in row-major order."""
+    cal = calculus(sg)
+    elements = sorted(set(family) | {EMPTY}, key=cal.key)
+    index = {X: i for i, X in enumerate(elements)}
+    table = []
+    for X in elements:
+        row = []
+        for Y in elements:
+            Z = cal.intersect(X, Y)
+            if Z not in index:
+                raise UsageError("family is not intersection closed: "
+                                 "missing %s" % cal.render(Z))
+            row.append(index[Z])
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def pairwise_closure(sg, depth, generators=None):
+    """The reachable ideals closed under intersection: every pair of
+    reachable ideals, then the meets each pass found with the reachable
+    ones, until a pass finds nothing new.  Sorted canonically."""
+    cal = calculus(sg)
+    reach = reachable_ideals(sg, depth, generators)
+    family = set(reach)
+    fresh = {Z for i, X in enumerate(reach) for Y in reach[i + 1:]
+             if (Z := cal.intersect(X, Y)) not in family}
+    while fresh:
+        family |= fresh
+        fresh = {Z for X in fresh for Y in reach
+                 if (Z := cal.intersect(X, Y)) not in family}
+    return tuple(sorted(family, key=cal.key))
 
 
 def leq(lattice, i, j):
