@@ -3,8 +3,8 @@ domains, represented exactly as (grade, domain) pairs.
 
 A nonzero element is the pair (g, X): the map with domain X sending x to
 g.x computed in the grading group and re-read in S.  The pair determines
-the map and vice versa, so dataclass equality is semantic equality.  ZERO
-is the empty map.
+the map and vice versa, so tuple equality is semantic equality.  ZERO is
+the empty map; ``compose`` and ``star`` build their results unchecked.
 
 ``materialize_word`` is the independent oracle: it replays an alternating
 word pointwise on a finite window using only multiply and left_divide,
@@ -15,6 +15,7 @@ window is genuine undefinedness.
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 import random
 
 from .group_image import is_left_reversible
@@ -32,14 +33,16 @@ class _Zero:
 ZERO = _Zero()
 
 
-@dataclass(frozen=True)
-class HullElement:
-    grade: object
-    dom: object
+class HullElement(namedtuple("HullElement", "grade dom")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.dom is EMPTY:
+    def __new__(cls, grade, dom):
+        if dom is EMPTY:
             raise UsageError("use ZERO for the empty map")
+        return tuple.__new__(cls, (grade, dom))
+
+
+_element = partial(tuple.__new__, HullElement)
 
 
 def identity_element(sg):
@@ -55,7 +58,7 @@ def star(sg, f):
     if f is ZERO:
         return ZERO
     G = sg.grading_group()
-    return HullElement(G.inv(f.grade), calculus(sg).image(f.grade, f.dom))
+    return _element((G.inv(f.grade), calculus(sg).image(f.grade, f.dom)))
 
 
 def compose(sg, f, h):
@@ -69,7 +72,7 @@ def compose(sg, f, h):
     if meet is EMPTY:
         return ZERO
     dom = cal.image(G.inv(h.grade), meet)
-    return HullElement(G.mul(f.grade, h.grade), dom)
+    return _element((G.mul(f.grade, h.grade), dom))
 
 
 def domain(f):
@@ -125,8 +128,8 @@ def hull_graph(sg, length, generators=None):
         raise UsageError("length must be >= 0")
     ends = (sg.identity(),) + tuple(
         generators if generators is not None else sg.generators())
-    atoms = tuple(compose(sg, star(sg, lambda_(sg, t)), lambda_(sg, s))
-                  for t in ends for s in ends)
+    lams = [lambda_(sg, x) for x in ends]
+    atoms = tuple(compose(sg, star(sg, t), s) for t in lams for s in lams)
     elements = [identity_element(sg)]
     index = {elements[0]: 0}
     succ = []
@@ -195,18 +198,20 @@ def materialize_element(sg, f, window):
 
 
 def materialize_word(sg, pairs, window):
-    """Pointwise replay of the word using only multiply and left_divide."""
+    """Pointwise replay of the word by trusted multiply and left_divide."""
+    pairs = list(pairs)[::-1]
+    sg._check(*[x for pair in pairs for x in pair])  # the letters, once
     wset = set(window)
     mapping, boundary = {}, set()
     for x in window:
         state = x
         verdict = "ok"
-        for t, s in reversed(list(pairs)):
-            state = sg.multiply(s, state)
+        for t, s in pairs:
+            state = sg._mul(s, state)
             if state not in wset:
                 verdict = "boundary"
                 break
-            state = sg.left_divide(t, state)
+            state = sg._ldiv(t, state)
             if state is None:
                 verdict = "undefined"
                 break

@@ -108,9 +108,10 @@ class TruncatedOperator:
 
 
 def isometry_matrix(sg, s, W):
+    sg._check(s)  # once; the window's elements are the backend's own
     entries, safe = {}, set()
     for j, t in enumerate(W.elements):
-        st = sg.multiply(s, t)
+        st = sg._mul(s, t)
         if st in W.index:
             entries[j] = W.index[st]
             safe.add(j)
@@ -213,7 +214,7 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
         for s in letters:
             V = isometry_matrix(sg, s, W)
             safe = frozenset(j for j, t in enumerate(W.elements)
-                             if (u := sg.left_divide(s, t)) is None
+                             if (u := sg._ldiv(s, t)) is None
                              or u in W.index)
             for X in lattice.family:
                 lhs = V.matrix * e(X) * V.matrix.transpose()
@@ -258,7 +259,7 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
             for s in graph.ends:
                 A = V[t].transpose() * V[s]
                 zero = frozenset(j for j, i in V[s].entries.items()
-                                 if sg.left_divide(t, W.elements[i]) is None)
+                                 if sg._ldiv(t, W.elements[i]) is None)
                 pool.append(((t, s), A, zero))
         # a level maps each distinct state (id, product entries, safe set)
         # to [its first word, its product, its multiplicity], in order of

@@ -269,17 +269,11 @@ class FiniteGroup(Group):
 
     @cached_property
     def inverse_table(self):
-        n = len(self.table)
-        inv = [None] * n
         e = self.identity_index
-        for g in range(n):
-            for h in range(n):
-                if self.table[g][h] == e:
-                    inv[g] = h
-                    break
-            if inv[g] is None:
+        for g, row in enumerate(self.table):
+            if e not in row:
                 raise InvariantViolation("element %d has no inverse" % g)
-        return tuple(inv)
+        return tuple(row.index(e) for row in self.table)
 
     def contains(self, g):
         return isinstance(g, int) and 0 <= g < len(self.table)
@@ -301,8 +295,9 @@ class FiniteGroup(Group):
 class Semigroup:
     """Common surface of all backends.
 
-    Elements are canonical hashable values; the backend validates shapes on
-    the public operations and raises UsageError on mismatch.
+    Elements are canonical hashable values.  Public ``multiply``,
+    ``left_divide`` and ``embed`` raise UsageError on a non-element; the
+    trusted ``_mul``, ``_ldiv`` and ``_embed`` behind them are internal.
     """
 
     def contains(self, x):
@@ -317,15 +312,18 @@ class Semigroup:
         raise NotImplementedError
 
     def multiply(self, a, b):
-        raise NotImplementedError
+        self._check(a, b)
+        return self._mul(a, b)
 
     def left_divide(self, s, t):
         """The unique r with s*r == t, or None if t is not in s*S."""
-        raise NotImplementedError
+        self._check(s, t)
+        return self._ldiv(s, t)
 
     def embed(self, s):
         """Image of s in the grading group."""
-        raise NotImplementedError
+        self._check(s)
+        return self._embed(s)
 
     def act(self, g, x):
         """g*x computed in the grading group and read back in S.
@@ -421,18 +419,15 @@ class FreeMonoid(Semigroup):
     def identity(self):
         return ()
 
-    def multiply(self, a, b):
-        self._check(a, b)
+    def _mul(self, a, b):
         return a + b
 
-    def left_divide(self, s, t):
-        self._check(s, t)
+    def _ldiv(self, s, t):
         if len(t) >= len(s) and t[:len(s)] == s:
             return t[len(s):]
         return None
 
-    def embed(self, s):
-        self._check(s)
+    def _embed(self, s):
         return tuple(l + 1 for l in s)
 
     def act(self, g, x):
@@ -524,17 +519,14 @@ class PositiveCone(Semigroup):
     def identity(self):
         return (0,) * self.dimension
 
-    def multiply(self, a, b):
-        self._check(a, b)
+    def _mul(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def left_divide(self, s, t):
-        self._check(s, t)
+    def _ldiv(self, s, t):
         r = tuple(y - x for x, y in zip(s, t))
         return r if all(a >= 0 for a in r) else None
 
-    def embed(self, s):
-        self._check(s)
+    def _embed(self, s):
         return s
 
     def act(self, g, x):
@@ -665,17 +657,14 @@ class NumericalSemigroup(Semigroup):
     def identity(self):
         return 0
 
-    def multiply(self, a, b):
-        self._check(a, b)
+    def _mul(self, a, b):
         return a + b
 
-    def left_divide(self, s, t):
-        self._check(s, t)
+    def _ldiv(self, s, t):
         r = t - s
         return r if self.contains(r) else None
 
-    def embed(self, s):
-        self._check(s)
+    def _embed(self, s):
         return s
 
     def act(self, g, x):
@@ -782,22 +771,19 @@ class AxPlusB(Semigroup):
     def identity(self):
         return (0, 1)
 
-    def multiply(self, s, t):
-        self._check(s, t)
+    def _mul(self, s, t):
         b, a = s
         d, c = t
         return (b + a * d, a * c)
 
-    def left_divide(self, s, t):
-        self._check(s, t)
+    def _ldiv(self, s, t):
         b, a = s
         d, c = t
         if (d - b) % a or c % a:
             return None
         return ((d - b) // a, c // a)
 
-    def embed(self, s):
-        self._check(s)
+    def _embed(self, s):
         return (s[0], s[1], 1)
 
     def act(self, g, x):
@@ -860,12 +846,32 @@ class AxPlusB(Semigroup):
         return False
 
 
+def associativity_witness(table, identity):
+    """An (a, b, c) with (ab)c != a(bc) in a table of tuples, or None.
+    Light's test: the b passing for all a and c are closed under the
+    product, so b runs over a greedy generating set; the identity passes."""
+    n, span, gens = len(table), {identity}, []
+    for x in range(n):
+        new = set() if x in span else {x}
+        gens.extend(new)
+        while new:  # close the span under products with the new elements
+            span |= new
+            new = {p for y in new for z in span
+                   for p in (table[y][z], table[z][y])} - span
+    # row ab of the table against row b mapped through row a
+    return next(((a, b, c) for b in gens for a in range(n)
+                 if table[table[a][b]] != tuple(map(table[a].__getitem__,
+                                                    table[b]))
+                 for c in range(n)
+                 if table[table[a][b]][c] != table[a][table[b][c]]), None)
+
+
 @dataclass(frozen=True)
 class FiniteTable(Semigroup):
     """A finite monoid from an explicit table; must be left cancellative.
 
-    A finite left cancellative monoid is a group, so validation also records
-    the inverse table.  Validation reports the offending row on failure.
+    A finite left cancellative monoid is a group; its grading group holds
+    the inverse table.  Validation reports the offending row or triple.
     """
 
     table: tuple
@@ -889,12 +895,8 @@ class FiniteTable(Semigroup):
         for i, row in enumerate(table):
             if len(set(row)) != n:
                 raise UsageError("not left cancellative: row %d repeats a value" % i)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise UsageError(
-                            "not associative at (%d,%d,%d)" % (a, b, c))
+        if bad := associativity_witness(table, e):
+            raise UsageError("not associative at (%d,%d,%d)" % bad)
 
     def contains(self, x):
         return isinstance(x, int) and 0 <= x < len(self.table)
@@ -902,17 +904,14 @@ class FiniteTable(Semigroup):
     def identity(self):
         return self.identity_index
 
-    def multiply(self, a, b):
-        self._check(a, b)
+    def _mul(self, a, b):
         return self.table[a][b]
 
-    def left_divide(self, s, t):
-        self._check(s, t)
+    def _ldiv(self, s, t):
         # a group: r = s^-1 * t always exists
-        return self.table[self.grading_group().inv(s)][t]
+        return self.table[self._grading_group.inverse_table[s]][t]
 
-    def embed(self, s):
-        self._check(s)
+    def _embed(self, s):
         return s
 
     def act(self, g, x):
