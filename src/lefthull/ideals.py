@@ -9,7 +9,8 @@ values and implements translate / preimage / intersection exactly:
                        threshold minimal, mask a sorted tuple of members < N;
                        each pair the calculus builds also carries its mask
                        as a Python-int bitset, and every operation runs on
-                       these bits and the semigroup's ``member_bits``
+                       these bits and the semigroup's ``member_bits``;
+                       each distinct image and meet is computed once
 * AxPlusB:             a pair (b, a) with a >= 1, 0 <= b < a, denoting
                        (b + aZ) x aZ^x
 * FiniteTable:         only the full ideal (every right ideal of a group is S)
@@ -355,15 +356,21 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
     a shift left by s, a preimage under s a shift right by s masked by the
     members, and the threshold of a result the bit length of the members
     below its bound that it misses.
+
+    ``_image`` and ``_intersect`` keep each answer, keyed by the grade and
+    the (threshold, mask bits) of their arguments, so a plain pair shares
+    the entry of the calculus' own value: the hull algebra asks the same
+    few thousands of times per command.  This is exact, as both are pure
+    functions of canonical values; an image that raises stores nothing.
     """
 
     reversible_proof = "principal ideals are cofinite"
 
     def __init__(self, sg):
         super().__init__(sg)
-        # every ideal built so far, by (threshold, mask bits): an ideal met
-        # again is looked up, not converted from its bits once more
-        self._built = {}
+        # by (threshold, mask bits), every ideal built so far; by their
+        # arguments, every image and meet answered so far
+        self._built, self._images, self._meets = {}, {}, {}
 
     def clifford(self):
         sg = self.sg
@@ -453,11 +460,17 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
                                bound)
 
     def _intersect(self, X, Y):
-        bound = max(X[0], Y[0])
-        return self._canonical(self._below(X, bound) & self._below(Y, bound),
-                               bound)
+        key = (X[0], _mask_bits(X), Y[0], _mask_bits(Y))
+        if (Z := self._meets.get(key)) is None:
+            bound = max(X[0], Y[0])
+            Z = self._meets[key] = self._canonical(
+                self._below(X, bound) & self._below(Y, bound), bound)
+        return Z
 
     def _image(self, g, X):
+        key = (g, X[0], _mask_bits(X))
+        if (Y := self._images.get(key)) is not None:
+            return Y
         if g % self.sg.gcd:
             raise InvariantViolation("grade %r does not preserve S" % (g,))
         c = self.sg.conductor
@@ -469,7 +482,8 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         bits = bits << g if g >= 0 else bits >> -g
         if below_zero or bits & ~self.sg.member_bits(g + cut):
             raise InvariantViolation("grade %r does not map ideal into S" % (g,))
-        return self._canonical(bits, g + cut)
+        Y = self._images[key] = self._canonical(bits, g + cut)
+        return Y
 
     def principal_witness(self, X):
         m = self.min_member(X)

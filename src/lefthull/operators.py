@@ -212,12 +212,13 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
     if kind == "covariance":
         # V_s e_X V_s* = e_{sX}
         for s in letters:
-            V = isometry_matrix(sg, s, W)
+            V = isometry_matrix(sg, s, W).matrix
+            Vt = V.transpose()
             safe = frozenset(j for j, t in enumerate(W.elements)
                              if (u := sg._ldiv(s, t)) is None
                              or u in W.index)
             for X in lattice.family:
-                lhs = V.matrix * e(X) * V.matrix.transpose()
+                lhs = V * e(X) * Vt
                 if not lhs.columns_agree(e(cal.translate(s, X)), safe):
                     _mismatch(kind, "covariance s=%s X=%s"
                               % (sg.render(s), cal.render(X)))

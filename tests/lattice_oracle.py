@@ -8,7 +8,10 @@ ideals' signatures.
 
 Every function here reads only the meet table (through ``meet``, and
 ``leq`` on top of it) and the ideal calculus' ``intersect``, ``subset``
-and ``union_equals``.
+and ``union_equals``.  It asks them of a fresh calculus instance
+(``fresh_calculus``), never of the backend's own: the numerical calculus
+keeps every meet it has answered, so a meet the fast path stored, right or
+wrong, would otherwise be read back by its oracle and agree with itself.
 """
 
 from itertools import combinations
@@ -16,11 +19,16 @@ from itertools import combinations
 from lefthull import EMPTY, UsageError, calculus, reachable_ideals
 
 
+def fresh_calculus(sg):
+    """A new calculus of the backend's kind, with empty memos."""
+    return type(calculus(sg))(sg)
+
+
 def pairwise_table(sg, family):
     """The meet table of the family and EMPTY in canonical order, one
     ``intersect`` call per ordered pair; UsageError at the first missing
     meet in row-major order."""
-    cal = calculus(sg)
+    cal = fresh_calculus(sg)
     elements = sorted(set(family) | {EMPTY}, key=cal.key)
     index = {X: i for i, X in enumerate(elements)}
     table = []
@@ -40,7 +48,7 @@ def pairwise_closure(sg, depth, generators=None):
     """The reachable ideals closed under intersection: every pair of
     reachable ideals, then the meets each pass found with the reachable
     ones, until a pass finds nothing new.  Sorted canonically."""
-    cal = calculus(sg)
+    cal = fresh_calculus(sg)
     reach = reachable_ideals(sg, depth, generators)
     family = set(reach)
     fresh = {Z for i, X in enumerate(reach) for Y in reach[i + 1:]
@@ -79,7 +87,7 @@ def is_filter(subset, lattice):
 def maximality(lattice):
     """(holds, witness): whether no element is the union of the nonzero
     elements strictly below it, with the first (parts, target) that is."""
-    cal = calculus(lattice.sg)
+    cal = fresh_calculus(lattice.sg)
     for b in range(len(lattice)):
         if b == lattice.zero:
             continue
@@ -98,7 +106,7 @@ def independence(sg, family):
     """(holds, witness): whether no member is the union of the members
     strictly inside it, with the least cover found of the first that is.
     Covers prefer principal members, then the canonical order."""
-    cal = calculus(sg)
+    cal = fresh_calculus(sg)
     members = [X for X in family if X is not EMPTY]
     for Y in members:
         below = [X for X in members if X != Y and cal.subset(X, Y)]

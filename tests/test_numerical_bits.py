@@ -14,6 +14,7 @@ import pytest
 from lefthull import InvariantViolation, NumericalSemigroup
 from lefthull.ideals import EMPTY, calculus
 
+from lattice_oracle import fresh_calculus
 from numerical_oracle import TupleLoopIdeals
 
 # <3> has conductor 0: only there can a shift drop members below 0 without
@@ -179,3 +180,75 @@ def test_folner_figures_match_tuple_loops(gens):
             assert cal.folner_mean(X, N) == Fraction(
                 len(ora.ideal_members_below(Xo, N)),
                 len(ora.members_below(N)))
+
+
+# the calculus answers each distinct image and meet once; a conductor of
+# 0 is left out, as every grade off the gcd lattice raises there
+MEMO_GENS = [(2, 3), (3, 5, 7), (4, 5), (4, 6), (10, 11)]
+
+
+def asked_twice(memo, ask):
+    """The two answers to one query: the first must store one entry, the
+    second must find it and return the same object."""
+    size = len(memo)
+    first = ask()
+    assert len(memo) == size + 1
+    second = ask()
+    assert second is first and len(memo) == size + 1
+    return first
+
+
+@pytest.mark.parametrize("gens", MEMO_GENS, ids=ids)
+def test_memo_misses_and_hits_match_tuple_loops(gens):
+    sg = NumericalSemigroup(gens)
+    ora = TupleLoopIdeals(gens)
+    ideals = random_ideals(sg, ora, random.Random(11 * sum(gens)), 20)
+    # empty memos, so that the first asking of each query is a miss
+    cal = fresh_calculus(sg)
+    images = {(g, Xo): X for X, Xo in ideals
+              for g in range(-Xo[0] - sg.conductor - 2, sg.conductor + 6)
+              if ora.image(g, Xo) is not None}
+    for (g, Xo), X in images.items():
+        Y = asked_twice(cal._images, lambda: cal.image(g, X))
+        assert Y == ora.image(g, Xo), (g, Xo)
+    meets = {(Xo, Yo): (X, Y) for X, Xo in ideals for Y, Yo in ideals}
+    for (Xo, Yo), (X, Y) in meets.items():
+        Z = asked_twice(cal._meets, lambda: cal.intersect(X, Y))
+        assert Z == ora.intersect(Xo, Yo)
+    assert images and meets
+
+
+@pytest.mark.parametrize("gens", MEMO_GENS, ids=ids)
+def test_a_raising_image_raises_again_and_stores_nothing(gens):
+    sg = NumericalSemigroup(gens)
+    ora = TupleLoopIdeals(gens)
+    cal = calculus(sg)
+    raised = 0
+    for X, Xo in random_ideals(sg, ora, random.Random(13 * sum(gens)), 15):
+        for g in range(-Xo[0] - sg.conductor - 2, 1):
+            if ora.image(g, Xo) is None:
+                size = len(cal._images)
+                for _ in range(2):
+                    with pytest.raises(InvariantViolation):
+                        cal.image(g, X)
+                    assert len(cal._images) == size
+                raised += 1
+    assert raised
+
+
+@pytest.mark.parametrize("gens", MEMO_GENS, ids=ids)
+def test_a_plain_pair_and_its_ideal_share_one_entry(gens):
+    sg = NumericalSemigroup(gens)
+    ora = TupleLoopIdeals(gens)
+    ideals = random_ideals(sg, ora, random.Random(17 * sum(gens)), 10)
+    cal = fresh_calculus(sg)
+    for (X, Xo), (Y, Yo) in zip(ideals, ideals[1:]):
+        assert type(Xo) is tuple and Xo == X
+        size = len(cal._meets)
+        assert cal.intersect(Xo, Yo) is cal.intersect(X, Y)
+        assert len(cal._meets) <= size + 1
+        g = -cal.min_member(X)
+        if ora.image(g, Xo) is not None:
+            size = len(cal._images)
+            assert cal.image(g, Xo) is cal.image(g, X)
+            assert len(cal._images) <= size + 1
