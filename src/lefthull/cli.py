@@ -6,6 +6,7 @@ config, bounds, and seed, output bytes are identical run to run.
 """
 
 import argparse
+from functools import cache
 import os
 import sys
 
@@ -201,6 +202,7 @@ COMMANDS = {
 }
 
 
+@cache  # built on first use, then shared by every main() call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lefthull",

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 import math
-from operator import and_
+from operator import add, and_, ge, sub
 
 from .semigroups import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
                          NumericalSemigroup, PositiveCone,
@@ -294,19 +294,19 @@ class _ConeIdeals(IdealCalculus, backend=PositiveCone):
         return self.sg.identity()
 
     def _member(self, x, p):
-        return all(a >= b for a, b in zip(x, p))
+        return all(map(ge, x, p))
 
     def principal(self, s):
         return s
 
     def _translate(self, s, p):
-        return tuple(a + b for a, b in zip(s, p))
+        return tuple(map(add, s, p))
 
     def _preimage(self, s, p):
-        return tuple(max(b - a, 0) for a, b in zip(s, p))
+        return tuple(map(max, map(sub, p, s), repeat(0)))
 
     def _intersect(self, p, q):
-        return tuple(max(a, b) for a, b in zip(p, q))
+        return tuple(map(max, p, q))
 
     def _image(self, g, p):
         return self.sg.act(g, p)

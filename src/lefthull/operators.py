@@ -8,9 +8,9 @@ both sides of the relation provably stays inside the window.  A relation
 failing on its safe core is a genuine counterexample, never an artifact.
 The intertwiner suite builds T* L(f) T directly on the semigroup window,
 from the columns of L(f) at the basis vectors lambda(s) that T hits.
-L(f) keeps lambda(s) when star(f) f lambda(s) = lambda(s): that test and
-the window columns in dom f are decided once per call for each distinct
-idempotent star(f) f and domain, and f lambda(s) is composed if kept.
+L(f) keeps lambda(s) when star(f) f lambda(s) = lambda(s), decided once
+per call for each distinct idempotent star(f) f; f lambda(s) is composed if
+kept.  A window holds its columns in each ideal, shared by every suite.
 
 The covariance and semilattice suites check the ideal lattice their caller
 passes (``truncate_semilattice``), and the cs-grade-one and intertwiner
@@ -52,7 +52,7 @@ from .semigroups import InvariantViolation, UsageError
 
 
 class Window:
-    """Ordered duplicate-free basis with an index map."""
+    """Ordered duplicate-free basis with an index map and a column memo."""
 
     def __init__(self, elements):
         elements = tuple(elements)
@@ -63,6 +63,7 @@ class Window:
             index[x] = i
         self.elements = elements
         self.index = index
+        self.columns = {}
 
     def __len__(self):
         return len(self.elements)
@@ -120,9 +121,12 @@ def isometry_matrix(sg, s, W):
 
 
 def window_columns(sg, X, W):
-    """The columns j with W_j in X, in window order."""
-    cal = calculus(sg)
-    return tuple(j for j, t in enumerate(W.elements) if cal.is_member(t, X))
+    """The columns j with W_j in X, in window order, once per window."""
+    if X not in W.columns:
+        member = calculus(sg).is_member
+        W.columns[X] = tuple(j for j, t in enumerate(W.elements)
+                             if member(t, X))
+    return W.columns[X]
 
 
 def char_projection(sg, X, W):
@@ -299,13 +303,12 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
         at = {lambda_(sg, s): j for j, s in enumerate(W.elements)}
         kept = cache(lambda ff: [(ls, j) for ls, j in at.items()
                                  if compose(sg, ff, ls) == ls])
-        columns = cache(lambda X: window_columns(sg, X, W))
         n = len(W)
         for f in graph.ordered:
             ff = compose(sg, star(sg, f), f)
             lhs = Matrix(n, n, {j: at[fq] for ls, j in kept(ff)
                                 if (fq := compose(sg, f, ls)) in at})
-            rep = hull_matrix(sg, f, W, columns(domain(f)))
+            rep = hull_matrix(sg, f, W, window_columns(sg, domain(f), W))
             if not lhs.columns_agree(rep.matrix, rep.safe):
                 _mismatch(kind, "intertwiner f=%s" % render_element(sg, f))
             count += 1
@@ -332,9 +335,8 @@ def expectation_loop(sg, W, graph):
     proves nothing, so it is counted as invisible and left out.  Returns
     (total, fixed, skipped)."""
     total = fixed = skipped = 0
-    columns = cache(lambda X: window_columns(sg, X, W))
     for f in graph.ordered:
-        op = hull_matrix(sg, f, W, columns(domain(f)))
+        op = hull_matrix(sg, f, W, window_columns(sg, domain(f), W))
         isfixed = op.matrix.diagonal() == op.matrix
         expected = is_idempotent(sg, f)
         if f is not ZERO and not expected and op.matrix.is_zero():

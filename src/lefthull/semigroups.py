@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 import math
+from operator import add, invert, neg, sub
 
 
 class UsageError(ValueError):
@@ -90,19 +91,18 @@ class Group:
         return repr(self)
 
 
-def _reduce_signed(word):
-    # free-group reduction; word is an iterable of nonzero ints, +i and -i
-    # denoting generator i-1 and its inverse
-    out = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
+def _junction(g, h, inverse=neg):
+    # how many letters cancel in the product of the reduced words g and h:
+    # only the end of g against the start of h, since neither cancels alone;
+    # inverse(h[k]) is the inverse letter of h[k] in g's alphabet
+    k, m = 0, min(len(g), len(h))
+    while k < m and g[-1 - k] == inverse(h[k]):
+        k += 1
+    return k
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_SUCC, _PRED = (1).__add__, (-1).__add__
 
 
 def _letter(i, rank):
@@ -111,7 +111,9 @@ def _letter(i, rank):
 
 @dataclass(frozen=True)
 class FreeGroup(Group):
-    """Free group of given rank; elements are reduced tuples of signed ints."""
+    """Free group of given rank; elements are reduced tuples of signed ints,
+    +i and -i for generator i-1 and its inverse.  Both factors of a product
+    are reduced, so ``mul`` cancels only at their junction."""
 
     rank: int
 
@@ -119,10 +121,11 @@ class FreeGroup(Group):
         return ()
 
     def mul(self, g, h):
-        return _reduce_signed(g + h)
+        k = _junction(g, h) if g and h and g[-1] == -h[0] else 0
+        return g[:len(g) - k] + h[k:]
 
     def inv(self, g):
-        return tuple(-x for x in reversed(g))
+        return tuple(map(neg, g[::-1]))
 
     def contains(self, g):
         if not isinstance(g, tuple):
@@ -157,10 +160,10 @@ class Integers(Group):
         return (0,) * self.rank
 
     def mul(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(add, g, h))
 
     def inv(self, g):
-        return tuple(-a for a in g)
+        return tuple(map(neg, g))
 
     def contains(self, g):
         return (isinstance(g, tuple) and len(g) == self.rank
@@ -376,13 +379,20 @@ class Semigroup:
         """Deterministic window enumeration; prefix-monotone in the bound."""
         raise NotImplementedError
 
+    @cached_property
+    def _windows(self):
+        return {}
+
     def window_of_size(self, size):
-        bound = 1
-        win = self.window(bound)
-        while len(win) < size:
-            bound *= 2
-            win = self.window(bound)
-        return win[:size]
+        """The first ``size`` window elements as a tuple, built once per
+        instance: a window is a pure function of (backend, size)."""
+        if size not in self._windows:
+            bound, win = 1, self.window(1)
+            while len(win) < size:
+                bound *= 2
+                win = self.window(bound)
+            self._windows[size] = tuple(win[:size])
+        return self._windows[size]
 
     def key(self, x):
         """Total order key consistent with window order."""
@@ -428,18 +438,19 @@ class FreeMonoid(Semigroup):
         return None
 
     def _embed(self, s):
-        return tuple(l + 1 for l in s)
+        return tuple(map(_SUCC, s))
 
     def act(self, g, x):
-        r = _reduce_signed(g + tuple(l + 1 for l in x))
-        if any(v < 0 for v in r):
+        # g times the embedded x, whose letter l + 1 has inverse ~l: only
+        # the surviving prefix of g can hold an inverse letter
+        k = _junction(g, x, invert)
+        head = g[:len(g) - k]
+        if head and min(head) < 0:
             raise InvariantViolation("group element does not map %r into S" % (x,))
-        return tuple(v - 1 for v in r)
+        return tuple(map(_PRED, head)) + x[k:]
 
     def group_element_of(self, g):
-        if all(v > 0 for v in g):
-            return tuple(v - 1 for v in g)
-        return None
+        return tuple(map(_PRED, g)) if min(g, default=1) > 0 else None
 
     @cached_property
     def _grading_group(self):
@@ -520,18 +531,18 @@ class PositiveCone(Semigroup):
         return (0,) * self.dimension
 
     def _mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def _ldiv(self, s, t):
-        r = tuple(y - x for x, y in zip(s, t))
-        return r if all(a >= 0 for a in r) else None
+        r = tuple(map(sub, t, s))
+        return None if min(r) < 0 else r
 
     def _embed(self, s):
         return s
 
     def act(self, g, x):
-        r = tuple(a + b for a, b in zip(g, x))
-        if any(a < 0 for a in r):
+        r = tuple(map(add, g, x))
+        if min(r) < 0:
             raise InvariantViolation("group element does not map %r into S" % (x,))
         return r
 
@@ -939,7 +950,7 @@ class FiniteTable(Semigroup):
         return list(range(len(self.table)))
 
     def window_of_size(self, size):
-        return self.window(size)[:size]
+        return super().window_of_size(min(size, len(self.table)))
 
     def key(self, x):
         return x

@@ -77,6 +77,33 @@ def test_s_window_arguments():
         s_window(LINE, size=3, bound=3)
 
 
+@pytest.mark.parametrize("sg", BACKENDS, ids=ids)
+def test_window_columns_answered_once_per_window(sg, monkeypatch):
+    # covariance, semilattice, intertwiner and the expectation loop share
+    # one answer per (window, ideal): each ideal costs one membership test
+    # per window element, however many suites ask
+    W = s_window(sg, size=20)
+    cal = calculus(sg)
+    lat = truncate_semilattice(sg, constructible_closure(sg, 2))
+    graph = hull_graph(sg, 2)
+    member, calls = cal.is_member, []
+
+    def counted(x, X):
+        calls.append(X)
+        return member(x, X)
+
+    monkeypatch.setattr(cal, "is_member", counted)
+    for kind in ("covariance", "semilattice", "intertwiner"):
+        verify_relation(sg, kind, W, lat, graph)
+    expectation_loop(sg, W, graph)
+    asked = set(W.columns)
+    assert set(lat.elements) <= asked
+    assert len(calls) == len(asked) * len(W)
+    for X, cols in W.columns.items():
+        assert window_columns(sg, X, W) is cols
+        assert cols == tuple(j for j, t in enumerate(W) if member(t, X))
+
+
 def test_hull_window_appends_lambdas():
     W = s_window(LINE, size=12)
     HW = hull_window(LINE, hull_graph(LINE, 1), include=W)

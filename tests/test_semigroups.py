@@ -1,5 +1,6 @@
 """Backend axioms checked on finite windows, plus frozen window shapes."""
 
+import dataclasses
 import random
 
 import pytest
@@ -173,6 +174,25 @@ def test_window_of_size_hits_request(sg):
         assert len(win) == min(25, len(sg.table))
     else:
         assert len(win) == 25
+
+
+@pytest.mark.parametrize("sg", BACKENDS, ids=ids)
+def test_window_of_size_is_built_once_per_backend(sg):
+    win = sg.window_of_size(30)
+    assert isinstance(win, tuple)
+    assert sg.window_of_size(30) is win
+    sg.window_of_size(7)
+    assert sg.window_of_size(30) is win
+    # a window is a function of (backend, size): a fresh instance agrees
+    assert dataclasses.replace(sg).window_of_size(30) == win
+    assert sg.window_of_size(20) == win[:20]
+
+
+def test_table_window_stops_at_the_order():
+    ft = FiniteTable(cyclic_table(5))
+    assert ft.window_of_size(3) == (0, 1, 2)
+    assert ft.window_of_size(12) == (0, 1, 2, 3, 4)
+    assert ft.window_of_size(12) is ft.window_of_size(5)
 
 
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
