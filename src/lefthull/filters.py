@@ -1,94 +1,107 @@
 """Finite truncations of the ideal semilattice and their filters.
 
-A truncation keeps the canonical ideal values as element semantics and
-validates the meet table laws outright.  Every order question is then read
-off the validated table: the build keeps each element's up-set
-U(i) = {j : i <= j} as an int bitset, and up-sets and filters are a few
-whole-int operations on it.  Set semantics, whether some element is a union
-of strictly smaller ones, is the independence of the family the truncation
-was built from, which the ideal calculus decides.
+A truncation keeps the canonical ideals as elements, each with its meet key
+(``meet_keys``), and reads a meet when asked as the element whose key is the
+meet of two keys, so it keeps nothing with n^2 entries.  The build checks
+what can fail, and keeps each element's up-set U(i) = {j : i <= j} as an int
+bitset; up-sets and filters are a few whole-int operations on it.  Set
+semantics, whether some element is a union of strictly smaller ones, is the
+independence of the family the truncation was built from, which the ideal
+calculus decides.
 """
 
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
+from operator import and_, eq
 
 from .ideals import EMPTY, calculus, independence_check, meet_keys
 from .semigroups import UsageError, set_bits
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bitset(flags):
+    # the booleans as an int, flag j at bit j, read at C level
+    return int(bytes(flags).translate(_DIGITS)[::-1], 2)
 
 
 class FiniteSemilattice:
     """A finite meet-semilattice of canonical right ideals with an
     adjoined zero.  Elements are indexed; index 0 is the top (the whole
     semigroup) and the last index is the zero (the empty set).  ``family``
-    is the family it was built from, in the caller's order."""
+    is the family it was built from, in the caller's order, and ``keys``,
+    ``key_meet`` and ``by_key`` the elements' meet keys."""
 
     def __init__(self, sg, family):
         cal = calculus(sg)
         self.sg, self.family = sg, tuple(family)
         elements = sorted(set(self.family) | {EMPTY}, key=cal.key)
-        if not elements or elements[0] != cal.full():
+        if elements[0] != cal.full():
             raise UsageError("the family must contain the full ideal")
         self.elements = tuple(elements)
         self.top = 0
         self.zero = len(elements) - 1
-        # keys separate every meet, so a missing key is a missing meet
-        keys, meet = meet_keys(cal, self.elements)
-        by_key = {k: i for i, k in enumerate(keys)}
-        table = []
+        self._index = {X: i for i, X in enumerate(elements)}
+        self.keys, self.key_meet = meet_keys(cal, self.elements)
+        self.by_key = {k: i for i, k in enumerate(self.keys)}
+        self.up = self._up_sets()
+
+    def _up_sets(self):
+        # Row i holds the keys of the meets i j, U(i) = {j : i j = i}, and a
+        # key that no element has is a missing meet, named at the first
+        # pair in row-major order.  On signatures & commutes, so a row needs
+        # that test only from i on, and the laws of a semilattice hold by
+        # construction: & on ints is idempotent, commutative and
+        # associative, sig(EMPTY) = 0, and keys[by_key[x]] == x carries &
+        # over to the indices.  What else can fail is checked: tied keys
+        # (meet_keys) and the top law, sig(S) holding every member's points.
+        keys, by_key, meet = self.keys, self.by_key, self.key_meet
+        signed = meet is and_
+        n = len(keys)
+        up, down = [], []
         for i, a in enumerate(keys):
-            row = tuple(map(by_key.get, map(meet, repeat(a), keys)))
-            if None in row:
-                Z = cal.intersect(elements[i], elements[row.index(None)])
+            row = list(map(meet, repeat(a), keys))
+            start = i if signed else 0
+            if not all(map(by_key.__contains__, row[start:])):
+                j = next(j for j in range(start, n) if row[j] not in by_key)
+                cal = calculus(self.sg)
+                Z = cal.intersect(self.elements[i], self.elements[j])
                 raise UsageError("family is not intersection closed: "
                                  "missing %s" % cal.render(Z))
-            table.append(row)
-        self.table = tuple(table)
-        self._index = {X: i for i, X in enumerate(elements)}
-        self._validate()
-
-    def _validate(self):
-        # Idempotence, the top and zero laws and commutativity are read off
-        # the table.  Associativity then takes O(n^2) whole-int operations
-        # instead of n^3 lookups.  Write i <= j when i j = i and let D(j) =
-        # {i : i <= j}.  On a commutative idempotent table, associativity is
-        # equivalent to D(i j) = D(i) n D(j) for all i and j, which needs
-        # testing only for indices i < j.
-        # If the table is associative, k (i j) = k iff k i = k and k j = k.
-        # Conversely, assume the law.  <= is reflexive (i i = i) and
-        # antisymmetric (i j = i and j i = j give i = j).  It is transitive:
-        # j k = j gives D(j) = D(j k) = D(j) n D(k), so i <= j <= k puts i
-        # in D(k).  And i j is the greatest lower bound of i and j: it lies
-        # in D(i j) = D(i) n D(j), and so does every lower bound.  So
-        # D((i j) k) = D(i) n D(j) n D(k) = D(i (j k)), and equal down-sets
-        # name one element, since a is in D(a) and D(a) = D(b) gives
-        # a <= b <= a.
-        n = len(self.elements)
-        table = self.table
-        for i in range(n):
-            if table[i][i] != i:
-                raise UsageError("meet table is not idempotent")
-            if table[self.top][i] != i or table[self.zero][i] != self.zero:
+            if i == self.top and row != list(keys) or \
+                    i == self.zero and row.count(a) != n:
                 raise UsageError("meet table violates the top or zero law")
-            for j in range(i + 1, n):
-                if table[i][j] != table[j][i]:
-                    raise UsageError("meet table is not commutative")
-        # D(j) read off row j, the table being commutative, and U(i) the
-        # entries of row i that equal i
-        down = [sum(1 << i for i, m in enumerate(row) if m == i)
-                for row in table]
-        self.up = [sum(1 << j for j, m in enumerate(row) if m == i)
-                   for i, row in enumerate(table)]
-        for i, row in enumerate(table):
-            for j in range(i + 1, n):
-                if down[row[j]] != down[i] & down[j]:
-                    raise UsageError("meet table is not associative")
+            up.append(_bitset(map(eq, row, repeat(a))))
+            if not signed:
+                down.append(_bitset(map(eq, row, keys)))
+        # Meets from intersect are tested, in O(n^2) whole-int operations
+        # instead of n^3 lookups.  Write j <= i when i j = j, and let D(i)
+        # = {j : j <= i}, read off row i.  The meets are those of a
+        # semilattice iff D is injective and D(i j) = D(i) n D(j) for every
+        # ordered pair.  A semilattice has both.  Conversely, D(i i) = D(i)
+        # gives i i = i, so i is in D(i).  j <= i gives D(j) = D(i j) =
+        # D(i) n D(j), so D(j) lies in D(i): <= is transitive, and
+        # antisymmetric as D is injective.  And i j is in D(i j) = D(i) n
+        # D(j), as is every lower bound of i and j, so i j is their
+        # greatest lower bound: idempotent, commutative and associative.
+        if not signed and (len(set(down)) < n or any(
+                list(map(down.__getitem__, self.meets(i, range(n))))
+                != list(map(and_, repeat(d), down))
+                for i, d in enumerate(down))):
+            raise UsageError("meet table is not a semilattice")
+        return up
 
     def __len__(self):
         return len(self.elements)
 
     def meet(self, i, j):
-        return self.table[i][j]
+        return self.by_key[self.key_meet(self.keys[i], self.keys[j])]
+
+    def meets(self, i, js):
+        """The meets of i with each of the indices js, in order."""
+        return map(self.by_key.__getitem__, map(self.key_meet, repeat(
+            self.keys[i]), map(self.keys.__getitem__, js)))
 
     def index(self, X):
         if X not in self._index:
@@ -120,11 +133,12 @@ def is_filter(subset, lattice):
     """A set with the top and without the zero is a filter exactly when it
     is the up-set of the meet m of its members: a filter holds m and so
     U(m), and lies in U(m); conversely U(m) is upward closed and meet
-    closed, the table being a validated semilattice."""
+    closed, the meets being those of a semilattice."""
     members = subset.members if isinstance(subset, Filter) else frozenset(subset)
     if lattice.top not in members or lattice.zero in members:
         return False
-    least = reduce(lattice.meet, members)
+    least = lattice.by_key[reduce(lattice.key_meet,
+                                  map(lattice.keys.__getitem__, members))]
     return lattice.up[least] == sum(1 << i for i in members)
 
 

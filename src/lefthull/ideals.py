@@ -31,11 +31,15 @@ constructible ideal is principal it holds by one argument, and only the
 numerical calculus searches a family for a union that collapses.
 
 ``signatures`` gives an ideal's points on a set D that separates meets:
+* free monoid: the family's own words; wS holds the words w prefixes
+* cone: d copies of [0, B], B the top coordinate; p + S holds [p_k, B] in
+  the k-th, and the max of two corners takes the later start in each
 * numerical: [0, M), M past the conductor and thresholds: all agree from M
 * axb: Z/L, L the lcm of the moduli, which divides every meet's modulus
-* cone: the box [0, B]^d, B the top coordinate: x in p + S iff min(x, B) is
+* finite table: the identity alone
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
@@ -66,8 +70,8 @@ class _TableFull:
 
 _TABLE_FULL = _TableFull()
 
-# near this many points, building the closure and table by & costs what
-# it does by intersect on ax+b; cones cross later
+# near this many points of Z/L, building the closure and the lattice by &
+# costs what it does by intersect on ax+b
 SIGNATURE_POINTS = 7000
 
 
@@ -116,9 +120,11 @@ class IdealCalculus:
                         "which puts qS inside one of them")
 
     def signatures(self, family):
-        """Each member's points on D as an int, 0 for EMPTY only, so that &
-        is the meet; None for no D, or D past SIGNATURE_POINTS points."""
-        return None
+        """An injective map of the family into ints, each member's points
+        on D as bits: & is the meet on the family's meet closure, and 0
+        means exactly EMPTY.  None only on ax+b, where D = Z/L would pass
+        SIGNATURE_POINTS points."""
+        raise NotImplementedError
 
     def _no_folner_boxes(self, *args):
         raise UnsupportedOperation("no Folner boxes for %s"
@@ -126,8 +132,11 @@ class IdealCalculus:
 
     folner_mean = folner_constant = folner_least_n = _no_folner_boxes
 
+    # The defaults of full, principal, principal_witness and _image hold
+    # where an ideal's value is the element that generates it.
+
     def full(self):
-        raise NotImplementedError
+        return self.sg.identity()
 
     def is_member(self, x, X):
         if X is EMPTY:
@@ -135,7 +144,7 @@ class IdealCalculus:
         return self._member(x, X)
 
     def principal(self, s):
-        raise NotImplementedError
+        return s
 
     def translate(self, s, X):
         if X is EMPTY:
@@ -165,9 +174,12 @@ class IdealCalculus:
             return EMPTY
         return self._image(g, X)
 
+    def _image(self, g, X):
+        return self.sg.act(g, X)
+
     def principal_witness(self, X):
         """q with X == qS, or None when X is not principal."""
-        raise NotImplementedError
+        return X
 
     def union_equals(self, members, Y):
         """Exact decision of union(members) == Y.  This default holds where
@@ -219,14 +231,8 @@ class _FreeMonoidIdeals(IdealCalculus, backend=FreeMonoid):
                               "incomparable" % (v, w))
         return words[-1], "prefix chain"
 
-    def full(self):
-        return ()
-
     def _member(self, x, w):
         return x[:len(w)] == w
-
-    def principal(self, s):
-        return s
 
     def _translate(self, s, w):
         return s + w
@@ -245,11 +251,13 @@ class _FreeMonoidIdeals(IdealCalculus, backend=FreeMonoid):
             return v
         return EMPTY
 
-    def _image(self, g, w):
-        return self.sg.act(g, w)
-
-    def principal_witness(self, X):
-        return X
+    def signatures(self, family):
+        # in lexicographic order the words w prefixes run from w up to,
+        # not including, w followed by a letter past the alphabet
+        words = sorted(w for w in family if w is not EMPTY)
+        past = (self.sg.alphabet_size,)
+        return [0 if w is EMPTY else (1 << bisect_left(words, w + past))
+                - (1 << bisect_left(words, w)) for w in family]
 
     def _key(self, w):
         return (len(w), w)
@@ -279,25 +287,16 @@ class _ConeIdeals(IdealCalculus, backend=PositiveCone):
         return 1
 
     def signatures(self, family):
-        # x in the box is bit sum x_k side^k, and p + S is the product of
-        # the stripes [p_k, B]: an int product of one repunit per coordinate
+        # coordinate k holds bits [k side, (k + 1) side), and p + S the run
+        # [p_k, B] of them; no run is empty, so no meet is
         side = 1 + max((max(p) for p in family if p is not EMPTY), default=0)
-        if side ** self.sg.dimension > SIGNATURE_POINTS:
-            return None
-        runs = [[((1 << (side - a) * w) - 1) // ((1 << w) - 1) << a * w
-                 for a in range(side)]
-                for w in (side ** k for k in range(self.sg.dimension))]
-        return [0 if p is EMPTY else math.prod(r[a] for r, a in zip(runs, p))
+        full = (1 << side) - 1
+        return [0 if p is EMPTY else
+                sum((full >> a << a) << k * side for k, a in enumerate(p))
                 for p in family]
-
-    def full(self):
-        return self.sg.identity()
 
     def _member(self, x, p):
         return all(map(ge, x, p))
-
-    def principal(self, s):
-        return s
 
     def _translate(self, s, p):
         return tuple(map(add, s, p))
@@ -307,12 +306,6 @@ class _ConeIdeals(IdealCalculus, backend=PositiveCone):
 
     def _intersect(self, p, q):
         return tuple(map(max, p, q))
-
-    def _image(self, g, p):
-        return self.sg.act(g, p)
-
-    def principal_witness(self, X):
-        return X
 
     def _key(self, p):
         return (sum(p), p)
@@ -585,9 +578,6 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
         mod = abs(r)
         return (shifted // d % mod, mod)
 
-    def full(self):
-        return (0, 1)
-
     def signatures(self, family):
         # (b, a) is the class b + aZ: in Z/L its points b, b + a, ...
         modulus = math.lcm(*(X[1] for X in family if X is not EMPTY))
@@ -625,13 +615,7 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
         return (x0, m)
 
     def _intersect(self, X, Y):
-        b, a = X
-        d, c = Y
-        res = _crt(b, a, d, c)
-        if res is None:
-            return EMPTY
-        e, l = res
-        return (e, l)
+        return _crt(*X, *Y) or EMPTY
 
     def _image(self, g, X):
         p, r, d = g
@@ -642,9 +626,6 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
                                      % self.sg.grading_group().render(g))
         m = abs(aa // d)
         return (bb // d % m, m)
-
-    def principal_witness(self, X):
-        return X  # (b, a) with a >= 1 is itself an element generating X
 
     def _key(self, X):
         return (X[1], X[0])
@@ -662,26 +643,16 @@ class _TableIdeals(IdealCalculus, backend=FiniteTable):
     def thick_witness(self, gs):
         return self.sg.identity(), "group translates cover everything"
 
-    def full(self):
+    def _full(self, *args):
         return _TABLE_FULL
+
+    full = principal = _translate = _preimage = _intersect = _image = _full
 
     def _member(self, x, X):
         return True
 
-    def principal(self, s):
-        return _TABLE_FULL
-
-    def _translate(self, s, X):
-        return _TABLE_FULL
-
-    def _preimage(self, s, X):
-        return _TABLE_FULL
-
-    def _intersect(self, X, Y):
-        return _TABLE_FULL
-
-    def _image(self, g, X):
-        return _TABLE_FULL
+    def signatures(self, family):
+        return [0 if X is EMPTY else 1 for X in family]
 
     def principal_witness(self, X):
         return self.sg.identity()
@@ -747,8 +718,9 @@ def reachable_ideals(sg, depth, generators=None):
 
 
 def meet_keys(cal, members):
-    """Keys for distinct members and their meet: signatures and &, else
-    the members and intersect."""
+    """Keys for distinct members and the meet on them: the signatures and
+    &, or, on ax+b past SIGNATURE_POINTS, the members and intersect.
+    Raises InvariantViolation where two signatures tie."""
     keys = cal.signatures(members)
     if keys is None:
         return members, cal.intersect

@@ -16,7 +16,7 @@ The covariance and semilattice suites check the ideal lattice their caller
 passes (``truncate_semilattice``), and the cs-grade-one and intertwiner
 suites the hull graph (``hull_graph``), so a command builds each once.
 e_X is diagonal, the int bitset B(X) of the columns j with W_j in X, so
-e_X e_Y = e_{X meet Y} is one AND, the meet read off the lattice's table.
+e_X e_Y = e_{X meet Y} is one AND, the meet read off the lattice's keys.
 The safe core of covariance, V_s e_X V_s* = e_{sX}, does not depend on X:
 on the basis vector at t the left side divides by s, projects, and
 multiplies by s again, which gives back t.  So the column is safe when s
@@ -43,6 +43,8 @@ off grade 1 at the last level are dropped before any matrix is built.
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
+from operator import and_, ne
 
 from .hull import (ZERO, compose, domain, hull_sort_key, is_idempotent,
                    lambda_, render_element, star)
@@ -234,12 +236,15 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
         bits = [sum(1 << j for j in window_columns(sg, X, W))
                 for X in lattice.elements]
         at = [lattice.index(X) for X in lattice.family]
+        member_bits = [bits[i] for i in at]
         for a, i in enumerate(at):
-            row, b = lattice.table[i], bits[i]
-            for k in at[a:]:
-                if b & bits[k] != bits[row[k]]:
-                    _mismatch(kind, "semilattice X=%s Y=%s"
-                              % (lattice.render(i), lattice.render(k)))
+            # the row of i with each later member, meets by the key map
+            lhs = list(map(and_, repeat(bits[i]), member_bits[a:]))
+            rhs = list(map(bits.__getitem__, lattice.meets(i, at[a:])))
+            if lhs != rhs:
+                k = at[a + list(map(ne, lhs, rhs)).index(True)]
+                _mismatch(kind, "semilattice X=%s Y=%s"
+                          % (lattice.render(i), lattice.render(k)))
         count = len(at) * (len(at) + 1) // 2
         checked = count * len(W)
 

@@ -359,11 +359,12 @@ def test_relation_reports_deterministic():
     ("intertwiner", "intertwiner f=(-1) | (1)+S")])
 def test_relation_mismatch_names_its_instance(kind, instance, monkeypatch):
     # every comparison fails, so each suite names its first instance; the
-    # semilattice suite compares no matrices, and every meet in its table
-    # is made the zero
+    # semilattice suite compares no matrices, and every meet it reads is
+    # made the zero
     monkeypatch.setattr(Matrix, "columns_agree", lambda *args: False)
     lattice = line_lattice(1)
-    lattice.table = ((lattice.zero,) * len(lattice),) * len(lattice)
+    monkeypatch.setattr(lattice, "key_meet",
+                        lambda a, b: lattice.keys[lattice.zero])
     with pytest.raises(InvariantViolation) as err:
         verify_relation(LINE, kind, s_window(LINE, size=8), lattice=lattice,
                         graph=hull_graph(LINE, 1))
@@ -478,20 +479,39 @@ def test_lattice_build_rejects_a_missing_meet():
 def test_semilattice_suite_catches_a_wrong_meet():
     sg = PositiveCone(2)
     lattice = truncate_semilattice(sg, constructible_closure(sg, 2))
-    # the suite reads each pair once, at i < k; the build has checked
-    # that the table is commutative
+    # the suite reads each pair once, at i < k; the meets commute
     i, k = sorted((lattice.index((1, 0)), lattice.index((0, 1))))
     assert lattice.meet(i, k) == lattice.index((1, 1))
     W = s_window(sg, size=20)
     verify_relation(sg, "semilattice", W, lattice=lattice)
-    # one off-diagonal entry now names the first of the two as the meet
-    rows = [list(row) for row in lattice.table]
-    rows[i][k] = i
-    lattice.table = tuple(map(tuple, rows))
+    # the meet of the pair now names the first of the two
+    a, b, real = lattice.keys[i], lattice.keys[k], lattice.key_meet
+    lattice.key_meet = lambda x, y: a if (x, y) == (a, b) else real(x, y)
     with pytest.raises(InvariantViolation) as err:
         verify_relation(sg, "semilattice", W, lattice=lattice)
     assert str(err.value) == "semilattice relation failed at semilattice " \
         "X=%s Y=%s" % (lattice.render(i), lattice.render(k))
+
+
+def test_semilattice_suite_compares_every_pair_of_the_family():
+    # a meet read wrong at any one pair of family members, in the order
+    # the suite reads it, is named; no cone meet is empty, so the zero's
+    # bits differ from the meet's
+    sg = PositiveCone(2)
+    lattice = truncate_semilattice(sg, constructible_closure(sg, 1))
+    W = s_window(sg, size=20)
+    keys, real = lattice.keys, lattice.key_meet
+    at = [lattice.index(X) for X in lattice.family]
+    for a, i in enumerate(at):
+        for k in at[a:]:
+            pair = (keys[i], keys[k])
+            lattice.key_meet = lambda x, y, pair=pair: (
+                keys[lattice.zero] if (x, y) == pair else real(x, y))
+            with pytest.raises(InvariantViolation) as err:
+                verify_relation(sg, "semilattice", W, lattice=lattice)
+            assert str(err.value) == "semilattice relation failed at " \
+                "semilattice X=%s Y=%s" % (lattice.render(i),
+                                           lattice.render(k))
 
 
 def test_semilattice_suite_catches_a_dropped_member(monkeypatch):

@@ -1,0 +1,102 @@
+"""Pinned command outputs: the sha256 of stdout and the exit code of six
+commands on the six shipped configs.
+
+A refactor that should not change what the program prints keeps every
+digest.  Where a change is meant to alter an output, recompute the digest
+of that command (``hashlib.sha256(stdout.encode()).hexdigest()``) and say
+why in the change's notes.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from lefthull.cli import main
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+PINNED = [
+    ("check", "axb", 0,
+     "659ee275cdbc38ed64eea4bec7e644081f379bbb1efa5003301aebaae14605c1"),
+    ("check", "cone2", 0,
+     "7b266f9c1c4b2ad0cbde05390e559ffdd0c25d3d30a99e87d0b7eec3c4bee0e6"),
+    ("check", "free2", 0,
+     "e87c4a97a433bc2cc6637f0288705edcc43c8a9ebd84045c7d638a679eff5ab8"),
+    ("check", "num23", 0,
+     "acfddac2114e09b55aeae81ed00c4a6ed176a4b158a7779ba1e7dd702d371cb5"),
+    ("check", "table5", 0,
+     "a88373b69f720f8662aed9bf46588eadbb3e74445e4908e8d4aae77d628c1b00"),
+    ("check", "zplus", 0,
+     "c291a4e2aecf7a53133ac4603aacb5b3906d6ee3a16585752f3c998b1975f1cf"),
+    ("check --depth 3", "axb", 0,
+     "79daf949f6adf60a662993a602cba1b3989d1a31ee03d9947f27ca641b0061de"),
+    ("check --depth 3", "cone2", 0,
+     "6ceafbeceda6c76ed7734c88c8020ae91318770f1d30733a1679d0acb9980b16"),
+    ("check --depth 3", "free2", 0,
+     "431afef73c33c2bce06db095de5320fbdbb78c56c25be4812cd1fcec7d5179b1"),
+    ("check --depth 3", "num23", 0,
+     "548c132730114c40c882fb6c973f66b947e7528245b06289672653dc9ebe2495"),
+    ("check --depth 3", "table5", 0,
+     "6feb39ed930392431461cbdbee0fff354e086fb368a3a9ac6591a3cafbc0c715"),
+    ("check --depth 3", "zplus", 0,
+     "c550566617598c385076a99a501c33244cea2a8730bc25128c8207a90f80be2c"),
+    ("analyze --format machine", "axb", 0,
+     "771f7a0238f6cb23a6b27587b7ebf9e2027d71aca553d19e2fb9d07e2a116f4e"),
+    ("analyze --format machine", "cone2", 0,
+     "a3be7d2086e43970921053e54b188fc943b0583cd9107bad5d01152a629c362b"),
+    ("analyze --format machine", "free2", 0,
+     "0df567536c2b293c348ea90ffe8b53e3f89ea9c660d35a2c3d854ce94567e2ef"),
+    ("analyze --format machine", "num23", 0,
+     "3c11f6d922b8a0f9717e4f3985c347c68def5ea0fd6a1955ed769f8375ab2679"),
+    ("analyze --format machine", "table5", 0,
+     "f4c8107a1251173fa3edb49a59c873b9171e0eefd3a72f024dfb65814f7525e2"),
+    ("analyze --format machine", "zplus", 0,
+     "d8b80c783f8e751e39c0702204c6085a655b55752bc1f2a3ba73a2aa114329b5"),
+    ("filters", "axb", 0,
+     "503ca4c59e97879a1c99251f47eb45c2e851bd8aa7def2a971df61d6f5de33b0"),
+    ("filters", "cone2", 0,
+     "21fbb708caf84f469c6cf6c49cbec71e61d0c6786bc58d445bbccf7fa43b8406"),
+    ("filters", "free2", 0,
+     "df9717b55fa9540a60b3ecb13e8e3bbcad346da5120c5e7471488e359658f2bc"),
+    ("filters", "num23", 0,
+     "55f7458245bb2f13727e2d62c1f5861e3f74efb441296e2097ae26b3259ba529"),
+    ("filters", "table5", 0,
+     "811853f407fecf78a6f31f8d1cd4b6d1512a049b91d52dc6080c55cac17dbec1"),
+    ("filters", "zplus", 0,
+     "e11044b1cc281389f103bc451474d33dc41a74e5d669042336063c358bfcfc78"),
+    ("filters --depth 3", "axb", 0,
+     "629876ee801baba72b397f4aeb4e19a169f58ef1bd2aba2549612ed6f1016ce4"),
+    ("filters --depth 3", "cone2", 0,
+     "03fb8b89178a3d0695a1b068a5eb3c73a00a1d6f1f82611595714f75914d20dc"),
+    ("filters --depth 3", "free2", 0,
+     "67b4b50b43e72cd6773ef0232e244892066a85fc5fc038cb068075fdc7b45a81"),
+    ("filters --depth 3", "num23", 0,
+     "07375efd1ba1f5a08812a294ff17bf474515f78b402c37af25314bb72775697b"),
+    ("filters --depth 3", "table5", 0,
+     "8f96e5d99a104f088b94a9021cc882cb58962e0bfd21ad97f36623a021881bec"),
+    ("filters --depth 3", "zplus", 0,
+     "68913da72c0d88fe717a8a23ad6405354f3736642afcffe6b2f60c41d40a1af8"),
+    ("ideals --depth 3", "axb", 0,
+     "36d5b9c651d1822f5ea3814fee962d09a0c26e71841457934f497903d7d591ce"),
+    ("ideals --depth 3", "cone2", 0,
+     "ad436366e8259cfc5508c3d3c9a099b3cb6a54b1e84b3951bd65782812fe59f8"),
+    ("ideals --depth 3", "free2", 0,
+     "6c5bd7f1469405bbd8d1391767d1407376dc8496356c9133b497d546478707dd"),
+    ("ideals --depth 3", "num23", 0,
+     "e01d00134289cce52a20c9260a4acd7e7912865b7ab1a7aabee074c66872dfa2"),
+    ("ideals --depth 3", "table5", 0,
+     "390e148ae415e0fc43c16c396993ab9c522cbf1db895d041d567cb3a3f889216"),
+    ("ideals --depth 3", "zplus", 0,
+     "aa43fb5a406c24f45435192aeb8469a1b5c0db9f7ba2793974a837e2fa4a8eaf"),
+]
+
+
+@pytest.mark.parametrize("command, config, code, digest", PINNED,
+                         ids=["%s-%s" % (c.replace(" ", ""), f)
+                              for c, f, _, _ in PINNED])
+def test_output_is_pinned(command, config, code, digest, capsys):
+    cmd, *flags = command.split()
+    got = main([cmd, os.path.join(CONFIGS, config + ".cfg"), *flags])
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -1,5 +1,6 @@
 """Meets read off the ideals' signatures, against the pairwise table and
-the pairwise semi-naive closure of ``lattice_oracle``."""
+the pairwise semi-naive closure of ``lattice_oracle``, and the laws tested
+where ax+b meets come from intersect."""
 
 import os
 import random
@@ -10,14 +11,30 @@ from lefthull import (EMPTY, AxPlusB, FreeMonoid, InvariantViolation,
                       NumericalSemigroup, PositiveCone, UsageError, calculus,
                       constructible_closure, cyclic_table, FiniteTable,
                       reachable_ideals)
+from lefthull import checks
 from lefthull.cli import main
 from lefthull.filters import truncate_semilattice
+from lefthull.ideals import SIGNATURE_POINTS
 
 import lattice_oracle as oracle
 from test_lattice_oracle import SHIPPED, bench_cases, shipped
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 PRIMES = ((0, 2), (0, 3), (0, 5), (0, 7))
+LONG_WORDS = ((0, 1, 1), (1, 0), (0,), (1, 1, 1, 0))
+WIDE = ((128, 0), (0, 128))
+# (backend, depth, generators) on every calculus with a signature: free
+# monoids with letters and with long generator words, a table, cones of
+# dimension 1 to 6 and a cone whose corners reach 256
+SIGNED_CASES = {
+    "free1-depth6": (FreeMonoid(1), 6, None),
+    "free2-depth6": (FreeMonoid(2), 6, None),
+    "free3-depth3": (FreeMonoid(3), 3, None),
+    "free2-long-depth3": (FreeMonoid(2), 3, LONG_WORDS),
+    "cyc12-depth2": (FiniteTable(cyclic_table(12)), 2, None),
+    **{"cone%d-depth2" % d: (PositiveCone(d), 2, None) for d in (3, 4, 5)},
+    "wide-cone2-depth2": (PositiveCone(2), 2, WIDE),
+}
 # (backend, depth, generators) past the shipped bounds: the inputs whose
 # lattice build dominates their `check`, and one whose determining set
 # is too large, so that meets are taken pairwise
@@ -28,7 +45,7 @@ STRESSED = {
     "axb-primes-depth3": (AxPlusB(), 3, PRIMES),
 }
 AGREEMENT_CASES = {**{name: shipped(name) for name in SHIPPED},
-                   **bench_cases(), **STRESSED}
+                   **bench_cases(), **STRESSED, **SIGNED_CASES}
 # backends whose calculus states a determining set; the closures of
 # PositiveCone(1) are chains, where no member is a meet of two others
 SIGNED = [NumericalSemigroup((2, 3)), NumericalSemigroup((3, 5, 7)),
@@ -37,7 +54,10 @@ SIGNED = [NumericalSemigroup((2, 3)), NumericalSemigroup((3, 5, 7)),
 
 
 def lattice_table(sg, family):
-    return truncate_semilattice(sg, family).table
+    """The lattice's meets of every ordered pair, read one at a time."""
+    lat = truncate_semilattice(sg, family)
+    return tuple(tuple(lat.meets(i, range(len(lat))))
+                 for i in range(len(lat)))
 
 
 def outcome(build, sg, family):
@@ -167,7 +187,7 @@ def test_a_dropped_point_ties_or_changes_nothing_on_closed_families(
 @pytest.mark.parametrize("sg, family, point", [
     (NumericalSemigroup((2, 3)), [(0, ()), (4, ()), (5, (3,)), (7, (5,))], 3),
     (AxPlusB(), [(0, 1), (2, 6), (2, 12), (8, 18)], 8),
-    (PositiveCone(2), [(0, 0), (0, 1), (1, 2), (2, 1)], 5),
+    (PositiveCone(2), [(0, 0), (0, 1), (1, 2), (2, 1)], 4),
 ], ids=["num23", "axb", "cone2"])
 def test_a_dropped_point_that_hides_a_missing_meet_is_caught(
         sg, family, point, monkeypatch):
@@ -183,17 +203,45 @@ def test_a_dropped_point_that_hides_a_missing_meet_is_caught(
         assert_table_agrees(sg, family)
 
 
-@pytest.mark.parametrize("sg", SIGNED + [PositiveCone(1)],
-                         ids=lambda sg: sg.describe())
-def test_empty_signs_zero_and_nonempty_never(sg):
+# (backend, generators, depths): the backends of SIGNED by their own names,
+# then free monoids, long generator words, a table, cones and a wide cone
+SIGN_LAWS = {
+    **{sg.describe(): (sg, None, (1, 2, 3))
+       for sg in SIGNED + [PositiveCone(1)]},
+    **{"free%d" % k: (FreeMonoid(k), None, (1, 2, 4, 6)) for k in (1, 2)},
+    "free3": (FreeMonoid(3), None, (1, 2, 3)),
+    "free2-long": (FreeMonoid(2), LONG_WORDS, (1, 2, 3)),
+    "table5": (FiniteTable(cyclic_table(5)), None, (1, 2)),
+    **{"cone%d" % d: (PositiveCone(d), None, (1, 2)) for d in (4, 5, 6)},
+    "wide-cone2": (PositiveCone(2), WIDE, (1, 2, 3)),
+}
+
+
+def signed_closures(case):
+    """(calculus, members with EMPTY in canonical order, signatures) of the
+    closure at each depth of a SIGN_LAWS case."""
+    sg, generators, depths = case
     cal = calculus(sg)
-    for depth in (1, 2, 3):
-        fam = sorted(set(constructible_closure(sg, depth)) | {EMPTY},
-                     key=cal.key)
-        keys = cal.signatures(fam)
+    for depth in depths:
+        fam = sorted(set(constructible_closure(sg, depth, generators))
+                     | {EMPTY}, key=cal.key)
+        yield cal, fam, cal.signatures(fam)
+
+
+@pytest.mark.parametrize("case", SIGN_LAWS.values(), ids=SIGN_LAWS)
+def test_empty_signs_zero_and_nonempty_never(case):
+    for cal, fam, keys in signed_closures(case):
         assert keys[fam.index(EMPTY)] == 0
         assert all(k for X, k in zip(fam, keys) if X is not EMPTY)
         assert len(set(keys)) == len(fam)
+
+
+@pytest.mark.parametrize("case", SIGN_LAWS.values(), ids=SIGN_LAWS)
+def test_the_full_ideal_signs_every_point_of_every_member(case):
+    # the top law of the lattice: S n X = X, so sig(S) & sig(X) = sig(X)
+    for cal, fam, keys in signed_closures(case):
+        top = keys[fam.index(cal.full())]
+        assert all(k & top == k for k in keys)
 
 
 @pytest.mark.parametrize("gens", [(2, 3), (4, 6)])
@@ -244,7 +292,8 @@ def test_signature_path_intersects_once_per_new_member(sg, generators,
 
 
 def wide_cone():
-    # a corner at 128 puts 129^2 > SIGNATURE_POINTS points in the box
+    # a corner at 128: the runs take 2 * 129 points, where the box
+    # [0, 128]^2 would take 129^2 > SIGNATURE_POINTS
     sg = PositiveCone(2)
     return sg, [(0, 0), (128, 0), (0, 128), (128, 128)]
 
@@ -253,14 +302,149 @@ def closed(sg, depth, generators=None):
     return sg, constructible_closure(sg, depth, generators)
 
 
-@pytest.mark.parametrize("sg, family", [
-    closed(AxPlusB(), 3, PRIMES), closed(FreeMonoid(2), 3),
-    closed(FiniteTable(cyclic_table(5)), 3), wide_cone(),
-], ids=["axb-primes", "free2", "table5", "wide-cone2"])
+@pytest.mark.parametrize("sg, family", [closed(AxPlusB(), 3, PRIMES)],
+                         ids=["axb-primes"])
 def test_pairwise_path_when_there_is_no_determining_set(sg, family,
                                                         monkeypatch):
+    # L past SIGNATURE_POINTS: each of the two passes of the law test
+    # makes one intersect call per ordered pair
     assert calculus(sg).signatures(family) is None
     calls = count_intersects(monkeypatch, sg)
+    lat = truncate_semilattice(sg, family)
+    n = len(lat)
+    assert len(calls) == 2 * n * n
     assert lattice_table(sg, family) == oracle.pairwise_table(sg, family)
-    n = len(set(family) | {EMPTY})
-    assert len(calls) == 2 * n * n  # the build's and the oracle's
+
+
+@pytest.mark.parametrize("sg, family", [
+    closed(FreeMonoid(2), 3), closed(FiniteTable(cyclic_table(5)), 3),
+    wide_cone(),
+], ids=["free2", "table5", "wide-cone2"])
+def test_signature_path_without_intersect(sg, family, monkeypatch):
+    # free monoids, tables and wide cones have signatures linear in the
+    # family, and their lattices are built by & alone
+    assert calculus(sg).signatures(family) is not None
+    calls = count_intersects(monkeypatch, sg)
+    lat = truncate_semilattice(sg, family)
+    assert calls == []
+    assert lattice_table(sg, family) == oracle.pairwise_table(sg, family)
+    assert max(lat.keys).bit_length() < SIGNATURE_POINTS
+
+
+# ---------------------------------------------------------------------------
+# injected faults: each is caught by the build or by the oracle
+
+
+def caught(sg, depth, generators=None):
+    """How a fault shows: the text of the error the closure or lattice
+    build raises, "closure" or "table" where it differs from the pairwise
+    oracle, or None where nothing shows."""
+    try:
+        fam = constructible_closure(sg, depth, generators)
+        if fam != oracle.pairwise_closure(sg, depth, generators):
+            return "closure"
+        if lattice_table(sg, fam) != oracle.pairwise_table(sg, fam):
+            return "table"
+    except (UsageError, InvariantViolation) as err:
+        return str(err)
+    return None
+
+
+def test_a_cone_run_off_by_one_bit_is_caught(monkeypatch):
+    # coordinate k's run of corner p starts at p_k + 1 where p_k is 1:
+    # (1, 0) then signs like (2, 0) and the two tie
+    sg = PositiveCone(2)
+    cls = type(calculus(sg))
+    real = cls.signatures
+    assert caught(sg, 2) is None
+
+    def shifted(self, family):
+        keys = real(self, family)
+        side = max(keys).bit_length() // 2
+        return [k & ~sum(1 << i * side + 1 for i, a in enumerate(p)
+                         if a == 1)
+                if p is not EMPTY else k for p, k in zip(family, keys)]
+
+    monkeypatch.setattr(cls, "signatures", shifted)
+    assert caught(sg, 2) == "signatures tie two distinct ideals"
+
+
+def test_a_full_ideal_signature_missing_a_point_breaks_the_top_law(
+        monkeypatch):
+    # on N, sig(S) without the point 1 meets sig(1 + S) in sig(2 + S): no
+    # key is missing and none ties, but S n (1 + S) reads as 2 + S
+    sg = PositiveCone(1)
+    cls = type(calculus(sg))
+    real = cls.signatures
+    fam = constructible_closure(sg, 3)
+    assert {(0,), (1,), (2,)} <= set(fam)
+    assert caught(sg, 3) is None
+
+    def holed(self, family):
+        return [k & ~2 if p == (0,) else k
+                for p, k in zip(family, real(self, family))]
+
+    monkeypatch.setattr(cls, "signatures", holed)
+    with pytest.raises(UsageError, match="violates the top or zero law"):
+        truncate_semilattice(sg, fam)
+
+
+def test_a_free_monoid_run_shifted_by_one_is_caught(monkeypatch):
+    # the run of the word (0,) starts and ends one word later: it leaves
+    # out (0,) and takes in (1,), so the meet of (0,) and (1,) reads as
+    # (1,) where it is empty
+    sg = FreeMonoid(2)
+    cls = type(calculus(sg))
+    real = cls.signatures
+    assert caught(sg, 2) is None
+
+    def shifted(self, family):
+        return [k << 1 if w == (0,) else k
+                for w, k in zip(family, real(self, family))]
+
+    monkeypatch.setattr(cls, "signatures", shifted)
+    assert caught(sg, 2) in ("closure", "table")
+
+
+@pytest.mark.parametrize("sg, generators", [
+    (PositiveCone(2), None), (NumericalSemigroup((2, 3)), None),
+    (AxPlusB(), None), (AxPlusB(), PRIMES),
+], ids=["cone2", "num23", "axb", "axb-primes"])
+def test_a_dropped_reachable_ideal_fails_closure_family_as_before(
+        sg, generators, monkeypatch):
+    # the first reachable ideal that is the meet of two others is left
+    # out; closure-family names the missing meet of the first pair in
+    # row-major order, in the pairwise table's words
+    depth = 2
+    cal = calculus(sg)
+    reach = reachable_ideals(sg, depth, generators)
+    fam = constructible_closure(sg, depth, generators)
+    Z = next(Z for Z in reach if any(
+        cal.intersect(X, Y) == Z for X in fam for Y in fam
+        if Z not in (X, Y)))
+    broken = tuple(X for X in fam if X != Z)
+    expected = outcome(oracle.pairwise_table, sg, broken)
+    assert expected.startswith("family is not intersection closed")
+    monkeypatch.setattr(checks, "constructible_closure",
+                        lambda *args: broken)
+    results = checks.run_checks(sg, depth=depth, window=12,
+                                generators=generators)
+    detail = {r.name: (r.status, r.detail) for r in results}
+    assert detail["closure-family"] == ("fail", expected)
+
+
+def test_an_asymmetric_intersect_on_the_axb_fallback_is_caught(monkeypatch):
+    # past SIGNATURE_POINTS meets come from intersect; one that answers
+    # one pair with its first argument in one order only is not
+    # commutative, and the law test catches it
+    sg, family = closed(AxPlusB(), 3, PRIMES)
+    cal = calculus(sg)
+    assert cal.signatures(family) is None
+    X, Y = (0, 2), (0, 3)
+    assert {X, Y, cal.intersect(X, Y)} <= set(family)
+    assert cal.intersect(X, Y) == (0, 6)
+    real = type(cal)._intersect
+    monkeypatch.setattr(type(cal), "_intersect", lambda self, A, B: (
+        A if (A, B) == (X, Y) else real(self, A, B)))
+    with pytest.raises(UsageError, match="meet table is not a semilattice"):
+        truncate_semilattice(sg, family)
