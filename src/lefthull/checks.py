@@ -129,8 +129,7 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
     def star_cancellation():
         rng = random.Random(seed + 1)
         for _ in range(80):
-            s = win[rng.randrange(len(win))]
-            t = win[rng.randrange(len(win))]
+            s, t = rng.choice(win), rng.choice(win)
             prod = compose(sg, star(sg, lambda_(sg, t)), lambda_(sg, s))
             ident = prod is not ZERO and prod.grade == \
                 sg.grading_group().identity() and prod.dom == cal.full()

@@ -147,9 +147,7 @@ def extend_homomorphism(hom, pairs=100, seed=7, window=12):
                                      "homomorphism at %r" % (s,))
     rng = random.Random(seed)
     for _ in range(pairs):
-        s = win[rng.randrange(len(win))]
-        t = win[rng.randrange(len(win))]
-        r = win[rng.randrange(len(win))]
+        s, t, r = rng.choice(win), rng.choice(win), rng.choice(win)
         g = G.mul(G.inv(gamma(sg, s)), gamma(sg, t))
         v1 = T.mul(T.inv(apply_homomorphism(hom, s)),
                    apply_homomorphism(hom, t))

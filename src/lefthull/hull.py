@@ -86,10 +86,12 @@ def is_idempotent(sg, f):
 
 def evaluate_word(sg, pairs):
     """Left-to-right product of star(lambda(t)) lambda(s) over the pairs."""
-    acc = identity_element(sg)
+    pairs = list(pairs)
+    sg._check(*[x for pair in pairs for x in pair])  # the letters, once
+    acc, full = identity_element(sg), calculus(sg).full()
     for t, s in pairs:
-        acc = compose(sg, acc, star(sg, lambda_(sg, t)))
-        acc = compose(sg, acc, lambda_(sg, s))
+        acc = compose(sg, acc, star(sg, _element((sg._embed(t), full))))
+        acc = compose(sg, acc, _element((sg._embed(s), full)))
     return acc
 
 
@@ -122,14 +124,19 @@ def hull_graph(sg, length, generators=None):
     lambda s, t and s running over the identity plus the letters (a
     repeated letter keeps its own atoms).  Every element first reached
     below ``length`` has a successor row, one id per atom; ZERO is
-    absorbing and maps to itself without a compose.  A command builds it
-    once and hands it to every consumer."""
+    absorbing and maps to itself without a compose.  Pairs can share an
+    atom (in a group it is lambda(t^-1 s)): a row composes each distinct
+    atom once and a repeat copies the id its first occurrence got earlier
+    in the row, the numbering of a row that composes every atom.  A command
+    builds it once and hands it to every consumer."""
     if length < 0:
         raise UsageError("length must be >= 0")
     ends = (sg.identity(),) + tuple(
         generators if generators is not None else sg.generators())
     lams = [lambda_(sg, x) for x in ends]
     atoms = tuple(compose(sg, star(sg, t), s) for t in lams for s in lams)
+    first = {}  # each distinct atom, in order of first occurrence
+    slot = [first.setdefault(a, len(first)) for a in atoms]
     elements = [identity_element(sg)]
     index = {elements[0]: 0}
     succ = []
@@ -140,13 +147,13 @@ def hull_graph(sg, length, generators=None):
                 succ.append((i,) * len(atoms))
                 continue
             row = []
-            for a in atoms:
+            for a in first:
                 g = compose(sg, f, a)
                 j = index.setdefault(g, len(elements))
                 if j == len(elements):
                     elements.append(g)
                 row.append(j)
-            succ.append(tuple(row))
+            succ.append(tuple(map(row.__getitem__, slot)))
     ordered = tuple(sorted(elements, key=hull_sort_key(sg)))
     return HullGraph(length, ends, atoms, tuple(elements), index,
                      tuple(succ), ordered)
@@ -236,8 +243,7 @@ def maps_agree(a, b):
 def random_word(sg, rng, pairs):
     """A word of ``pairs`` pairs over the first ten window elements."""
     win = sg.window_of_size(10)
-    return [(win[rng.randrange(len(win))], win[rng.randrange(len(win))])
-            for _ in range(pairs)]
+    return [(rng.choice(win), rng.choice(win)) for _ in range(pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +311,13 @@ def estar_unitary_report(sg, graph, sample=200, seed=7):
     bad = 0
     for i in range(sample):
         if i % 2:
-            f = pool[rng.randrange(len(pool))]
+            f = rng.choice(pool)
         else:
             w = random_word(sg, rng, rng.randrange(1, 3))
             f = evaluate_word(sg, w)
             if f is ZERO:
-                f = idems[rng.randrange(len(idems))]
-        e = idems[rng.randrange(len(idems))]
+                f = rng.choice(idems)
+        e = rng.choice(idems)
         fe = compose(sg, f, e)
         materialize_element(sg, fe, win)  # raises on a broken action
         if fe == e:

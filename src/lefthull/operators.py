@@ -39,11 +39,17 @@ word in level order, w p, is the first word with its state: the first
 word w0 with the state of w fails as w0 p, which comes no later, so
 w = w0, and the suite names the word a word-by-word walk names.  Words
 off grade 1 at the last level are dropped before any matrix is built.
+The pairs merge the same way: pairs with one atom (so one successor from
+every element; equal products can belong to different atoms), one A_p and
+one Z_p make the same transition from every state, so each class is
+walked once, by its first pair, with its size as a further multiplicity.
+The states, their order and the first failing word are those of a walk
+that extends every state by every pair.
 """
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import product, repeat
 from operator import and_, ne
 
 from .hull import (ZERO, compose, domain, hull_sort_key, is_idempotent,
@@ -264,26 +270,30 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
         # each word extends a word of the previous level by one pair
         graded = [is_idempotent(sg, f) for f in graph.elements]
         V = {s: isometry_matrix(sg, s, W).matrix for s in graph.ends}
-        pool = []
-        for t in graph.ends:
-            for s in graph.ends:
-                A = V[t].transpose() * V[s]
-                zero = frozenset(j for j, i in V[s].entries.items()
-                                 if sg._ldiv(t, W.elements[i]) is None)
-                pool.append(((t, s), A, zero))
+        Vt = {t: V[t].transpose() for t in graph.ends}
+        # the t-major pairs by class (atom, product, annihilated set): the
+        # atom slot, first pair, product, annihilated set and size of each
+        classes = {}
+        for k, (t, s) in enumerate(product(graph.ends, repeat=2)):
+            A = Vt[t] * V[s]
+            zero = frozenset(j for j, i in V[s].entries.items()
+                             if sg._ldiv(t, W.elements[i]) is None)
+            classes.setdefault((graph.atoms[k], frozenset(A.entries.items()),
+                                zero), [k, (t, s), A, zero, 0])[4] += 1
+        pool = list(classes.values())
         # a level maps each distinct state (id, product entries, safe set)
         # to [its first word, its product, its multiplicity], in order of
         # first occurrence
         n = len(W)
         level = {(0, None, frozenset(range(n))): [(), Matrix.identity(n), 1]}
         # the last level checks only the words of grade one
-        last = [[(j, x) for j, x in zip(row, pool) if graded[j]]
-                for row in graph.succ]
+        last = [[x for x in pool if graded[row[x[0]]]] for row in graph.succ]
         for left in range(graph.length - 1, -1, -1):
             nxt = {}
             for (i, _, safe), (pairs, prod, m) in level.items():
-                row = zip(graph.succ[i], pool) if left else last[i]
-                for j, (p, A, zero) in row:
+                row = graph.succ[i]
+                for k, p, A, zero, size in pool if left else last[i]:
+                    j, mult = row[k], m * size
                     P = prod * A
                     S = zero.union(c for c, r in A.entries.items() if r in safe)
                     key = (j, frozenset(P.entries.items()), S)
@@ -294,10 +304,10 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
                             _mismatch(kind, "word %s" % " ".join(
                                 "%s*.%s" % (sg.render(t), sg.render(s))
                                 for t, s in pairs + (p,)))
-                    nxt[key][2] += m
+                    nxt[key][2] += mult
                     if graded[j]:
-                        count += m
-                        checked += m * len(S)
+                        count += mult
+                        checked += mult * len(S)
             level = nxt
 
     elif kind == "intertwiner":

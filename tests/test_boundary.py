@@ -1,6 +1,7 @@
 """Validation at the boundary: the public backend operations, the
-pointwise oracle and the isometries check what enters them, and the
-trusted paths inside give the same results as the validating ones."""
+pointwise oracle, the word evaluator and the isometries check what enters
+them, and the trusted paths inside give the same results as the validating
+ones."""
 
 from collections import Counter
 import contextlib
@@ -13,7 +14,8 @@ import pytest
 from lefthull import (AxPlusB, FiniteTable, FreeMonoid, NumericalSemigroup,
                       PositiveCone, UsageError, cyclic_table, hull)
 from lefthull.cli import main
-from lefthull.hull import HullElement, compose, lambda_, materialize_word, star
+from lefthull.hull import (HullElement, compose, evaluate_word, lambda_,
+                           materialize_word, star)
 from lefthull.ideals import EMPTY, calculus
 from lefthull.operators import isometry_matrix, s_window
 
@@ -55,9 +57,12 @@ def test_oracle_and_isometry_check_their_letters(sg, good, bad):
     win = sg.window_of_size(10)
     one = sg.identity()
     materialize_word(sg, [(one, good), (good, one)], win)
+    evaluate_word(sg, [(one, good), (good, one)])
     for pairs in ([(bad, good)], [(good, bad)], [(one, good), (bad, one)]):
         with pytest.raises(UsageError, match="is not an element of"):
             materialize_word(sg, pairs, win)
+        with pytest.raises(UsageError, match="is not an element of"):
+            evaluate_word(sg, pairs)
     W = s_window(sg, size=10)
     isometry_matrix(sg, good, W)
     with pytest.raises(UsageError, match="is not an element of"):

@@ -28,6 +28,7 @@ SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
 TEXTS = {
     "axb-i": "kind = axb\ngenerators = (0,2) (0,3) (0,5)\n",
     "cyc12": "kind = table\nparams = cyclic 12\n",
+    "cyc14": "kind = table\nparams = cyclic 14\n",
 }
 
 BACKENDS = [
@@ -113,6 +114,28 @@ def test_algebra_matches_oracle(sg):
                           materialize_word(sg, w, win)), w
 
 
+def test_choice_draws_the_stream_of_randrange():
+    # rng.choice(seq) and seq[rng.randrange(len(seq))] both draw
+    # _randbelow(len(seq)), so the seeded samples of random_word,
+    # star_cancellation and estar_unitary_report stay where they were
+    sizes = (1, 2, 3, 7, 10, 20, 49, 64, 100, 285, 1 << 40)
+    for seed in range(300):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            seq = range(n)
+            assert [a.choice(seq) for _ in range(4)] == \
+                [seq[b.randrange(n)] for _ in range(4)]
+        assert a.getstate() == b.getstate()
+    for sg in BACKENDS:
+        win = sg.window_of_size(10)
+        for seed in range(50):
+            a, b = random.Random(seed), random.Random(seed)
+            for k in (1, 2, 4):
+                assert random_word(sg, a, k) == [
+                    (win[b.randrange(len(win))], win[b.randrange(len(win))])
+                    for _ in range(k)]
+
+
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
 def test_inverse_semigroup_axioms(sg):
     rng = random.Random(202)
@@ -194,9 +217,12 @@ def test_hull_graph_matches_frontier_search(name, length, monkeypatch):
     assert graph.index == {f: i for i, f in enumerate(graph.elements)}
     # a full row for each element first reached below length, and no more
     assert len(graph.succ) == sum(map(len, levels[:length]))
-    # one compose per atom and per (nonzero element, atom)
+    # one compose per atom and per (nonzero row element, distinct atom)
     rows = sum(f is not ZERO for f in graph.elements[:len(graph.succ)])
-    assert len(calls) == len(atoms) * (1 + rows)
+    assert len(calls) == len(atoms) + rows * len(set(atoms))
+    if name in ("cyc12", "cyc14"):
+        # every element a letter: n^2 pairs give the n atoms lambda(t^-1 s)
+        assert len(set(atoms)) == len(set(graph.ends)) < len(atoms)
     for i, row in enumerate(graph.succ):
         f = graph.elements[i]
         assert [graph.elements[j] for j in row] == \

@@ -1,4 +1,4 @@
-"""Pinned command outputs: the sha256 of stdout and the exit code of six
+"""Pinned command outputs: the sha256 of stdout and the exit code of eight
 commands on the six shipped configs.
 
 A refactor that should not change what the program prints keeps every
@@ -41,6 +41,30 @@ PINNED = [
      "6feb39ed930392431461cbdbee0fff354e086fb368a3a9ac6591a3cafbc0c715"),
     ("check --depth 3", "zplus", 0,
      "c550566617598c385076a99a501c33244cea2a8730bc25128c8207a90f80be2c"),
+    ("check --length 3", "axb", 0,
+     "a6c7be724126da01e769a5316a8b5432247238a82d76f463dbc2a6df21885354"),
+    ("check --length 3", "cone2", 0,
+     "b8172924c397b8a214686aac03208f44fb9319a59c21a68e12ec0e22f25f9476"),
+    ("check --length 3", "free2", 0,
+     "d039411649952d02a403fde855f046a331b458611a789001bf0d0912cd5fab44"),
+    ("check --length 3", "num23", 0,
+     "c8f2f8b2d802b97dd78941fd71c1368524e7df73806fe056932e37018cdf94cc"),
+    ("check --length 3", "table5", 0,
+     "1ba3875caa1d64ebe3bb1471a598ab347ba3d7784232e6d92482a486406fa6e9"),
+    ("check --length 3", "zplus", 0,
+     "fad5f6c28f322b9d2be9860c49d43cf5a9ee8f985dfe1cfc95fbd57ba2c29c2c"),
+    ("hull --length 3", "axb", 0,
+     "c8a13fb8fc692386b97768dd5b7e315345165a4757c8bb5fa522c52c7b243359"),
+    ("hull --length 3", "cone2", 0,
+     "8d2713be851172076ea9d3f0c61a0cdb450032c6530d1c02a354bc1bf155b06d"),
+    ("hull --length 3", "free2", 0,
+     "0e63cbf16e222ca2f1d7f040ef50081bb9a629b72f9315cc9a1eda91edffb797"),
+    ("hull --length 3", "num23", 0,
+     "37d64295de9e1cd606178719ec426dbca673ceda80146497684d4a9403431f4e"),
+    ("hull --length 3", "table5", 0,
+     "44c05d21a66fd402ee658334e38fe717ec4c049bd7d0842ab1c103ea8932cf89"),
+    ("hull --length 3", "zplus", 0,
+     "251b6c79ecf7839162567a2229b35b3cd1fecf58ab505dd5c969abadcdb07f41"),
     ("analyze --format machine", "axb", 0,
      "771f7a0238f6cb23a6b27587b7ebf9e2027d71aca553d19e2fb9d07e2a116f4e"),
     ("analyze --format machine", "cone2", 0,
