@@ -6,8 +6,8 @@ witness, or is skipped when the operation does not exist for the backend;
 skips are reported, never silent.
 """
 
+from collections import namedtuple
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -24,11 +24,11 @@ from .operators import expectation_loop, relation_summary, s_window
 from .semigroups import InvariantViolation, UnsupportedOperation, UsageError
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # ok | fail | skip
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name status detail",
+                             defaults=("",))):
+    """status is ok, fail or skip."""
+
+    __slots__ = ()
 
 
 def _check(name, fn):

@@ -208,24 +208,26 @@ def build_parser():
         prog="lefthull",
         description="Exact computations with partial translation maps of "
                     "left cancellative semigroups.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("config", help="path to a key = value config file")
-        p.add_argument("--depth", type=int, help="ideal closure depth")
-        p.add_argument("--length", type=int, help="hull word length")
-        p.add_argument("--window", type=int, help="matrix window size")
-        p.add_argument("--seed", type=int, help="sampling seed")
-        p.add_argument("--format", choices=("text", "machine"),
-                       default="text")
-        if name == "matrix":
-            p.add_argument("--out", default=".",
-                           help="directory for coordinate exports")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("config", help="path to a key = value config file")
+    parser.add_argument("--depth", type=int, help="ideal closure depth")
+    parser.add_argument("--length", type=int, help="hull word length")
+    parser.add_argument("--window", type=int, help="matrix window size")
+    parser.add_argument("--seed", type=int, help="sampling seed")
+    parser.add_argument("--format", choices=("text", "machine"),
+                        default="text")
+    parser.add_argument("--out", help="matrix only: directory for "
+                                      "coordinate exports (default .)")
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.out is None:
+        args.out = "."
+    elif args.command != "matrix":
+        parser.error("--out applies only to the matrix command")
     try:
         cfg = load_config(args.config)
         sg = build_backend(cfg)

@@ -5,7 +5,7 @@ kind (required), params, generators, bounds.  bounds holds colon pairs
 like `depth:3 length:2 window:24 seed:11`.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .semigroups import (AxPlusB, FiniteTable, FreeMonoid,
                          NumericalSemigroup, PositiveCone, UsageError,
@@ -22,12 +22,12 @@ KEYS = ("kind", "params", "generators", "bounds")
 BOUND_NAMES = ("depth", "length", "window", "seed")
 
 
-@dataclass
-class Config:
-    kind: str
-    params: tuple = ()
-    generators: tuple = None
-    bounds: dict = field(default_factory=dict)
+class Config(namedtuple("Config", "kind params generators bounds")):
+    __slots__ = ()
+
+    def __new__(cls, kind, params=(), generators=None, bounds=None):
+        return super().__new__(cls, kind, params, generators,
+                               {} if bounds is None else bounds)
 
 
 def parse_config(text):

@@ -10,7 +10,7 @@ independence of the family the truncation was built from, which the ideal
 calculus decides.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import repeat
 from operator import and_, eq
@@ -120,13 +120,11 @@ def truncate_semilattice(sg, family):
     return FiniteSemilattice(sg, family)
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(namedtuple("Filter", "members minimal")):
     """An upward-closed, meet-closed set of indices containing the top
     and excluding the zero.  Finiteness forces a least member."""
 
-    members: frozenset
-    minimal: int
+    __slots__ = ()
 
 
 def is_filter(subset, lattice):

@@ -8,7 +8,7 @@ generator words and group coordinates) or from its ideal calculus
 shared by all backends.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 import random
 
 from .ideals import EMPTY, Verdict, calculus
@@ -67,20 +67,18 @@ def gamma(sg, s):
 # homomorphisms out of S and their unique extension to the group
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(namedtuple("Homomorphism", "source target images")):
     """Images of the backend's generators inside a target group."""
 
-    source: object
-    target: object
-    images: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.images) != len(self.source.generators()):
+    def __new__(cls, source, target, images):
+        if len(images) != len(source.generators()):
             raise UsageError("need one image per generator")
-        for g in self.images:
-            if not self.target.contains(g):
+        for g in images:
+            if not target.contains(g):
                 raise UsageError("image %r is outside the target" % (g,))
+        return super().__new__(cls, source, target, images)
 
 
 def apply_homomorphism(hom, s):

@@ -14,7 +14,6 @@ window is genuine undefinedness.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import partial
 import random
 
@@ -177,15 +176,13 @@ def render_element(sg, f):
 # materialization oracle
 
 
-@dataclass(frozen=True, eq=True)
-class PartialMap:
-    mapping: dict = field(compare=True)
-    boundary: frozenset = field(compare=True)
+class PartialMap(namedtuple("PartialMap", "mapping boundary")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = list(self.mapping.values())
-        if len(set(vals)) != len(vals):
+    def __new__(cls, mapping, boundary):
+        if len(set(mapping.values())) != len(mapping):
             raise InvariantViolation("partial map is not injective")
+        return super().__new__(cls, mapping, boundary)
 
 
 def materialize_element(sg, f, window):
@@ -281,11 +278,10 @@ def clifford_normal_form(sg, f, window_size=30):
     return (p, q)
 
 
-@dataclass(frozen=True)
-class EStarReport:
-    mode: str             # "E-unitary" or "strongly E*-unitary"
-    zero_present: bool
-    premise_hits: int
+class EStarReport(namedtuple("EStarReport", "mode zero_present premise_hits")):
+    """mode is "E-unitary" or "strongly E*-unitary"."""
+
+    __slots__ = ()
 
 
 def estar_unitary_report(sg, graph, sample=200, seed=7):

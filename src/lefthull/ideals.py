@@ -40,7 +40,7 @@ numerical calculus searches a family for a union that collapses.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, repeat
 import math
@@ -75,15 +75,13 @@ _TABLE_FULL = _TableFull()
 SIGNATURE_POINTS = 7000
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "holds witness proof",
+                         defaults=(None, None))):
     """The answer of every decision procedure: whether the property holds,
     a witness (e.g. (s, t) with sS and tS disjoint, or the parts and target
     of a union that collapses), and the exact argument behind it."""
 
-    holds: bool
-    witness: object = None
-    proof: str = None
+    __slots__ = ()
 
 
 class IdealCalculus:

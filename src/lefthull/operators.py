@@ -47,7 +47,7 @@ The states, their order and the first failing word are those of a walk
 that extends every state by every pair.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import product, repeat
 from operator import and_, ne
@@ -108,12 +108,11 @@ def hull_window(sg, graph, include=None):
     return Window(elems)
 
 
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """A window compression together with its exact column set."""
+class TruncatedOperator(namedtuple("TruncatedOperator", "matrix safe")):
+    """A window compression together with its exact column set: safe holds
+    the column indices whose action is fully visible."""
 
-    matrix: Matrix
-    safe: frozenset  # column indices whose action is fully visible
+    __slots__ = ()
 
 
 def isometry_matrix(sg, s, W):
@@ -191,11 +190,12 @@ RELATION_KINDS = ("covariance", "semilattice", "isometry", "cs-grade-one",
                   "intertwiner")
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    kind: str
-    count: int             # instances verified
-    checked_columns: int   # safe columns compared, summed over instances
+class RelationReport(namedtuple("RelationReport",
+                                "kind count checked_columns")):
+    """count is the number of instances verified, checked_columns the safe
+    columns compared, summed over the instances."""
+
+    __slots__ = ()
 
 
 def _mismatch(kind, instance, detail=""):

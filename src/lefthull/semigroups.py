@@ -26,7 +26,6 @@ the injection ``gamma``, ``generator_word``, ``fraction_basis`` and
 Folner densities are facts about ideals, stated by the calculus classes.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 import math
@@ -53,11 +52,58 @@ class InvariantViolation(AssertionError):
     """An internal exactness invariant failed; never a silent fallback."""
 
 
+class Value:
+    """An immutable value, like a frozen dataclass but with no generated
+    code.  Its fields are the names annotated in the class body, in order; a
+    class attribute of the same name is a default.  Equality is by class and
+    fields, the hash that of the fields; only ``__post_init__`` may rewrite
+    a field (by ``object.__setattr__``).  Cached properties are not fields."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        given = dict(zip(names, args), **kwargs)  # drops surplus args
+        if (len(given) < len(args) + len(kwargs) or given.keys() - names
+                or any(n not in given and not hasattr(cls, n) for n in names)):
+            raise TypeError("%s takes the fields %s" % (cls.__name__, names))
+        self.__dict__.update((n, given[n] if n in given else getattr(cls, n))
+                             for n in names)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self):
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            map("%s=%r".__mod__, zip(self._fields, self._values()))))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+
 # ---------------------------------------------------------------------------
 # groups
 
 
-class Group:
+class Group(Value):
     """A concrete group with canonical hashable element values."""
 
     def identity(self):
@@ -109,7 +155,6 @@ def _letter(i, rank):
     return _LETTERS[i] if rank <= 26 else "g%d" % i
 
 
-@dataclass(frozen=True)
 class FreeGroup(Group):
     """Free group of given rank; elements are reduced tuples of signed ints,
     +i and -i for generator i-1 and its inverse.  Both factors of a product
@@ -150,7 +195,6 @@ class FreeGroup(Group):
         return "F_%d" % self.rank
 
 
-@dataclass(frozen=True)
 class Integers(Group):
     """Z^n; elements are int tuples of length n."""
 
@@ -179,7 +223,6 @@ class Integers(Group):
         return "Z" if self.rank == 1 else "Z^%d" % self.rank
 
 
-@dataclass(frozen=True)
 class IntegerLattice(Group):
     """d*Z inside Z; elements are plain ints divisible by d."""
 
@@ -207,7 +250,6 @@ class IntegerLattice(Group):
         return "Z" if self.stride == 1 else "%dZ" % self.stride
 
 
-@dataclass(frozen=True)
 class RationalAffine(Group):
     """Q x Q^x with (q1,q2)(s1,s2) = (q1 + q2*s1, q2*s2), in integers.
 
@@ -254,7 +296,6 @@ class RationalAffine(Group):
         return "Q x Q^x"
 
 
-@dataclass(frozen=True)
 class FiniteGroup(Group):
     """A finite group given by its multiplication table."""
 
@@ -295,7 +336,7 @@ class FiniteGroup(Group):
 # semigroups
 
 
-class Semigroup:
+class Semigroup(Value):
     """Common surface of all backends.
 
     Elements are canonical hashable values.  Public ``multiply``,
@@ -412,7 +453,6 @@ class Semigroup:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class FreeMonoid(Semigroup):
     """Words over a k-letter alphabet under concatenation."""
 
@@ -513,7 +553,6 @@ class FreeMonoid(Semigroup):
         return True
 
 
-@dataclass(frozen=True)
 class PositiveCone(Semigroup):
     """(Z+)^n under componentwise addition."""
 
@@ -609,7 +648,6 @@ def set_bits(bits):
                          .translate(_BIT_BYTES)))
 
 
-@dataclass(frozen=True)
 class NumericalSemigroup(Semigroup):
     """Submonoid of (Z+,+) generated by integers >= 2.
 
@@ -766,7 +804,6 @@ class NumericalSemigroup(Semigroup):
         return True
 
 
-@dataclass(frozen=True)
 class AxPlusB(Semigroup):
     """Pairs (b,a) with a nonzero, (b,a)*(d,c) = (b+a*d, a*c).
 
@@ -877,7 +914,6 @@ def associativity_witness(table, identity):
                  if table[table[a][b]][c] != table[a][table[b][c]]), None)
 
 
-@dataclass(frozen=True)
 class FiniteTable(Semigroup):
     """A finite monoid from an explicit table; must be left cancellative.
 

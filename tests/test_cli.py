@@ -1,13 +1,16 @@
 import io
 import os
 import random
+import re
+import shlex
 import sys
 
 import pytest
 
-from lefthull.cli import main
+from lefthull.cli import COMMANDS, build_parser, main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def run(argv, capsys):
@@ -79,6 +82,59 @@ def test_rejected_params_exit_2(capsys, tmp_path, text):
     code, out, err = run(["check", write(tmp_path, text)], capsys)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "params" in err
+
+
+# the argument parser: one command, one config, the shared flags
+
+
+@pytest.mark.parametrize("sub", [c for c in COMMANDS if c != "matrix"])
+def test_out_is_rejected_off_matrix(capsys, tmp_path, sub):
+    target = tmp_path / "exports"
+    with pytest.raises(SystemExit) as exc:
+        main([sub, cfg("zplus"), "--out", str(target)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--out applies only to the matrix command" in captured.err
+    assert not target.exists()
+
+
+def test_matrix_out_defaults_to_the_working_directory(capsys, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["matrix", cfg("zplus"), "--window", "4"], capsys)
+    assert code == 0
+    assert (tmp_path / "intertwiner.txt").exists()
+    assert "written: ./intertwiner.txt" in out
+
+
+@pytest.mark.parametrize("argv", [["frobnicate", "x.cfg"], ["check"], [],
+                                  ["check", "x.cfg", "--depth", "two"],
+                                  ["check", "x.cfg", "--format", "json"]],
+                         ids=["unknown-command", "no-config", "nothing",
+                              "bad-int", "bad-format"])
+def test_bad_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "lefthull: error:" in capsys.readouterr().err
+
+
+def documented_invocations():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", text, re.S)
+    return [shlex.split(line)[1:] for line in block.group(1).splitlines()
+            if line.startswith("lefthull ")]
+
+
+def test_every_documented_invocation_parses():
+    invocations = documented_invocations()
+    assert {argv[0] for argv in invocations} == set(COMMANDS)
+    for argv in invocations:
+        args = build_parser().parse_args(argv)
+        assert (args.command, args.config) == tuple(argv[:2])
+        for flag, value in zip(argv[2::2], argv[3::2]):
+            assert str(getattr(args, flag[2:])) == value, argv
 
 
 @pytest.mark.parametrize("flags, bounds, key", [

@@ -1,6 +1,5 @@
 """Backend axioms checked on finite windows, plus frozen window shapes."""
 
-import dataclasses
 import random
 
 import pytest
@@ -184,7 +183,9 @@ def test_window_of_size_is_built_once_per_backend(sg):
     sg.window_of_size(7)
     assert sg.window_of_size(30) is win
     # a window is a function of (backend, size): a fresh instance agrees
-    assert dataclasses.replace(sg).window_of_size(30) == win
+    fresh = type(sg)(*(getattr(sg, name) for name in sg._fields))
+    assert fresh == sg and fresh is not sg
+    assert fresh.window_of_size(30) == win
     assert sg.window_of_size(20) == win[:20]
 
 
