@@ -1,7 +1,9 @@
 """Constructible right ideals in canonical form, and decisions about them.
 
-Each backend gets a small calculus object that knows its canonical ideal
-values and implements translate / preimage / intersection exactly:
+Each backend gets a small calculus object.  It states the canonical ideal
+values, membership and meets.  Translation follows from the backend, and
+where every value is a principal ideal so do, by default, image,
+preimage, key and rendering (see IdealCalculus):
 
 * FreeMonoid:          a word w, denoting wS          (Full is the empty word)
 * PositiveCone:        a corner p, denoting p + (Z+)^n
@@ -41,10 +43,9 @@ numerical calculus searches a family for a union that collapses.
 
 from bisect import bisect_left
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations, repeat
 import math
-from operator import add, and_, ge, sub
+from operator import and_, ge
 
 from .semigroups import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
                          NumericalSemigroup, PositiveCone,
@@ -130,8 +131,31 @@ class IdealCalculus:
 
     folner_mean = folner_constant = folner_least_n = _no_folner_boxes
 
-    # The defaults of full, principal, principal_witness and _image hold
-    # where an ideal's value is the element that generates it.
+    # Translation follows from the backend on every calculus.  The other
+    # defaults hold where each nonempty value is an element q denoting qS,
+    # and principal(q) is its canonical form.  For s in S, g in the
+    # grading group with g.X in S, and left cancellation:
+    # * sX = embed(s).X, as s.x is embed(s).x read back in S;
+    # * g.(qS) = (g.q)S, as g.(q t) = (g.q) t, and g.q is in g.X;
+    # * s^-1(qS) = (s\r)S where sS n qS = rS, and EMPTY where they are
+    #   disjoint: st is in rS = s (s\r) S iff t is in (s\r)S.
+    # An ideal qS sorts and prints as the backend sorts and prints q.
+
+    def _translate(self, s, X):
+        return self._image(self.sg._embed(s), X)
+
+    def _image(self, g, X):
+        return self.principal(self.sg.act(g, X))
+
+    def _preimage(self, s, X):
+        r = self._intersect(self.principal(s), X)
+        return r if r is EMPTY else self.principal(self.sg._ldiv(s, r))
+
+    def _key(self, X):
+        return self.sg.key(X)
+
+    def _render(self, X):
+        return "S" if X == self.full() else self.sg.render(X) + "S"
 
     def full(self):
         return self.sg.identity()
@@ -171,9 +195,6 @@ class IdealCalculus:
         if X is EMPTY:
             return EMPTY
         return self._image(g, X)
-
-    def _image(self, g, X):
-        return self.sg.act(g, X)
 
     def principal_witness(self, X):
         """q with X == qS, or None when X is not principal."""
@@ -232,16 +253,6 @@ class _FreeMonoidIdeals(IdealCalculus, backend=FreeMonoid):
     def _member(self, x, w):
         return x[:len(w)] == w
 
-    def _translate(self, s, w):
-        return s + w
-
-    def _preimage(self, s, w):
-        if s[:len(w)] == w:
-            return ()
-        if w[:len(s)] == s:
-            return w[len(s):]
-        return EMPTY
-
     def _intersect(self, w, v):
         if w[:len(v)] == v:
             return w
@@ -257,12 +268,6 @@ class _FreeMonoidIdeals(IdealCalculus, backend=FreeMonoid):
         return [0 if w is EMPTY else (1 << bisect_left(words, w + past))
                 - (1 << bisect_left(words, w)) for w in family]
 
-    def _key(self, w):
-        return (len(w), w)
-
-    def _render(self, w):
-        return "S" if not w else self.sg.render(w) + "S"
-
 
 class _ConeIdeals(IdealCalculus, backend=PositiveCone):
     # corner combinatorics: p + cone determines and is determined by p
@@ -275,6 +280,7 @@ class _ConeIdeals(IdealCalculus, backend=PositiveCone):
                       for i in range(self.sg.dimension)), "coordinatewise max")
 
     def folner_mean(self, X, N):
+        from fractions import Fraction  # not at import: it costs start-up
         num = 0 if X is EMPTY else math.prod(max(0, N - p) for p in X)
         return Fraction(num, N ** self.sg.dimension)
 
@@ -296,17 +302,8 @@ class _ConeIdeals(IdealCalculus, backend=PositiveCone):
     def _member(self, x, p):
         return all(map(ge, x, p))
 
-    def _translate(self, s, p):
-        return tuple(map(add, s, p))
-
-    def _preimage(self, s, p):
-        return tuple(map(max, map(sub, p, s), repeat(0)))
-
     def _intersect(self, p, q):
         return tuple(map(max, p, q))
-
-    def _key(self, p):
-        return (sum(p), p)
 
     def _render(self, p):
         return "S" if not any(p) else self.sg.render(p) + "+S"
@@ -383,6 +380,7 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         return max([c] + [g + c for g in gs]), "conductor threshold"
 
     def folner_mean(self, X, N):
+        from fractions import Fraction
         inside = 0 if X is EMPTY else self._below(X, N).bit_count()
         return Fraction(inside, self.sg.member_bits(N).bit_count())
 
@@ -439,10 +437,6 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
     def principal(self, s):
         c = self.sg.conductor
         return self._canonical(self.sg.member_bits(c) << s, s + c)
-
-    def _translate(self, s, X):
-        cut = X[0] + self.sg.conductor
-        return self._canonical(self._below(X, cut) << s, s + cut)
 
     def _preimage(self, s, X):
         # t below the bound is in s^-1 X exactly when s + t is in the mask
@@ -539,10 +533,12 @@ def _crt(b, a, d, c):
 class _AxbIdeals(IdealCalculus, backend=AxPlusB):
     """Canonical pairs (b, a), a >= 1, 0 <= b < a for (b + aZ) x aZ^x.
 
-    The family {EMPTY} u {principal ideals} is closed under the three
-    operations because Z is a GCD domain; each operation lands back in the
-    family by direct congruence arithmetic, which is the runtime shape
-    assertion the representation relies on.
+    The pair (b, a) is its own generator: (b + aZ) x aZ^x = (b, a)S, and
+    principal reduces any element to this form.  The family {EMPTY} u
+    {principal ideals} is closed under the meet because Z is a GCD domain,
+    which this calculus states by congruence arithmetic, with membership,
+    a closed-form preimage (a meet and a division cost more) and a key by
+    modulus; image, translation and rendering follow from AxPlusB.
     """
 
     def left_reversible(self):
@@ -594,12 +590,6 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
         a = abs(a)
         return (b % a, a)
 
-    def _translate(self, s, X):
-        d, c = s
-        b, a = X
-        m = abs(c * a)
-        return ((d + c * b) % m, m)
-
     def _preimage(self, s, X):
         d, c = s
         b, a = X
@@ -615,21 +605,8 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
     def _intersect(self, X, Y):
         return _crt(*X, *Y) or EMPTY
 
-    def _image(self, g, X):
-        p, r, d = g
-        b, a = X
-        bb, aa = p + r * b, r * a
-        if bb % d or aa % d or aa == 0:
-            raise InvariantViolation("grade %s does not map ideal into S"
-                                     % self.sg.grading_group().render(g))
-        m = abs(aa // d)
-        return (bb // d % m, m)
-
     def _key(self, X):
         return (X[1], X[0])
-
-    def _render(self, X):
-        return "S" if X == (0, 1) else "(%d,%d)S" % X
 
 
 class _TableIdeals(IdealCalculus, backend=FiniteTable):
@@ -644,7 +621,7 @@ class _TableIdeals(IdealCalculus, backend=FiniteTable):
     def _full(self, *args):
         return _TABLE_FULL
 
-    full = principal = _translate = _preimage = _intersect = _image = _full
+    full = principal = _preimage = _intersect = _image = _full
 
     def _member(self, x, X):
         return True
@@ -657,9 +634,6 @@ class _TableIdeals(IdealCalculus, backend=FiniteTable):
 
     def _key(self, X):
         return 0
-
-    def _render(self, X):
-        return "S"
 
 
 def calculus(sg):

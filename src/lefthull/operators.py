@@ -82,11 +82,6 @@ class Window:
     def __contains__(self, x):
         return x in self.index
 
-    def position(self, x):
-        if x not in self.index:
-            raise UsageError("%r is not in the window" % (x,))
-        return self.index[x]
-
 
 def s_window(sg, size=None, bound=None):
     """Basis window over the semigroup, by element count or by grade bound."""
@@ -96,16 +91,13 @@ def s_window(sg, size=None, bound=None):
     return Window(elements)
 
 
-def hull_window(sg, graph, include=None):
-    """The elements of the built hull ``graph``; when a semigroup window
-    is passed, the missing lambda(s) are appended so the intertwiner
+def hull_window(sg, graph, include):
+    """The elements of the built hull ``graph``, then the lambda(s) for s
+    in the semigroup window ``include`` that it misses, so the intertwiner
     always has its targets."""
-    elems = list(graph.ordered)
-    if include is not None:
-        extra = [lambda_(sg, s) for s in include]
-        elems.extend(sorted((f for f in extra if f not in graph.index),
-                            key=hull_sort_key(sg)))
-    return Window(elems)
+    extra = [lambda_(sg, s) for s in include]
+    return Window(list(graph.ordered) + sorted(
+        (f for f in extra if f not in graph.index), key=hull_sort_key(sg)))
 
 
 class TruncatedOperator(namedtuple("TruncatedOperator", "matrix safe")):

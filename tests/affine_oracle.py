@@ -4,9 +4,12 @@ The grading group Q x Q^x of ``AxPlusB`` holds each element as one canonical
 int triple (p, r, d) for x -> (r/d)x + p/d.  Before that, each element was a
 pair (q1, q2) of ``fractions.Fraction`` for x -> q2*x + q1, and this module
 keeps that path: the Fraction-pair group, the Fraction bodies of
-``AxPlusB.act``/``group_element_of`` and ``_AxbIdeals._image``/
-``_shift_ideal``/``thick_witness``, a hull enumeration over them, and the
-conversions between the two forms.
+``AxPlusB.act``/``group_element_of``, of the calculus' ideal image and of
+``_AxbIdeals._shift_ideal``/``thick_witness``, a hull enumeration over
+them, and the conversions between the two forms.
+
+It also keeps the int-triple ideal translation, image and rendering that
+``_AxbIdeals`` stated itself before they followed from ``AxPlusB``.
 """
 
 from fractions import Fraction
@@ -82,6 +85,27 @@ def image(g, X):
         raise InvariantViolation("grade %r does not map ideal into S" % (g,))
     m = abs(int(aa))
     return (int(bb) % m, m)
+
+
+def triple_translate(s, X):
+    d, c = s
+    b, a = X
+    m = abs(c * a)
+    return ((d + c * b) % m, m)
+
+
+def triple_image(g, X):
+    p, r, d = g
+    b, a = X
+    bb, aa = p + r * b, r * a
+    if bb % d or aa % d or aa == 0:
+        raise InvariantViolation("grade %r does not map ideal into S" % (g,))
+    m = abs(aa // d)
+    return (bb // d % m, m)
+
+
+def render(X):
+    return "S" if X == (0, 1) else "(%d,%d)S" % X
 
 
 def shift_ideal(g):

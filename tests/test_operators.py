@@ -61,11 +61,9 @@ def hull_op(sg, f, W):
 
 def test_window_basics():
     w = Window(["a", "b", "c"])
-    assert len(w) == 3 and "b" in w and w.position("c") == 2
+    assert len(w) == 3 and "b" in w and w.index["c"] == 2 and "z" not in w
     with pytest.raises(UsageError):
         Window(["a", "a"])
-    with pytest.raises(UsageError):
-        w.position("z")
 
 
 def test_s_window_arguments():
@@ -105,12 +103,13 @@ def test_window_columns_answered_once_per_window(sg, monkeypatch):
 
 
 def test_hull_window_appends_lambdas():
-    W = s_window(LINE, size=12)
-    HW = hull_window(LINE, hull_graph(LINE, 1), include=W)
+    W, graph = s_window(LINE, size=12), hull_graph(LINE, 1)
+    HW = hull_window(LINE, graph, include=W)
     for s in W:
         assert lambda_(LINE, s) in HW
-    bare = hull_window(LINE, hull_graph(LINE, 1))
-    assert lambda_(LINE, (7,)) not in bare
+    # the hull comes first, and an empty window adds nothing
+    assert HW.elements[:len(graph.ordered)] == graph.ordered
+    assert hull_window(LINE, graph, include=()).elements == graph.ordered
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +129,8 @@ def test_isometry_free_monoid():
     W = s_window(free, bound=2)
     V = isometry_matrix(free, (0,), W)
     for w in free.window(1):
-        col = W.position(w)
-        assert V.matrix.entries[col] == W.position((0,) + w)
+        col = W.index[w]
+        assert V.matrix.entries[col] == W.index[(0,) + w]
 
 
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
@@ -212,7 +211,7 @@ def test_hull_matrix_is_multiplicative_on_joint_core(sg):
 
 
 def test_regular_rep_frozen():
-    HW = hull_window(LINE, hull_graph(LINE, 2))
+    HW = Window(hull_graph(LINE, 2).ordered)
     eye = regular_rep_matrix(LINE, identity_element(LINE), HW)
     assert eye.matrix == Matrix.identity(len(HW))
     # the one-step shift permutes the window where star f f q = q holds
@@ -222,15 +221,15 @@ def test_regular_rep_frozen():
         fq = compose(LINE, f, q)
         cond = compose(LINE, compose(LINE, star(LINE, f), f), q) == q
         if cond and fq in HW:
-            assert L.matrix.entries[j] == HW.position(fq)
+            assert L.matrix.entries[j] == HW.index[fq]
         elif not cond:
             assert j not in L.matrix.entries
 
 
 def test_regular_rep_zero_is_rank_one():
     free = FreeMonoid(2)
-    HW = hull_window(free, hull_graph(free, 1))
-    z = HW.position(ZERO)
+    HW = Window(hull_graph(free, 1).ordered)
+    z = HW.index[ZERO]
     L = regular_rep_matrix(free, ZERO, HW)
     assert L.matrix.entries == {z: z}
     # and every regular operator fixes the zero vector
@@ -250,7 +249,7 @@ def test_intertwiner_shape_and_isometry():
 def test_intertwiner_needs_lambdas():
     W = s_window(LINE, size=10)
     # misses lambda(7) among others
-    bare = hull_window(LINE, hull_graph(LINE, 1))
+    bare = Window(hull_graph(LINE, 1).ordered)
     with pytest.raises(UsageError):
         intertwiner_matrix(LINE, W, bare)
 

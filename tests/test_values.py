@@ -204,15 +204,25 @@ def test_cached_facts_stay_out_of_the_value():
     assert repr(sg) == repr(fresh)
 
 
-def test_importing_the_cli_loads_no_code_generators():
+def loaded_by_cli_import(names):
+    """Which of the named modules a fresh ``import lefthull.cli`` loads."""
     src = os.path.dirname(os.path.dirname(lefthull.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, lefthull.cli; print(sorted({'dataclasses', "
-             "'inspect'} & set(sys.modules)))")
+    probe = ("import sys, lefthull.cli; print(sorted(%r & set(sys.modules)))"
+             % set(names))
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_importing_the_cli_loads_no_code_generators():
+    assert loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_importing_the_cli_loads_no_rational_arithmetic():
+    # Fractions are built only where a Folner density is asked for
+    assert loaded_by_cli_import({"fractions", "decimal"}) == "[]\n"
 
 
 def test_no_lefthull_class_is_a_dataclass():

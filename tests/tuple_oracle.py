@@ -6,10 +6,13 @@ the free group multiplied before it cancelled only at the junction of its
 two reduced factors.  The cone functions walk coordinate pairs in generator
 expressions with ``any``/``all``, as the cone backend, its grading group Z^n
 and its ideal calculus did before they ran on ``map``.  Each raises or
-answers None exactly where the backend must.
+answers None exactly where the backend must.  The ideal maps, keys and
+renderings below are the bodies each calculus stated for itself before
+they followed from the backend (``IdealCalculus``).
 """
 
 from lefthull import InvariantViolation
+from lefthull.ideals import EMPTY
 
 
 def reduce_signed(word):
@@ -49,6 +52,26 @@ def free_group_element_of(g):
     if all(v > 0 for v in g):
         return tuple(v - 1 for v in g)
     return None
+
+
+def free_translate(s, w):
+    return s + w
+
+
+def free_preimage(s, w):
+    if s[:len(w)] == w:
+        return ()
+    if w[:len(s)] == s:
+        return w[len(s):]
+    return EMPTY
+
+
+def free_key(w):
+    return (len(w), w)
+
+
+def free_render(sg, w):
+    return "S" if not w else sg.render(w) + "S"
 
 
 # -- Z^n, the cone and its ideal calculus -----------------------------------
@@ -91,3 +114,7 @@ def cone_preimage(s, p):
 
 def cone_intersect(p, q):
     return tuple(max(a, b) for a, b in zip(p, q))
+
+
+def cone_key(p):
+    return (sum(p), p)
