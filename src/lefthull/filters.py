@@ -4,10 +4,10 @@ A truncation keeps the canonical ideals as elements, each with its meet key
 (``meet_keys``), and reads a meet when asked as the element whose key is the
 meet of two keys, so it keeps nothing with n^2 entries.  The build checks
 what can fail, and keeps each element's up-set U(i) = {j : i <= j} as an int
-bitset; up-sets and filters are a few whole-int operations on it.  Set
-semantics, whether some element is a union of strictly smaller ones, is the
-independence of the family the truncation was built from, which the ideal
-calculus decides.
+bitset, bit j for index j, the one format here for a set of elements; a
+filter is the up-set of its least element.  Set semantics, whether some
+element is a union of strictly smaller ones, is the independence of the
+family the truncation was built from, which the ideal calculus decides.
 """
 
 from collections import namedtuple
@@ -108,9 +108,6 @@ class FiniteSemilattice:
             raise UsageError("%r is not an element of the truncation" % (X,))
         return self._index[X]
 
-    def up_set(self, i):
-        return frozenset(set_bits(self.up[i]))
-
     def render(self, i):
         return calculus(self.sg).render(self.elements[i])
 
@@ -121,23 +118,27 @@ def truncate_semilattice(sg, family):
 
 
 class Filter(namedtuple("Filter", "members minimal")):
-    """An upward-closed, meet-closed set of indices containing the top
-    and excluding the zero.  Finiteness forces a least member."""
+    """A set of indices with the top, without the zero, upward and meet
+    closed.  ``members`` is the up-set of its least member ``minimal``, the
+    int bitset ``lattice.up[minimal]`` with bit i for index i."""
 
     __slots__ = ()
 
 
 def is_filter(subset, lattice):
-    """A set with the top and without the zero is a filter exactly when it
-    is the up-set of the meet m of its members: a filter holds m and so
-    U(m), and lies in U(m); conversely U(m) is upward closed and meet
-    closed, the meets being those of a semilattice."""
-    members = subset.members if isinstance(subset, Filter) else frozenset(subset)
-    if lattice.top not in members or lattice.zero in members:
+    """Whether ``subset``, an int bitset of indices (bit i for index i) or a
+    Filter, is a filter.  A set with the top and without the zero is a
+    filter exactly when it is the up-set of the meet m of its members: a
+    filter holds m and so U(m), and lies in U(m); conversely U(m) is upward
+    closed and meet closed, the meets being those of a semilattice."""
+    members = subset.members if isinstance(subset, Filter) else subset
+    if type(members) is not int or members < 0 or members >> len(lattice):
+        raise UsageError("not an int bitset of at most %d bits" % len(lattice))
+    if not members >> lattice.top & 1 or members >> lattice.zero & 1:
         return False
-    least = lattice.by_key[reduce(lattice.key_meet,
-                                  map(lattice.keys.__getitem__, members))]
-    return lattice.up[least] == sum(1 << i for i in members)
+    least = lattice.by_key[reduce(lattice.key_meet, map(
+        lattice.keys.__getitem__, set_bits(members)))]
+    return lattice.up[least] == members
 
 
 def enumerate_filters(lattice):
@@ -147,10 +148,8 @@ def enumerate_filters(lattice):
     element, so the search walks nonzero elements and takes up-sets.
     """
     out = []
-    for i in range(len(lattice)):
-        if i == lattice.zero:
-            continue
-        f = Filter(lattice.up_set(i), i)
+    for i in range(lattice.zero):
+        f = Filter(lattice.up[i], i)
         if not is_filter(f, lattice):
             raise UsageError("up-set of %s is not a filter" % lattice.render(i))
         out.append(f)

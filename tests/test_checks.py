@@ -8,6 +8,8 @@ import pytest
 import lefthull
 from lefthull import PositiveCone, UsageError, checks, run_checks
 from lefthull.cli import main
+from lefthull.config import build_backend, config_generators, load_config
+from lefthull.filters import FiniteSemilattice
 
 CLOSURE_CHECKS = ("ideal-adjunctions", "closure-family", "independence",
                   "folner-bound", "filters", "operator-relations")
@@ -126,3 +128,32 @@ def test_missing_meet_fails_closure_family_and_filters(monkeypatch):
     assert set(failed) == {"closure-family", "filters", "operator-relations"}
     for detail in failed.values():
         assert detail.startswith("family is not intersection closed")
+
+
+
+@pytest.mark.parametrize("fault", [
+    lambda u, j, lat: u | 1 << j,
+    lambda u, j, lat: u & ~(1 << lat.top),
+    lambda u, j, lat: u | 1 << lat.zero,
+], ids=["incomparable-bit", "top-cleared", "zero-set"])
+def test_wrong_up_set_fails_the_filters_check_alone(fault, monkeypatch):
+    # only the filters check reads the up-sets, so a fault in one shows
+    # there and nowhere else; (1,0)+S is incomparable with (0,1)+S, so
+    # U((0,1)) with it added is no up-set
+    cfg = load_config(os.path.join(CONFIGS, "cone2.cfg"))
+    sg = build_backend(cfg)
+    build = FiniteSemilattice._up_sets
+
+    def faulty(self):
+        up = build(self)
+        i, j = self.index((0, 1)), self.index((1, 0))
+        assert self.meet(i, j) not in (i, j)
+        up[i] = fault(up[i], j, self)
+        return up
+
+    monkeypatch.setattr(FiniteSemilattice, "_up_sets", faulty)
+    results = run_checks(sg, generators=config_generators(sg, cfg),
+                         **cfg.bounds)
+    failed = {r.name: (r.status, r.detail) for r in results
+              if r.status != "ok"}
+    assert failed == {"filters": ("fail", "up-set of (0,1)+S is not a filter")}

@@ -11,6 +11,7 @@ from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
 from lefthull.filters import (Filter, FiniteSemilattice, enumerate_filters,
                               is_filter, maximal_representation_check,
                               truncate_semilattice)
+from lefthull.semigroups import set_bits
 
 from lattice_oracle import leq, maximality
 
@@ -54,7 +55,8 @@ def test_trivial_truncation():
     lat = truncate_semilattice(line, (calculus(line).full(),))
     assert len(lat) == 2
     fs = enumerate_filters(lat)
-    assert len(fs) == 1 and fs[0].members == frozenset({lat.top})
+    assert len(fs) == 1 and fs[0].members == 1 << lat.top
+    assert type(fs[0].members) is int
 
 
 def test_free_monoid_truncation():
@@ -164,7 +166,9 @@ def test_chain_filter_counts():
         assert len(fs) == depth + 1
         for f in fs:
             assert is_filter(f, lat)
-            assert f.members == lat.up_set(f.minimal)
+            assert f.members is lat.up[f.minimal]
+            # the chain's up-set of i is {0, ..., i}
+            assert f.members == (1 << f.minimal + 1) - 1
 
 
 def test_free_monoid_filters_frozen():
@@ -172,7 +176,8 @@ def test_free_monoid_filters_frozen():
     lat = truncate_semilattice(free, constructible_closure(free, 1))
     fs = enumerate_filters(lat)
     assert len(fs) == 3
-    rendered = [sorted(lat.render(i) for i in f.members) for f in fs]
+    rendered = [sorted(lat.render(i) for i in set_bits(f.members))
+                for f in fs]
     full = lat.render(lat.top)
     assert rendered[0] == [full]
     # each nontrivial filter joins the top with exactly one letter ideal
@@ -185,12 +190,26 @@ def test_is_filter_axioms():
     free = FreeMonoid(2)
     lat = truncate_semilattice(free, constructible_closure(free, 1))
     a, b = lat.index((0,)), lat.index((1,))
-    assert is_filter({lat.top}, lat)
-    assert not is_filter({lat.zero}, lat)
-    assert not is_filter(set(), lat)
-    assert not is_filter({a}, lat)  # misses the top
+    assert is_filter(1 << lat.top, lat)
+    assert not is_filter(1 << lat.zero, lat)
+    assert not is_filter(0, lat)
+    assert not is_filter(1 << a, lat)  # misses the top
     # upward closed but not meet closed: the letter ideals meet in zero
-    assert not is_filter({lat.top, a, b}, lat)
+    assert not is_filter(1 << lat.top | 1 << a | 1 << b, lat)
+
+
+@pytest.mark.parametrize("members", [
+    {0, 1000}, -1, 1 | 1 << 1000, "a", 1 << 4,
+], ids=["set", "negative", "bit-1000", "str", "bit-n"])
+def test_is_filter_takes_only_a_bitset_of_the_lattice(members):
+    free = FreeMonoid(2)
+    lat = truncate_semilattice(free, constructible_closure(free, 1))
+    assert len(lat) == 4
+    with pytest.raises(UsageError) as err:
+        is_filter(members, lat)
+    assert len(str(err.value)) < 60
+    with pytest.raises(UsageError):
+        is_filter(Filter(members, 0), lat)
 
 
 def test_filter_iff_zero_one_homomorphism():
@@ -201,7 +220,7 @@ def test_filter_iff_zero_one_homomorphism():
     for lat in cases:
         n = len(lat)
         for bits in itertools.product((0, 1), repeat=n):
-            subset = {i for i in range(n) if bits[i]}
+            subset = sum(bit << i for i, bit in enumerate(bits))
             hom = (bits[lat.top] == 1 and bits[lat.zero] == 0 and
                    all(bits[lat.meet(i, j)] == bits[i] * bits[j]
                        for i in range(n) for j in range(n)))
@@ -223,11 +242,11 @@ def test_filters_survive_deeper_truncation():
     deep = truncate_semilattice(line, constructible_closure(line, 4))
     for f in enumerate_filters(shallow):
         seed = shallow.elements[f.minimal]
-        grown = deep.up_set(deep.index(seed))
+        grown = deep.up[deep.index(seed)]
         assert is_filter(grown, deep)
         # the grown filter is the old one plus deeper ideals containing seed
-        old = {shallow.elements[i] for i in f.members}
-        assert old <= {deep.elements[i] for i in grown}
+        old = {shallow.elements[i] for i in set_bits(f.members)}
+        assert old <= {deep.elements[i] for i in set_bits(grown)}
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from lefthull.config import (build_backend, config_generators, load_config,
 from lefthull.filters import (enumerate_filters, is_filter,
                               maximal_representation_check,
                               truncate_semilattice)
+from lefthull.semigroups import set_bits
 
 import lattice_oracle as oracle
 
@@ -73,9 +74,14 @@ def bench_cases():
     return cases
 
 
+def bitset(members):
+    return sum(1 << i for i in members)
+
+
 def sample_subsets(lattice, rng, count=200):
     """Up-sets, up-sets with one index added or dropped, and subsets of
-    random density, so that both answers come up."""
+    random density, so that both answers come up; as sets of indices, for
+    the oracle."""
     n = len(lattice)
     for k in range(count):
         members = set(oracle.up_set(lattice, rng.randrange(n)))
@@ -93,12 +99,13 @@ def assert_agrees(sg, depth, generators):
     fam = constructible_closure(sg, depth, generators)
     lat = truncate_semilattice(sg, fam)
     for i in range(len(lat)):
-        assert lat.up_set(i) == oracle.up_set(lat, i), i
+        assert frozenset(set_bits(lat.up[i])) == oracle.up_set(lat, i), i
     for f in enumerate_filters(lat):
-        assert oracle.is_filter(f.members, lat)
+        assert type(f.members) is int and f.members == lat.up[f.minimal]
+        assert oracle.is_filter(set_bits(f.members), lat)
     for members in sample_subsets(lat, random.Random(len(lat))):
-        assert is_filter(members, lat) == oracle.is_filter(members, lat), \
-            sorted(members)
+        assert is_filter(bitset(members), lat) == \
+            oracle.is_filter(members, lat), sorted(members)
     maximal = maximal_representation_check(lat)
     assert maximal.holds == oracle.maximality(lat)[0]
     verdict = independence_check(sg, fam)
@@ -148,5 +155,5 @@ def test_every_subset_of_small_lattices(sg, depth):
     n = len(lat)
     for bits in itertools.product((False, True), repeat=n):
         members = set(itertools.compress(range(n), bits))
-        assert is_filter(members, lat) == oracle.is_filter(members, lat), \
-            sorted(members)
+        assert is_filter(bitset(members), lat) == \
+            oracle.is_filter(members, lat), sorted(members)

@@ -1,5 +1,6 @@
 """Pinned command outputs: the sha256 of stdout and the exit code of eight
-commands on the six shipped configs.
+commands on the six shipped configs, and of three commands whose lattices
+have more than 700 elements.
 
 A refactor that should not change what the program prints keeps every
 digest.  Where a change is meant to alter an output, recompute the digest
@@ -122,5 +123,34 @@ PINNED = [
 def test_output_is_pinned(command, config, code, digest, capsys):
     cmd, *flags = command.split()
     got = main([cmd, os.path.join(CONFIGS, config + ".cfg"), *flags])
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# lattices past those of the shipped configs: <10,11> has 1,146 elements at
+# depth 3, the cone of dimension 6 has 730 at depth 2
+WRITTEN = {
+    "num-10-11": "kind = numerical\nparams = 10 11\n",
+    "cone6": "kind = cone\nparams = 6\n",
+}
+PINNED_LARGE = [
+    ("filters --depth 3", "num-10-11", 0,
+     "5c816719c009bc92803f2d9f112a754dbbcd1a45745ea020f328424e4b2d86d2"),
+    ("check --depth 3", "num-10-11", 0,
+     "2404a79bb84f3ea3a997f035e0a38b636ee5ef2e2b20c4197bbd7a693f125111"),
+    ("filters --depth 2", "cone6", 0,
+     "393371477d0854ebfbf432d8cb809c91b62eb66655632696970cae1aa752c879"),
+]
+
+
+@pytest.mark.parametrize("command, config, code, digest", PINNED_LARGE,
+                         ids=["%s-%s" % (c.replace(" ", ""), f)
+                              for c, f, _, _ in PINNED_LARGE])
+def test_large_lattice_output_is_pinned(command, config, code, digest,
+                                        tmp_path, capsys):
+    path = tmp_path / (config + ".cfg")
+    path.write_text(WRITTEN[config])
+    cmd, *flags = command.split()
+    got = main([cmd, str(path), *flags])
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -50,8 +50,8 @@ VALUES = [
     (lambda: Config("cone", ("2",), None, {"depth": 3}),
      "Config(kind='cone', params=('2',), generators=None, "
      "bounds={'depth': 3})"),
-    (lambda: Filter(frozenset({1}), 1),
-     "Filter(members=frozenset({1}), minimal=1)"),
+    (lambda: Filter(0b11, 1),
+     "Filter(members=3, minimal=1)"),
     (lambda: Homomorphism(CONE2, Integers(1), ((1,), (2,))),
      "Homomorphism(source=PositiveCone(dimension=2), "
      "target=Integers(rank=1), images=((1,), (2,)))"),
@@ -117,7 +117,7 @@ def test_fields_are_read_only(make, text):
     (Verdict(True), Verdict(False)),
     (Verdict(True), CheckResult("x", "ok")),
     (RelationReport("isometry", 2, 5), RelationReport("isometry", 2, 6)),
-    (Filter(frozenset({1}), 1), Filter(frozenset({1, 2}), 1)),
+    (Filter(0b11, 1), Filter(0b111, 1)),
 ], ids=lambda v: type(v).__name__)
 def test_different_values_or_classes_are_unequal(a, b):
     assert a != b and b != a
