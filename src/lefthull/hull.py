@@ -8,9 +8,13 @@ the empty map; ``compose`` and ``star`` build their results unchecked.
 
 ``materialize_word`` is the independent oracle: it replays an alternating
 word pointwise on a finite window using only multiply and left_divide,
-never consulting the (g, X) algebra.  Window exits are tracked as boundary
-points and excluded from comparisons; a failed left_divide inside the
-window is genuine undefinedness.
+never consulting the (g, X) algebra.  It reads each point's step from the
+window rows of the two operations, built once per backend, window and
+letter.  Window exits are tracked as boundary points and excluded from
+comparisons; a failed left_divide inside the window is genuine
+undefinedness.  The atoms star(lambda t) lambda s and the window actions
+of hull elements are likewise kept once per backend (``Semigroup``); an
+operation that raises stores nothing.
 """
 
 from collections import namedtuple
@@ -83,14 +87,26 @@ def is_idempotent(sg, f):
     return f is ZERO or f.grade == sg.grading_group().identity()
 
 
+def atom(sg, t, s):
+    """star(lambda(t)) lambda(s) for letters already checked, composed once
+    per backend and pair."""
+    a = sg._atoms.get((t, s))
+    if a is None:
+        full = calculus(sg).full()
+        a = sg._atoms[t, s] = compose(
+            sg, star(sg, _element((sg._embed(t), full))),
+            _element((sg._embed(s), full)))
+    return a
+
+
 def evaluate_word(sg, pairs):
-    """Left-to-right product of star(lambda(t)) lambda(s) over the pairs."""
+    """Left-to-right product of the atoms star(lambda(t)) lambda(s) over the
+    pairs: one compose per pair."""
     pairs = list(pairs)
     sg._check(*[x for pair in pairs for x in pair])  # the letters, once
-    acc, full = identity_element(sg), calculus(sg).full()
+    acc = identity_element(sg)
     for t, s in pairs:
-        acc = compose(sg, acc, star(sg, _element((sg._embed(t), full))))
-        acc = compose(sg, acc, _element((sg._embed(s), full)))
+        acc = compose(sg, acc, atom(sg, t, s))
     return acc
 
 
@@ -132,8 +148,8 @@ def hull_graph(sg, length, generators=None):
         raise UsageError("length must be >= 0")
     ends = (sg.identity(),) + tuple(
         generators if generators is not None else sg.generators())
-    lams = [lambda_(sg, x) for x in ends]
-    atoms = tuple(compose(sg, star(sg, t), s) for t in lams for s in lams)
+    sg._check(*ends)
+    atoms = tuple(atom(sg, t, s) for t in ends for s in ends)
     first = {}  # each distinct atom, in order of first occurrence
     slot = [first.setdefault(a, len(first)) for a in atoms]
     elements = [identity_element(sg)]
@@ -186,45 +202,61 @@ class PartialMap(namedtuple("PartialMap", "mapping boundary")):
 
 
 def materialize_element(sg, f, window):
-    wset = set(window)
+    """f's action on the window, points sent outside it as the boundary;
+    built once per backend, element and window (the map is shared, so
+    read it only)."""
+    window = tuple(window)
+    known = sg._actions.get((f, window))
+    if known is not None:
+        return known
+    own = dict(zip(window, window))  # kept maps hold the window's points
     mapping, boundary = {}, set()
     if f is not ZERO:
         cal = calculus(sg)
         for x in window:
             if not cal.is_member(x, f.dom):
                 continue
-            y = sg.act(f.grade, x)
-            if y in wset:
-                mapping[x] = y
-            else:
+            y = own.get(sg.act(f.grade, x))
+            if y is None:
                 boundary.add(x)
-    return PartialMap(mapping, frozenset(boundary))
+            else:
+                mapping[x] = y
+    known = sg._actions[f, window] = PartialMap(mapping, frozenset(boundary))
+    return known
+
+
+_OUT = object()  # a row's value where the point leaves the window
 
 
 def materialize_word(sg, pairs, window):
-    """Pointwise replay of the word by trusted multiply and left_divide."""
+    """Pointwise replay of the word by trusted multiply and left_divide,
+    each point's step looked up in the window row of its letter, built
+    once per backend, window and letter."""
     pairs = list(pairs)[::-1]
     sg._check(*[x for pair in pairs for x in pair])  # the letters, once
-    wset = set(window)
+    window = tuple(window)
+    rows = sg._rows.get(window, {})
+    own = dict(zip(window + (None,), window + (None,)))
+
+    def row(op, a):  # x -> op(a, x), the window's copy, None or _OUT
+        if (op, a) not in rows:
+            ys = map(partial(getattr(sg, op), a), window)
+            rows[op, a] = {x: own.get(y, _OUT) for x, y in zip(window, ys)}
+        return rows[op, a]
+
+    steps = [(row("_mul", s), row("_ldiv", t)) for t, s in pairs]
+    sg._rows[window] = rows  # only rows that were built
     mapping, boundary = {}, set()
     for x in window:
         state = x
-        verdict = "ok"
-        for t, s in pairs:
-            state = sg._mul(s, state)
-            if state not in wset:
-                verdict = "boundary"
+        for mul, ldiv in steps:
+            state = ldiv.get(mul[state], _OUT)  # no row holds _OUT or None
+            if state is None or state is _OUT:  # undefined, or left
                 break
-            state = sg._ldiv(t, state)
-            if state is None:
-                verdict = "undefined"
-                break
-            if state not in wset:
-                verdict = "boundary"
-                break
-        if verdict == "ok":
+        else:
             mapping[x] = state
-        elif verdict == "boundary":
+            continue
+        if state is _OUT:
             boundary.add(x)
     return PartialMap(mapping, frozenset(boundary))
 

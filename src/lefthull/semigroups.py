@@ -342,6 +342,11 @@ class Semigroup(Value):
     Elements are canonical hashable values.  Public ``multiply``,
     ``left_divide`` and ``embed`` raise UsageError on a non-element; the
     trusted ``_mul``, ``_ldiv`` and ``_embed`` behind them are internal.
+
+    An instance keeps its calculus and four memo dicts: windows by size,
+    hull atoms by letter pair, ``_mul`` and ``_ldiv`` rows by window and
+    letter, and element actions by element and window.  All are pure
+    functions of canonical values, and none is a field.
     """
 
     def contains(self, x):
@@ -420,9 +425,10 @@ class Semigroup(Value):
         """Deterministic window enumeration; prefix-monotone in the bound."""
         raise NotImplementedError
 
-    @cached_property
-    def _windows(self):
-        return {}
+    _windows = cached_property(lambda self: {})
+    _atoms = cached_property(lambda self: {})
+    _rows = cached_property(lambda self: {})
+    _actions = cached_property(lambda self: {})
 
     def window_of_size(self, size):
         """The first ``size`` window elements as a tuple, built once per

@@ -9,10 +9,16 @@ so it is never extended.
 
 ``apply_element`` evaluates a hull element pointwise, the oracle for the
 partial maps the hull elements stand for.
+
+``evaluate_word``, ``materialize_element`` and ``materialize_word`` are
+the bodies ``hull`` had before it kept atoms, element actions and letter
+rows once per backend: two composes and a star per pair, and a replay
+that calls ``_mul`` and ``_ldiv`` for every point.  They keep nothing, so
+they are the oracles for those memos.
 """
 
-from lefthull.hull import (ZERO, compose, hull_sort_key, identity_element,
-                           lambda_, star)
+from lefthull.hull import (ZERO, PartialMap, compose, hull_sort_key,
+                           identity_element, lambda_, star)
 from lefthull.ideals import calculus
 
 
@@ -52,3 +58,58 @@ def frontier_hull(sg, length, generators=None):
         level = nxt
         levels.append(level)
     return atoms, levels, tuple(sorted(seen, key=hull_sort_key(sg)))
+
+
+def evaluate_word(sg, pairs):
+    """Left-to-right product of star(lambda(t)) lambda(s) over the pairs,
+    composed afresh."""
+    acc = identity_element(sg)
+    for t, s in pairs:
+        acc = compose(sg, acc, star(sg, lambda_(sg, t)))
+        acc = compose(sg, acc, lambda_(sg, s))
+    return acc
+
+
+def materialize_element(sg, f, window):
+    wset = set(window)
+    mapping, boundary = {}, set()
+    if f is not ZERO:
+        cal = calculus(sg)
+        for x in window:
+            if not cal.is_member(x, f.dom):
+                continue
+            y = sg.act(f.grade, x)
+            if y in wset:
+                mapping[x] = y
+            else:
+                boundary.add(x)
+    return PartialMap(mapping, frozenset(boundary))
+
+
+def materialize_word(sg, pairs, window):
+    """Pointwise replay of the word, one multiply and one left_divide per
+    point and pair."""
+    pairs = list(pairs)[::-1]
+    sg._check(*[x for pair in pairs for x in pair])
+    wset = set(window)
+    mapping, boundary = {}, set()
+    for x in window:
+        state = x
+        verdict = "ok"
+        for t, s in pairs:
+            state = sg._mul(s, state)
+            if state not in wset:
+                verdict = "boundary"
+                break
+            state = sg._ldiv(t, state)
+            if state is None:
+                verdict = "undefined"
+                break
+            if state not in wset:
+                verdict = "boundary"
+                break
+        if verdict == "ok":
+            mapping[x] = state
+        elif verdict == "boundary":
+            boundary.add(x)
+    return PartialMap(mapping, frozenset(boundary))

@@ -1,0 +1,129 @@
+"""The hull memos a backend keeps (atoms, letter rows, element actions)
+against the bodies in ``hull_oracle`` that keep nothing, and the faults a
+memo must never hide."""
+
+import os
+import random
+
+import pytest
+
+from lefthull import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
+                      NumericalSemigroup, PositiveCone, UsageError,
+                      cyclic_table, hull, run_checks)
+from lefthull.config import (build_backend, config_generators, load_config,
+                             parse_config)
+from lefthull.hull import (evaluate_word, hull_graph, identity_element,
+                           lambda_, materialize_element, materialize_word,
+                           star)
+
+import hull_oracle as oracle
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
+# the lhbench inputs of the groups, conductor and intertwiner workloads
+TEXTS = {
+    "cyc12": "kind = table\nparams = cyclic 12\n",
+    "cyc14": "kind = table\nparams = cyclic 14\n",
+    "cyc48-g1": "kind = table\nparams = cyclic 48\ngenerators = 1\n",
+    "num-10-11": "kind = numerical\nparams = 10 11\n",
+    "axb-i": "kind = axb\ngenerators = (0,2) (0,3) (0,5)\n",
+}
+SIZES = (1, 20, 30, 80)
+MEMOS = ("_atoms", "_rows", "_actions")
+
+
+def backend(name):
+    cfg = parse_config(TEXTS[name]) if name in TEXTS else \
+        load_config(os.path.join(CONFIGS, name + ".cfg"))
+    sg = build_backend(cfg)
+    return sg, config_generators(sg, cfg)
+
+
+def sample_words(sg, generators, rng):
+    """Three words of each length 1 to 4 over the window letters that are
+    not generators; in a cyclic table every letter but the identity is
+    one, so there the words run over the whole window."""
+    gens = set(generators if generators is not None else sg.generators())
+    pool = [x for x in sg.window_of_size(30) if x not in gens]
+    if len(pool) < 2:
+        pool = sg.window_of_size(30)
+    return [[(rng.choice(pool), rng.choice(pool)) for _ in range(n)]
+            for n in (1, 2, 3, 4) for _ in range(3)]
+
+
+def assert_agrees(sg, words):
+    for pairs in words:
+        f = evaluate_word(sg, pairs)
+        assert f == oracle.evaluate_word(sg, pairs)
+        for size in SIZES:
+            win = sg.window_of_size(size)
+            element = oracle.materialize_element(sg, f, win)
+            word = oracle.materialize_word(sg, pairs, win)
+            for window in (win, list(win)):
+                assert materialize_element(sg, f, window) == element
+                assert materialize_word(sg, pairs, window) == word
+            # both forms of the window read one kept map
+            assert materialize_element(sg, f, list(win)) is \
+                materialize_element(sg, f, win)
+
+
+@pytest.mark.parametrize("name", SHIPPED + list(TEXTS))
+def test_memos_agree_with_the_bodies_that_keep_nothing(name):
+    sg, generators = backend(name)
+    words = sample_words(sg, generators, random.Random(name))
+    assert not any(vars(sg).get(m) for m in MEMOS)
+    assert_agrees(sg, words)
+    assert all(vars(sg)[m] for m in MEMOS)
+    # warm: the check battery fills every memo, then the same words again
+    run_checks(sg, generators=generators)
+    assert_agrees(sg, words)
+
+
+BAD_LETTERS = [
+    (FreeMonoid(2), (0,), (2,)),
+    (PositiveCone(2), (1, 0), (-1, 0)),
+    (NumericalSemigroup((2, 3)), 2, 1),
+    (AxPlusB(), (1, 2), (0, 0)),
+    (FiniteTable(cyclic_table(5)), 1, 5),
+]
+
+
+@pytest.mark.parametrize("sg, good, bad", BAD_LETTERS,
+                         ids=[c[0].describe() for c in BAD_LETTERS])
+def test_a_non_element_letter_is_refused_before_any_memo(sg, good, bad):
+    sg = type(sg)(*sg._values())  # a fresh instance, no memos
+    win = sg.window_of_size(20)
+    for call in (lambda: evaluate_word(sg, [(good, good), (good, bad)]),
+                 lambda: materialize_word(sg, [(good, good), (bad, good)],
+                                          win),
+                 lambda: hull_graph(sg, 2, generators=[good, bad])):
+        with pytest.raises(UsageError, match="is not an element"):
+            call()
+        assert not any(vars(sg).get(m) for m in MEMOS)
+
+
+def test_a_non_injective_action_is_never_kept(monkeypatch):
+    # act sends every point to the identity: the map is refused on every
+    # call, so no later call can read it as a kept answer
+    sg = PositiveCone(2)
+    monkeypatch.setattr(PositiveCone, "act", lambda self, g, x: (0, 0))
+    win = sg.window_of_size(20)
+    for _ in range(2):
+        with pytest.raises(InvariantViolation, match="not injective"):
+            materialize_element(sg, identity_element(sg), win)
+    assert sg._actions == {}
+
+
+def test_a_compose_fault_inside_an_atom_fails_hull_vs_oracle(monkeypatch):
+    # compose answers star(lambda(1,0)) h with h: every atom whose first
+    # letter is (1,0) is kept wrong, and the words that use one disagree
+    # with the pointwise replay
+    sg, generators = backend("cone2")
+    bad = star(sg, lambda_(sg, (1, 0)))
+    real = hull.compose
+    monkeypatch.setattr(hull, "compose", lambda sg, f, h: h if f == bad
+                        else real(sg, f, h))
+    results = {r.name: r for r in run_checks(sg, generators=generators)}
+    assert results["hull-vs-oracle"].status == "fail"
+    assert "materialization mismatches" in results["hull-vs-oracle"].detail
+    assert sg._atoms[(1, 0), (0, 1)] == lambda_(sg, (0, 1))
