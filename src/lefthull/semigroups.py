@@ -24,10 +24,15 @@ instance), and where S is left reversible its enveloping ``fraction_group``,
 the injection ``gamma``, ``generator_word``, ``fraction_basis`` and
 ``group_coordinates``.  Reversibility, the Clifford condition, thickness and
 Folner densities are facts about ideals, stated by the calculus classes.
+
+``Group`` and ``Semigroup`` list what a backend must define, and derive the
+rest for plain values: the key is the value, the rendering ``str``,
+``parse`` reads ``render``'s syntax and accepts what ``contains`` accepts,
+and ``group_element_of(g)`` is g where S holds it.
 """
 
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, product
 import math
 from operator import add, invert, neg, sub
 
@@ -104,7 +109,9 @@ class Value:
 
 
 class Group(Value):
-    """A concrete group with canonical hashable element values."""
+    """A concrete group with canonical hashable element values.  It defines
+    ``identity``, ``mul``, ``inv`` and ``contains``; ``key`` (the value) and
+    ``render`` (``str``) are derived, for int values."""
 
     def identity(self):
         raise NotImplementedError
@@ -120,10 +127,10 @@ class Group(Value):
 
     def key(self, g):
         """Total order key; used only for deterministic output."""
-        raise NotImplementedError
+        return g
 
     def render(self, g):
-        raise NotImplementedError
+        return str(g)
 
     def power(self, g, n):
         if n < 0:
@@ -213,9 +220,6 @@ class Integers(Group):
         return (isinstance(g, tuple) and len(g) == self.rank
                 and all(isinstance(a, int) for a in g))
 
-    def key(self, g):
-        return g
-
     def render(self, g):
         return "(" + ",".join(str(a) for a in g) + ")"
 
@@ -239,9 +243,6 @@ class IntegerLattice(Group):
 
     def contains(self, g):
         return isinstance(g, int) and g % self.stride == 0
-
-    def key(self, g):
-        return g
 
     def render(self, g):
         return "%+d" % g if g else "0"
@@ -322,12 +323,6 @@ class FiniteGroup(Group):
     def contains(self, g):
         return isinstance(g, int) and 0 <= g < len(self.table)
 
-    def key(self, g):
-        return g
-
-    def render(self, g):
-        return str(g)
-
     def describe(self):
         return "finite group of order %d" % len(self.table)
 
@@ -342,6 +337,13 @@ class Semigroup(Value):
     Elements are canonical hashable values.  Public ``multiply``,
     ``left_divide`` and ``embed`` raise UsageError on a non-element; the
     trusted ``_mul``, ``_ldiv`` and ``_embed`` behind them are internal.
+
+    A backend defines ``contains``, ``identity``, ``_mul``, ``_ldiv``,
+    ``_embed``, ``act``, ``generators``, ``window``, ``describe`` and
+    ``units_trivial``.  For values that are their own grades the rest is
+    derived: ``key`` is the value, ``render`` is ``str``, ``parse`` reads
+    render's syntax and accepts what ``contains`` accepts, and
+    ``group_element_of(g)`` is g where S holds it.
 
     An instance keeps its calculus and four memo dicts: windows by size,
     hull atoms by letter pair, ``_mul`` and ``_ldiv`` rows by window and
@@ -384,7 +386,7 @@ class Semigroup(Value):
 
     def group_element_of(self, g):
         """The s in S with embed(s) == g, or None."""
-        raise NotImplementedError
+        return g if self.contains(g) else None
 
     def grading_group(self):
         return self._grading_group
@@ -443,13 +445,24 @@ class Semigroup(Value):
 
     def key(self, x):
         """Total order key consistent with window order."""
-        raise NotImplementedError
+        return x
 
     def render(self, x):
-        raise NotImplementedError
+        return str(x)
 
     def parse(self, text):
-        raise NotImplementedError
+        """The element rendered as ``text``: an int, or ints between commas
+        in parentheses where the identity is a tuple; else UsageError."""
+        text = text.strip()
+        try:
+            if isinstance(self.identity(), tuple):
+                x = tuple(int(p) for p in text.strip("()").split(","))
+            else:
+                x = int(text)
+        except ValueError:
+            raise UsageError("bad element %r" % text) from None
+        self._check(x)
+        return x
 
     def describe(self):
         raise NotImplementedError
@@ -515,12 +528,8 @@ class FreeMonoid(Semigroup):
         return tuple((l,) for l in range(self.alphabet_size))
 
     def window(self, bound):
-        out = [()]
-        level = [()]
-        for _ in range(bound):
-            level = [w + (l,) for w in level for l in range(self.alphabet_size)]
-            out.extend(level)
-        return out
+        letters = range(self.alphabet_size)
+        return [w for n in range(bound + 1) for w in product(letters, repeat=n)]
 
     def key(self, x):
         return (len(x), x)
@@ -591,9 +600,6 @@ class PositiveCone(Semigroup):
             raise InvariantViolation("group element does not map %r into S" % (x,))
         return r
 
-    def group_element_of(self, g):
-        return g if all(a >= 0 for a in g) else None
-
     @cached_property
     def _grading_group(self):
         return Integers(self.dimension)
@@ -625,16 +631,6 @@ class PositiveCone(Semigroup):
 
     def render(self, x):
         return "(" + ",".join(str(a) for a in x) + ")"
-
-    def parse(self, text):
-        parts = text.strip().strip("()").split(",")
-        try:
-            vec = tuple(int(p) for p in parts)
-        except ValueError:
-            raise UsageError("bad vector %r" % text) from None
-        if len(vec) != self.dimension or any(a < 0 for a in vec):
-            raise UsageError("bad vector %r for %s" % (text, self.describe()))
-        return vec
 
     def describe(self):
         return "PositiveCone(%d)" % self.dimension
@@ -728,9 +724,6 @@ class NumericalSemigroup(Semigroup):
             raise InvariantViolation("group element does not map %r into S" % (x,))
         return r
 
-    def group_element_of(self, g):
-        return g if self.contains(g) else None
-
     _grading_group = IntegerLattice(1)
 
     @cached_property
@@ -787,21 +780,6 @@ class NumericalSemigroup(Semigroup):
 
     def window(self, bound):
         return self.members_below(bound + 1)
-
-    def key(self, x):
-        return x
-
-    def render(self, x):
-        return str(x)
-
-    def parse(self, text):
-        try:
-            v = int(text.strip())
-        except ValueError:
-            raise UsageError("bad integer %r" % text) from None
-        if not self.contains(v):
-            raise UsageError("%d is not a member of %s" % (v, self.describe()))
-        return v
 
     def describe(self):
         return "NumericalSemigroup<%s>" % ",".join(str(g) for g in self.gens)
@@ -860,21 +838,10 @@ class AxPlusB(Semigroup):
         return ((1, 1), (0, 2), (0, 3))
 
     def window(self, bound):
-        # pairs with |b| <= bound and 1 <= a <= bound, graded by max(|b|, a);
-        # inside a grade the offsets go 0, 1, -1, 2, -2, ... so the identity
-        # leads the window
-        out = []
-        for grade in range(1, bound + 1):
-            for a in range(1, grade + 1):
-                if a == grade:
-                    bs = [0]
-                    for m in range(1, grade + 1):
-                        bs.extend((m, -m))
-                else:
-                    bs = (grade, -grade)
-                for b in bs:
-                    out.append((b, a))
-        return out
+        # the pairs with |b| <= bound and 1 <= a <= bound in key order, so
+        # the identity leads the window
+        return sorted(((b, a) for a in range(1, bound + 1)
+                       for b in range(-bound, bound + 1)), key=self.key)
 
     def key(self, x):
         b, a = x
@@ -882,16 +849,6 @@ class AxPlusB(Semigroup):
 
     def render(self, x):
         return "(%d,%d)" % x
-
-    def parse(self, text):
-        parts = text.strip().strip("()").split(",")
-        try:
-            b, a = (int(p) for p in parts)
-        except ValueError:
-            raise UsageError("bad pair %r" % text) from None
-        if a == 0:
-            raise UsageError("multiplier must be nonzero in %r" % text)
-        return (b, a)
 
     def describe(self):
         return "AxPlusB"
@@ -970,9 +927,6 @@ class FiniteTable(Semigroup):
     def act(self, g, x):
         return self.table[g][x]
 
-    def group_element_of(self, g):
-        return g
-
     @cached_property
     def _grading_group(self):
         return FiniteGroup(self.table, self.identity_index)
@@ -993,21 +947,6 @@ class FiniteTable(Semigroup):
 
     def window_of_size(self, size):
         return super().window_of_size(min(size, len(self.table)))
-
-    def key(self, x):
-        return x
-
-    def render(self, x):
-        return str(x)
-
-    def parse(self, text):
-        try:
-            v = int(text.strip())
-        except ValueError:
-            raise UsageError("bad index %r" % text) from None
-        if not self.contains(v):
-            raise UsageError("index %d out of range" % v)
-        return v
 
     def describe(self):
         return "FiniteTable(order %d)" % len(self.table)

@@ -1,0 +1,78 @@
+"""The fault catalogue: program faults that the tests must catch.
+
+Each row names one fault: a file under ``src/lefthull/``, the exact source
+line it changes (which occurs exactly once in that file), the line that
+replaces it, and the pytest node ids of which at least one fails with the
+fault in place.  ``test_faults.py`` checks that every line is still there;
+``run_faults.py`` applies each row to a copy of the checkout and runs its
+tests.
+"""
+
+from collections import namedtuple
+
+Fault = namedtuple("Fault", "name file line replacement tests")
+
+FAULTS = (
+    Fault("parse-skips-contains", "semigroups.py",
+          "        self._check(x)\n",
+          "        pass\n",
+          ("tests/test_cli.py::test_fuzzed_configs_keep_the_exit_code_contract",
+           "tests/test_backend_oracle.py"
+           "::test_parse_accepts_what_the_stated_bodies_accepted")),
+    Fault("parse-reads-tuples-on-int-backends", "semigroups.py",
+          "            if isinstance(self.identity(), tuple):\n",
+          "            if True:\n",
+          ("tests/test_semigroups.py"
+           "::test_render_parse_round_trip[NumericalSemigroup<2,3>]",
+           "tests/test_semigroups.py"
+           "::test_render_parse_round_trip[FiniteTable(order 5)]")),
+    Fault("axb-window-off-key-order", "semigroups.py",
+          "                       for b in range(-bound, bound + 1)),"
+          " key=self.key)\n",
+          "                       for b in range(-bound, bound + 1)),"
+          " key=lambda x: x[::-1])\n",
+          ("tests/test_pinned_outputs.py::test_output_is_pinned[check-axb]",
+           "tests/test_semigroups.py"
+           "::test_windows_are_sorted_and_duplicate_free[AxPlusB]")),
+    Fault("group-key-not-the-value", "semigroups.py",
+          "        return g\n",
+          "        return 0\n",
+          ("tests/test_pinned_outputs.py"
+           "::test_output_is_pinned[hull--length3-num23]",
+           "tests/test_pinned_outputs.py"
+           "::test_output_is_pinned[hull--length3-cone2]")),
+    Fault("group-element-of-off-s", "semigroups.py",
+          "        return g if self.contains(g) else None\n",
+          "        return g\n",
+          ("tests/test_backend_oracle.py"
+           "::test_group_element_of_agrees_with_the_stated_bodies",)),
+    Fault("free-window-one-level-short", "semigroups.py",
+          "        return [w for n in range(bound + 1)"
+          " for w in product(letters, repeat=n)]\n",
+          "        return [w for n in range(bound)"
+          " for w in product(letters, repeat=n)]\n",
+          ("tests/test_semigroups.py::test_free_monoid_window_is_length_lex",
+           "tests/test_acceptance.py"
+           "::test_criterion_05_relation_suites_and_expectation_loop")),
+    Fault("atom-memo-keyed-s-t", "hull.py",
+          "    a = sg._atoms.get((t, s))\n",
+          "    a = sg._atoms.get((s, t))\n",
+          ("tests/test_hull_memos.py"
+           "::test_memos_agree_with_the_bodies_that_keep_nothing",)),
+    Fault("action-memo-keyed-without-window", "hull.py",
+          "    known = sg._actions.get((f, window))\n",
+          "    known = next((v for (g, _), v in sg._actions.items()"
+          " if g == f), None)\n",
+          ("tests/test_hull_memos.py"
+           "::test_memos_agree_with_the_bodies_that_keep_nothing",)),
+    Fault("filter-meet-of-first-member", "filters.py",
+          "        lattice.keys.__getitem__, set_bits(members)))]\n",
+          "        lattice.keys.__getitem__, set_bits(members)[:1]))]\n",
+          ("tests/test_filters.py::test_filter_iff_zero_one_homomorphism",
+           "tests/test_pinned_outputs.py::test_output_is_pinned[filters-axb]")),
+    Fault("filters-miss-the-last-element", "filters.py",
+          "    for i in range(lattice.zero):\n",
+          "    for i in range(lattice.zero - 1):\n",
+          ("tests/test_filters.py::test_chain_filter_counts",
+           "tests/test_pinned_outputs.py::test_output_is_pinned[filters-axb]")),
+)

@@ -1,6 +1,7 @@
 """Pinned command outputs: the sha256 of stdout and the exit code of eight
-commands on the six shipped configs, and of three commands whose lattices
-have more than 700 elements.
+commands on the six shipped configs, of three commands whose lattices
+have more than 700 elements, of commands on configs whose generators the
+backend parses, and of ``group`` on the shipped configs it supports.
 
 A refactor that should not change what the program prints keeps every
 digest.  Where a change is meant to alter an output, recompute the digest
@@ -154,3 +155,50 @@ def test_large_lattice_output_is_pinned(command, config, code, digest,
     got = main([cmd, str(path), *flags])
     out = capsys.readouterr().out
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# configs with a ``generators`` key, which each backend reads with its
+# ``parse``; the ax+b primes (0,2) (0,3) (0,5) (0,7) take D past
+# SIGNATURE_POINTS, so their lattice meets by ``intersect``
+WRITTEN.update({
+    "axb-primes": "kind = axb\ngenerators = (0,2) (0,3) (0,5) (0,7)\n",
+    "axb-gens": "kind = axb\ngenerators = (1,2) (0,3)\n",
+    "cyc48-g1": "kind = table\nparams = cyclic 48\ngenerators = 1\n",
+    "cone2-gens": "kind = cone\nparams = 2\ngenerators = (1,0) (1,1)\n",
+    "num-3-5-7-gens": "kind = numerical\nparams = 3 5 7\ngenerators = 5 7\n",
+})
+PINNED_PARSED = [
+    ("check --depth 3", "axb-primes", 0,
+     "f75a653ca7020e376044bb61be4156d9534d55aa6c8884a13974855699bd61a2"),
+    ("check", "axb-gens", 0,
+     "13202bfc16c2d18c8361b3a91d2d4e04afda6b38bda85480bdc4eae9ff162288"),
+    ("hull", "cyc48-g1", 0,
+     "064350bda86061766b61fc3a4de6b8ecf0d67f7208a56799d5da35c0b7cb115b"),
+    ("check", "cone2-gens", 0,
+     "6eeb9bae26ef41a249b1471aedccc2b1aae76ff3817d2b25b35b1b0f0783fc44"),
+    ("check", "num-3-5-7-gens", 0,
+     "780d70c519e88ea724a63342402ec084e15d06b19f9cc53af0e1740506478860"),
+]
+
+
+@pytest.mark.parametrize("command, config, code, digest", PINNED_PARSED,
+                         ids=["%s-%s" % (c.replace(" ", ""), f)
+                              for c, f, _, _ in PINNED_PARSED])
+def test_parsed_generator_output_is_pinned(command, config, code, digest,
+                                           tmp_path, capsys):
+    test_large_lattice_output_is_pinned(command, config, code, digest,
+                                        tmp_path, capsys)
+
+
+PINNED_GROUP = [
+    ("zplus", "9f982310b43b233113ba5d74abfbee307e4692e7e0b220bea3cca375469944ba"),
+    ("cone2", "9e8605e5ae135a511ac1f2840c596a5009cf1be91a2e8a7230935ea410ac231c"),
+    ("num23", "bc4f71037372196d0b3410914da0bb356367b54e45df6739861a348456d2d4fb"),
+    ("table5", "d2e15e18670feaf241c069accdb60e1636595080abecac39e451fda2a22be8c6"),
+]
+
+
+@pytest.mark.parametrize("config, digest", PINNED_GROUP,
+                         ids=[f for f, _ in PINNED_GROUP])
+def test_group_output_is_pinned(config, digest, capsys):
+    test_output_is_pinned("group", config, 0, digest, capsys)
