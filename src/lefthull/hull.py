@@ -12,9 +12,11 @@ never consulting the (g, X) algebra.  It reads each point's step from the
 window rows of the two operations, built once per backend, window and
 letter.  Window exits are tracked as boundary points and excluded from
 comparisons; a failed left_divide inside the window is genuine
-undefinedness.  The atoms star(lambda t) lambda s and the window actions
-of hull elements are likewise kept once per backend (``Semigroup``); an
-operation that raises stores nothing.
+undefinedness.  The atoms star(lambda t) lambda s, the window actions
+of hull elements and the domains of composites are likewise kept once per
+backend (``Semigroup``); an operation that raises stores nothing.  The
+domain of f after h is h^-1(dom f n ran h), a function of (dom f, h)
+alone: composites that share dom f and h share it.
 """
 
 from collections import namedtuple
@@ -65,16 +67,19 @@ def star(sg, f):
 
 
 def compose(sg, f, h):
-    """f after h as partial maps; ZERO when the domain collapses."""
+    """f after h as partial maps; ZERO when the domain collapses.  The
+    domain h^-1(dom f n ran h) depends on f only through dom f, so it is
+    kept once per backend by (dom f, h), EMPTY where the meet is empty."""
     if f is ZERO or h is ZERO:
         return ZERO
-    cal = calculus(sg)
     G = sg.grading_group()
-    ran_h = cal.image(h.grade, h.dom)
-    meet = cal.intersect(f.dom, ran_h)
-    if meet is EMPTY:
+    dom = sg._domains.get((f.dom, h))
+    if dom is None:
+        cal = calculus(sg)
+        meet = cal.intersect(f.dom, cal.image(h.grade, h.dom))
+        dom = sg._domains[f.dom, h] = cal.image(G.inv(h.grade), meet)
+    if dom is EMPTY:
         return ZERO
-    dom = cal.image(G.inv(h.grade), meet)
     return _element((G.mul(f.grade, h.grade), dom))
 
 

@@ -345,10 +345,11 @@ class Semigroup(Value):
     render's syntax and accepts what ``contains`` accepts, and
     ``group_element_of(g)`` is g where S holds it.
 
-    An instance keeps its calculus and four memo dicts: windows by size,
+    An instance keeps its calculus and five memo dicts: windows by size,
     hull atoms by letter pair, ``_mul`` and ``_ldiv`` rows by window and
-    letter, and element actions by element and window.  All are pure
-    functions of canonical values, and none is a field.
+    letter, element actions by element and window, and the domains of
+    hull composites f h by (dom f, h).  All are pure functions of
+    canonical values, and none is a field.
     """
 
     def contains(self, x):
@@ -431,6 +432,7 @@ class Semigroup(Value):
     _atoms = cached_property(lambda self: {})
     _rows = cached_property(lambda self: {})
     _actions = cached_property(lambda self: {})
+    _domains = cached_property(lambda self: {})
 
     def window_of_size(self, size):
         """The first ``size`` window elements as a tuple, built once per
@@ -451,8 +453,9 @@ class Semigroup(Value):
         return str(x)
 
     def parse(self, text):
-        """The element rendered as ``text``: an int, or ints between commas
-        in parentheses where the identity is a tuple; else UsageError."""
+        """The element x that ``text`` renders, whitespace aside: an int, or
+        ints between commas in parentheses where the identity is a tuple;
+        else UsageError."""
         text = text.strip()
         try:
             if isinstance(self.identity(), tuple):
@@ -462,6 +465,8 @@ class Semigroup(Value):
         except ValueError:
             raise UsageError("bad element %r" % text) from None
         self._check(x)
+        if self.render(x) != "".join(text.split()):
+            raise UsageError("bad element %r" % text)
         return x
 
     def describe(self):

@@ -10,16 +10,32 @@ so it is never extended.
 ``apply_element`` evaluates a hull element pointwise, the oracle for the
 partial maps the hull elements stand for.
 
-``evaluate_word``, ``materialize_element`` and ``materialize_word`` are
-the bodies ``hull`` had before it kept atoms, element actions and letter
-rows once per backend: two composes and a star per pair, and a replay
-that calls ``_mul`` and ``_ldiv`` for every point.  They keep nothing, so
-they are the oracles for those memos.
+``compose``, ``evaluate_word``, ``materialize_element`` and
+``materialize_word`` are the bodies ``hull`` had before it kept composite
+domains, atoms, element actions and letter rows once per backend: an
+image, a meet and an image back per product, two composes and a star per
+pair, and a replay that calls ``_mul`` and ``_ldiv`` for every point.
+They keep nothing, so they are the oracles for those memos; the walks
+above compose with this ``compose`` too.
 """
 
-from lefthull.hull import (ZERO, PartialMap, compose, hull_sort_key,
+from lefthull.hull import (ZERO, PartialMap, _element, hull_sort_key,
                            identity_element, lambda_, star)
-from lefthull.ideals import calculus
+from lefthull.ideals import EMPTY, calculus
+
+
+def compose(sg, f, h):
+    """f after h, its domain h^-1(dom f n ran h) worked out afresh."""
+    if f is ZERO or h is ZERO:
+        return ZERO
+    cal = calculus(sg)
+    G = sg.grading_group()
+    ran_h = cal.image(h.grade, h.dom)
+    meet = cal.intersect(f.dom, ran_h)
+    if meet is EMPTY:
+        return ZERO
+    dom = cal.image(G.inv(h.grade), meet)
+    return _element((G.mul(f.grade, h.grade), dom))
 
 
 def apply_element(sg, f, x):

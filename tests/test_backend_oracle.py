@@ -37,16 +37,46 @@ def ids(sg):
     return sg.describe()
 
 
+def rendered(sg, text, result):
+    """What parse must do with ``text`` where a stated body did ``result``:
+    keep a value that renders as the text, whitespace aside, else raise."""
+    kind, *value = result
+    if kind == "value" and sg.render(*value) == "".join(text.split()):
+        return result
+    return ("raises",)
+
+
 @pytest.mark.parametrize("sg", PARSED, ids=ids)
 def test_parse_accepts_what_the_stated_bodies_accepted(sg):
+    # of what the stated bodies accepted, exactly the texts render prints
     body = oracle.PARSE[type(sg)]
     got = {text: outcome(sg.parse, text) for text in TEXTS}
-    assert got == {text: outcome(body, sg, text) for text in TEXTS}
+    assert got == {text: rendered(sg, text, outcome(body, sg, text))
+                   for text in TEXTS}
     # the accepted values are elements, and render reads back to them
     for text, (kind, *value) in got.items():
         if kind == "value":
             assert sg.contains(*value)
             assert sg.parse(sg.render(*value)) == value[0]
+
+
+REFUSED = [
+    (PositiveCone(2), ["1,2", "((1,2))", "(1,2", "(1,2))", "+1,2"]),
+    (AxPlusB(), ["1,2", "((1,2))", "(1,2", "(+1,2)", "(1,02)"]),
+    (NumericalSemigroup((2, 3)), ["+5", "5_0", "05", " 5_0 "]),
+    (PositiveCone(1), ["5", "(5", "((5))", "(5_0)"]),
+    (FiniteTable(cyclic_table(5)), ["+1", "01", "-0"]),
+]
+
+
+@pytest.mark.parametrize("sg, texts", REFUSED,
+                         ids=[ids(c[0]) for c in REFUSED])
+def test_parse_refuses_text_that_render_never_prints(sg, texts):
+    # each of these once read as an element: now only render's text does
+    for text in texts:
+        assert outcome(oracle.PARSE[type(sg)], sg, text)[0] == "value"
+        with pytest.raises(UsageError, match="bad element"):
+            sg.parse(text)
 
 
 def grades(sg):

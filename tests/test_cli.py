@@ -60,6 +60,25 @@ def test_duplicate_key_reports_line(capsys, tmp_path):
     assert "duplicate" in err and "line 3" in err
 
 
+# texts render never prints, then non-elements in render's syntax
+UNPARSABLE = [("num23", "5_0"), ("num23", "+5"), ("axb", "(1,2"),
+              ("axb", "((1,2))"), ("cone2", "1,2"), ("cone1", "5"),
+              ("num23", "1"), ("cone2", "(-1,0)"), ("axb", "(0,0)")]
+KINDS = {"num23": "kind = numerical\nparams = 2 3\n", "axb": "kind = axb\n",
+         "cone2": "kind = cone\nparams = 2\n",
+         "cone1": "kind = cone\nparams = 1\n"}
+
+
+@pytest.mark.parametrize("kind, generator", UNPARSABLE,
+                         ids=["-".join(c) for c in UNPARSABLE])
+def test_a_generator_parse_refuses_exits_2(kind, generator, capsys,
+                                           tmp_path):
+    path = write(tmp_path, KINDS[kind] + "generators = %s\n" % generator)
+    code, out, err = run(["check", path], capsys)
+    assert (code, out) == (2, "")
+    assert "cannot parse generator %r" % generator in err
+
+
 def test_unknown_kind_exits_2(capsys, tmp_path):
     path = write(tmp_path, "kind = ring\n")
     code, out, err = run(["hull", path], capsys)

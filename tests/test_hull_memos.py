@@ -1,7 +1,8 @@
-"""The hull memos a backend keeps (atoms, letter rows, element actions)
-against the bodies in ``hull_oracle`` that keep nothing, and the faults a
-memo must never hide."""
+"""The hull memos a backend keeps (composite domains, atoms, letter rows,
+element actions) against the bodies in ``hull_oracle`` that keep nothing,
+and the faults a memo must never hide."""
 
+from itertools import product
 import os
 import random
 
@@ -9,12 +10,14 @@ import pytest
 
 from lefthull import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
                       NumericalSemigroup, PositiveCone, UsageError,
-                      cyclic_table, hull, run_checks)
+                      cyclic_table, hull, operators, run_checks)
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
-from lefthull.hull import (evaluate_word, hull_graph, identity_element,
-                           lambda_, materialize_element, materialize_word,
-                           star)
+from lefthull.hull import (ZERO, compose, evaluate_word, hull_graph,
+                           identity_element, lambda_, materialize_element,
+                           materialize_word, star)
+from lefthull.ideals import calculus
+from lefthull.operators import s_window, verify_relation
 
 import hull_oracle as oracle
 
@@ -28,13 +31,24 @@ TEXTS = {
     "num-10-11": "kind = numerical\nparams = 10 11\n",
     "axb-i": "kind = axb\ngenerators = (0,2) (0,3) (0,5)\n",
 }
+# the other lhbench inputs; free2, cone2 and axb are the shipped configs
+MORE = {
+    "axb-c": "kind = axb\ngenerators = (1,2) (0,3)\n",
+    "num-3-5-7": "kind = numerical\nparams = 3 5 7\n",
+    "num-4-5": "kind = numerical\nparams = 4 5\n",
+}
 SIZES = (1, 20, 30, 80)
 MEMOS = ("_atoms", "_rows", "_actions")
 
 
-def backend(name):
-    cfg = parse_config(TEXTS[name]) if name in TEXTS else \
+def config(name):
+    texts = dict(TEXTS, **MORE)
+    return parse_config(texts[name]) if name in texts else \
         load_config(os.path.join(CONFIGS, name + ".cfg"))
+
+
+def backend(name):
+    cfg = config(name)
     sg = build_backend(cfg)
     return sg, config_generators(sg, cfg)
 
@@ -127,3 +141,78 @@ def test_a_compose_fault_inside_an_atom_fails_hull_vs_oracle(monkeypatch):
     assert results["hull-vs-oracle"].status == "fail"
     assert "materialization mismatches" in results["hull-vs-oracle"].detail
     assert sg._atoms[(1, 0), (0, 1)] == lambda_(sg, (0, 1))
+
+
+def assert_composes_agree(sg, generators, window, monkeypatch):
+    """compose against the oracle on every (element, atom) pair of the
+    length-3 hull graph, every (atom, element) pair, where elements of one
+    grade differ in their domains, and every pair the intertwiner suite
+    composes; the results of the suite's composes, ZERO among them where
+    it occurs."""
+    graph = hull_graph(sg, 3, generators)
+    for f, row in zip(graph.elements, graph.succ):
+        for a, j in zip(graph.atoms, row):
+            assert compose(sg, f, a) == oracle.compose(sg, f, a) == \
+                graph.elements[j]
+    for f, a in product(graph.elements, dict.fromkeys(graph.atoms)):
+        assert compose(sg, a, f) == oracle.compose(sg, a, f)
+    results = []
+
+    def checked(sg, f, h):
+        g = compose(sg, f, h)
+        assert g == oracle.compose(sg, f, h)
+        results.append(g)
+        return g
+
+    with monkeypatch.context() as m:
+        m.setattr(operators, "compose", checked)
+        verify_relation(sg, "intertwiner", s_window(sg, size=window),
+                        graph=graph)
+    assert results
+    return results
+
+
+@pytest.mark.parametrize("name", SHIPPED + list(TEXTS) + list(MORE))
+def test_compose_agrees_with_the_body_that_keeps_nothing(name, monkeypatch):
+    cfg = config(name)
+    sg, generators = backend(name)
+    window = cfg.bounds.get("window", 20)
+    assert not vars(sg).get("_domains")
+    cold = assert_composes_agree(sg, generators, window, monkeypatch)
+    assert sg._domains
+    # warm: one whole check at length 3 fills the memo, then the same pairs
+    run_checks(sg, length=3, window=window, generators=generators)
+    assert assert_composes_agree(sg, generators, window, monkeypatch) == cold
+    if name in ("free2", "axb", "axb-i", "axb-c"):
+        assert ZERO in cold  # the suite's ZERO results are compared too
+
+
+@pytest.mark.parametrize("broken", [(-2, -1), (2, 1)],
+                         ids=["range", "preimage"])
+def test_an_image_that_raises_stores_no_domain(broken, monkeypatch):
+    # the image by h's grade (its range) or by the inverse grade (the
+    # preimage of the meet) raises: the memo is left as it was, and the
+    # next call works the domain out
+    sg, generators = backend("cone2")
+    hull_graph(sg, 2, generators)
+    f, h = lambda_(sg, (0, 3)), star(sg, lambda_(sg, (2, 1)))
+    kept = dict(sg._domains)
+    assert kept and (f.dom, h) not in kept and h.grade == (-2, -1)
+    cal, calls = calculus(sg), []
+    real = cal.image
+
+    def image(g, X):
+        calls.append(g)
+        if g == broken:
+            raise InvariantViolation("image broke")
+        return real(g, X)
+
+    with monkeypatch.context() as m:
+        m.setattr(cal, "image", image)
+        for _ in range(2):
+            with pytest.raises(InvariantViolation, match="image broke"):
+                compose(sg, f, h)
+            assert sg._domains == kept
+    assert calls[-1] == broken
+    assert compose(sg, f, h) == oracle.compose(sg, f, h) != ZERO
+    assert len(sg._domains) == len(kept) + 1
