@@ -202,8 +202,7 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
         return "%d filters" % len(fs)
 
     def relations():
-        return relation_summary(sg, s_window(sg, size=window), lattice(),
-                                hull(), generators)
+        return relation_summary(sg, win, lattice(), hull(), generators)
 
     def expectation():
         W = s_window(sg, size=max(window, 30))

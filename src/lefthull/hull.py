@@ -9,14 +9,15 @@ the empty map; ``compose`` and ``star`` build their results unchecked.
 ``materialize_word`` is the independent oracle: it replays an alternating
 word pointwise on a finite window using only multiply and left_divide,
 never consulting the (g, X) algebra.  It reads each point's step from the
-window rows of the two operations, built once per backend, window and
-letter.  Window exits are tracked as boundary points and excluded from
-comparisons; a failed left_divide inside the window is genuine
-undefinedness.  The atoms star(lambda t) lambda s, the window actions
-of hull elements and the domains of composites are likewise kept once per
-backend (``Semigroup``); an operation that raises stores nothing.  The
-domain of f after h is h^-1(dom f n ran h), a function of (dom f, h)
-alone: composites that share dom f and h share it.
+window rows of the two operations.  Window exits are tracked as boundary
+points and excluded from comparisons; a failed left_divide inside the
+window is genuine undefinedness.  A backend's own windows keep their ideal
+columns, letter rows and element actions, shared by every suite and the
+oracle; any other window is answered afresh.  The atoms star(lambda t)
+lambda s and the domains of composites are kept once per backend; an
+operation that raises stores nothing.  The domain of f after h is
+h^-1(dom f n ran h), a function of (dom f, h) alone: composites that
+share dom f and h share it.
 """
 
 from collections import namedtuple
@@ -206,62 +207,72 @@ class PartialMap(namedtuple("PartialMap", "mapping boundary")):
         return super().__new__(cls, mapping, boundary)
 
 
+OUT = object()  # a row's entry where the step leaves the window
+
+
+def window_row(sg, op, a, W):
+    """x -> op(a, x) over the window W by position: the position of the
+    value, None where ``_ldiv`` is undefined, or OUT where the value leaves
+    the window; once per window, operation and letter."""
+    W = sg.own_window(W)
+    row = W.rows.get((op, a))
+    if row is None:
+        at = W.index.get
+        row = W.rows[op, a] = tuple(
+            None if y is None else at(y, OUT)
+            for y in map(partial(getattr(sg, op), a), W))
+    return row
+
+
+def window_columns(sg, X, W):
+    """The positions j with W[j] in X, once per window and ideal."""
+    W = sg.own_window(W)
+    cols = W.columns.get(X)
+    if cols is None:
+        member = calculus(sg).is_member
+        cols = W.columns[X] = tuple(j for j, t in enumerate(W)
+                                    if member(t, X))
+    return cols
+
+
 def materialize_element(sg, f, window):
-    """f's action on the window, points sent outside it as the boundary;
-    built once per backend, element and window (the map is shared, so
-    read it only)."""
-    window = tuple(window)
-    known = sg._actions.get((f, window))
-    if known is not None:
-        return known
-    own = dict(zip(window, window))  # kept maps hold the window's points
-    mapping, boundary = {}, set()
-    if f is not ZERO:
-        cal = calculus(sg)
-        for x in window:
-            if not cal.is_member(x, f.dom):
-                continue
-            y = own.get(sg.act(f.grade, x))
-            if y is None:
-                boundary.add(x)
+    """f's action on the window columns of its domain, points sent outside
+    the window as the boundary; kept once per window, so read it only."""
+    W = sg.own_window(window)
+    known = W.actions.get(f)
+    if known is None:
+        mapping, boundary = {}, set()
+        for j in () if f is ZERO else window_columns(sg, f.dom, W):
+            i = W.index.get(sg.act(f.grade, W[j]))
+            if i is None:
+                boundary.add(W[j])
             else:
-                mapping[x] = y
-    known = sg._actions[f, window] = PartialMap(mapping, frozenset(boundary))
+                mapping[W[j]] = W[i]
+        known = W.actions[f] = PartialMap(mapping, frozenset(boundary))
     return known
-
-
-_OUT = object()  # a row's value where the point leaves the window
 
 
 def materialize_word(sg, pairs, window):
     """Pointwise replay of the word by trusted multiply and left_divide,
-    each point's step looked up in the window row of its letter, built
-    once per backend, window and letter."""
+    each point's step read off the window rows of its letters."""
     pairs = list(pairs)[::-1]
     sg._check(*[x for pair in pairs for x in pair])  # the letters, once
-    window = tuple(window)
-    rows = sg._rows.get(window, {})
-    own = dict(zip(window + (None,), window + (None,)))
-
-    def row(op, a):  # x -> op(a, x), the window's copy, None or _OUT
-        if (op, a) not in rows:
-            ys = map(partial(getattr(sg, op), a), window)
-            rows[op, a] = {x: own.get(y, _OUT) for x, y in zip(window, ys)}
-        return rows[op, a]
-
-    steps = [(row("_mul", s), row("_ldiv", t)) for t, s in pairs]
-    sg._rows[window] = rows  # only rows that were built
+    W = sg.own_window(window)
+    steps = [(window_row(sg, "_mul", s, W), window_row(sg, "_ldiv", t, W))
+             for t, s in pairs]
     mapping, boundary = {}, set()
-    for x in window:
-        state = x
+    for j, x in enumerate(W):
+        state = j
         for mul, ldiv in steps:
-            state = ldiv.get(mul[state], _OUT)  # no row holds _OUT or None
-            if state is None or state is _OUT:  # undefined, or left
+            state = mul[state]  # multiply is total
+            if state is not OUT:
+                state = ldiv[state]
+            if state is None or state is OUT:  # undefined, or left
                 break
         else:
-            mapping[x] = state
+            mapping[x] = W[state]
             continue
-        if state is _OUT:
+        if state is OUT:
             boundary.add(x)
     return PartialMap(mapping, frozenset(boundary))
 

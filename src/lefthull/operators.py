@@ -10,7 +10,12 @@ The intertwiner suite builds T* L(f) T directly on the semigroup window,
 from the columns of L(f) at the basis vectors lambda(s) that T hits.
 L(f) keeps lambda(s) when star(f) f lambda(s) = lambda(s), decided once
 per call for each distinct idempotent star(f) f; f lambda(s) is composed if
-kept.  A window holds its columns in each ideal, shared by every suite.
+kept.
+
+Every suite reads the backend's own window (``s_window``), which keeps its
+ideal columns, letter rows and element actions (see hull.py): V_s is the
+``_mul`` row of s, L(f) is f's kept action, and the safe and annihilated
+columns below read ``_ldiv`` rows.
 
 The covariance and semilattice suites check the ideal lattice their caller
 passes (``truncate_semilattice``), and the cs-grade-one and intertwiner
@@ -52,43 +57,21 @@ from functools import cache
 from itertools import product, repeat
 from operator import and_, ne
 
-from .hull import (ZERO, compose, domain, hull_sort_key, is_idempotent,
-                   lambda_, render_element, star)
+from .hull import (OUT, ZERO, compose, domain, hull_sort_key, is_idempotent,
+                   lambda_, materialize_element, render_element, star,
+                   window_columns, window_row)
 from .ideals import calculus
 from .matrices import Matrix
-from .semigroups import InvariantViolation, UsageError
-
-
-class Window:
-    """Ordered duplicate-free basis with an index map and a column memo."""
-
-    def __init__(self, elements):
-        elements = tuple(elements)
-        index = {}
-        for i, x in enumerate(elements):
-            if x in index:
-                raise UsageError("duplicate window element %r" % (x,))
-            index[x] = i
-        self.elements = elements
-        self.index = index
-        self.columns = {}
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, x):
-        return x in self.index
+from .semigroups import InvariantViolation, UsageError, Window
 
 
 def s_window(sg, size=None, bound=None):
-    """Basis window over the semigroup, by element count or by grade bound."""
+    """The backend's basis window, by element count or by grade bound: the
+    window of one size, as windows are prefix-monotone in the bound."""
     if (size is None) == (bound is None):
         raise UsageError("give exactly one of size and bound")
-    elements = sg.window_of_size(size) if size is not None else sg.window(bound)
-    return Window(elements)
+    return sg.window_of_size(size if size is not None
+                             else len(sg.window(bound)))
 
 
 def hull_window(sg, graph, include):
@@ -108,24 +91,12 @@ class TruncatedOperator(namedtuple("TruncatedOperator", "matrix safe")):
 
 
 def isometry_matrix(sg, s, W):
+    """V_s: the window's ``_mul`` row of s, safe where it stays inside."""
     sg._check(s)  # once; the window's elements are the backend's own
-    entries, safe = {}, set()
-    for j, t in enumerate(W.elements):
-        st = sg._mul(s, t)
-        if st in W.index:
-            entries[j] = W.index[st]
-            safe.add(j)
+    entries = {j: i for j, i in enumerate(window_row(sg, "_mul", s, W))
+               if i is not OUT}
     n = len(W)
-    return TruncatedOperator(Matrix(n, n, entries), frozenset(safe))
-
-
-def window_columns(sg, X, W):
-    """The columns j with W_j in X, in window order, once per window."""
-    if X not in W.columns:
-        member = calculus(sg).is_member
-        W.columns[X] = tuple(j for j, t in enumerate(W.elements)
-                             if member(t, X))
-    return W.columns[X]
+    return TruncatedOperator(Matrix(n, n, entries), frozenset(entries))
 
 
 def char_projection(sg, X, W):
@@ -135,18 +106,14 @@ def char_projection(sg, X, W):
         frozenset(range(n)))
 
 
-def hull_matrix(sg, f, W, cols):
-    """The pointwise action of a hull element on the semigroup window;
-    ``cols`` are the window columns in its domain.  Every other column is
-    genuinely annihilated, no truncation involved, so it is safe."""
-    n = len(W)
-    entries, safe = {}, set(range(n)).difference(cols)
-    for j in cols:
-        ft = sg.act(f.grade, W.elements[j])
-        if ft in W.index:
-            entries[j] = W.index[ft]
-            safe.add(j)
-    return TruncatedOperator(Matrix(n, n, entries), frozenset(safe))
+def hull_matrix(sg, f, W):
+    """The pointwise action of a hull element on the semigroup window, read
+    off ``materialize_element``.  A column outside its domain is genuinely
+    annihilated, no truncation involved, so only the boundary is unsafe."""
+    action, at, n = materialize_element(sg, f, W), W.index, len(W)
+    return TruncatedOperator(
+        Matrix(n, n, {at[x]: at[y] for x, y in action.mapping.items()}),
+        frozenset(range(n)).difference(map(at.__getitem__, action.boundary)))
 
 
 def regular_rep_matrix(sg, f, HW):
@@ -156,7 +123,7 @@ def regular_rep_matrix(sg, f, HW):
     n = len(HW)
     ff = compose(sg, star(sg, f), f)
     entries, safe = {}, set()
-    for j, q in enumerate(HW.elements):
+    for j, q in enumerate(HW):
         if compose(sg, ff, q) != q:
             safe.add(j)
         elif (fq := compose(sg, f, q)) in HW.index:
@@ -169,7 +136,7 @@ def intertwiner_matrix(sg, W, HW):
     """The isometry sending the semigroup basis vector at s to the hull
     basis vector at lambda(s)."""
     entries = {}
-    for j, s in enumerate(W.elements):
+    for j, s in enumerate(W):
         ls = lambda_(sg, s)
         if ls not in HW.index:
             raise UsageError("hull window misses lambda of %s" % sg.render(s))
@@ -218,9 +185,8 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
         for s in letters:
             V = isometry_matrix(sg, s, W).matrix
             Vt = V.transpose()
-            safe = frozenset(j for j, t in enumerate(W.elements)
-                             if (u := sg._ldiv(s, t)) is None
-                             or u in W.index)
+            safe = frozenset(j for j, u in enumerate(
+                window_row(sg, "_ldiv", s, W)) if u is not OUT)
             for X in lattice.family:
                 lhs = V * e(X) * Vt
                 if not lhs.columns_agree(e(cal.translate(s, X)), safe):
@@ -268,8 +234,9 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
         classes = {}
         for k, (t, s) in enumerate(product(graph.ends, repeat=2)):
             A = Vt[t] * V[s]
+            ldiv = window_row(sg, "_ldiv", t, W)
             zero = frozenset(j for j, i in V[s].entries.items()
-                             if sg._ldiv(t, W.elements[i]) is None)
+                             if ldiv[i] is None)
             classes.setdefault((graph.atoms[k], frozenset(A.entries.items()),
                                 zero), [k, (t, s), A, zero, 0])[4] += 1
         pool = list(classes.values())
@@ -307,7 +274,7 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
         # the hull basis vector at lambda(s), so column s of T* L(f) T is
         # e_s' when L(f) keeps lambda(s) and sends it to lambda(s') with s'
         # in W, else zero.
-        at = {lambda_(sg, s): j for j, s in enumerate(W.elements)}
+        at = {lambda_(sg, s): j for j, s in enumerate(W)}
         kept = cache(lambda ff: [(ls, j) for ls, j in at.items()
                                  if compose(sg, ff, ls) == ls])
         n = len(W)
@@ -315,7 +282,7 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
             ff = compose(sg, star(sg, f), f)
             lhs = Matrix(n, n, {j: at[fq] for ls, j in kept(ff)
                                 if (fq := compose(sg, f, ls)) in at})
-            rep = hull_matrix(sg, f, W, window_columns(sg, domain(f), W))
+            rep = hull_matrix(sg, f, W)
             if not lhs.columns_agree(rep.matrix, rep.safe):
                 _mismatch(kind, "intertwiner f=%s" % render_element(sg, f))
             count += 1
@@ -343,7 +310,7 @@ def expectation_loop(sg, W, graph):
     (total, fixed, skipped)."""
     total = fixed = skipped = 0
     for f in graph.ordered:
-        op = hull_matrix(sg, f, W, window_columns(sg, domain(f), W))
+        op = hull_matrix(sg, f, W)
         isfixed = op.matrix.diagonal() == op.matrix
         expected = is_idempotent(sg, f)
         if f is not ZERO and not expected and op.matrix.is_zero():

@@ -331,6 +331,22 @@ class FiniteGroup(Group):
 # semigroups
 
 
+class Window(tuple):
+    """An ordered duplicate-free basis: a tuple with its ``index`` (element
+    -> position) and the answers computed on it, ``columns`` (ideal -> the
+    positions in it), ``rows`` ((op, letter) -> a row of ``hull.window_row``)
+    and ``actions`` (hull element -> its ``PartialMap``)."""
+
+    def __new__(cls, elements):
+        self = super().__new__(cls, elements)
+        self.index = {}
+        for i, x in enumerate(self):
+            if self.index.setdefault(x, i) != i:
+                raise UsageError("duplicate window element %r" % (x,))
+        self.columns, self.rows, self.actions = {}, {}, {}
+        return self
+
+
 class Semigroup(Value):
     """Common surface of all backends.
 
@@ -345,11 +361,10 @@ class Semigroup(Value):
     render's syntax and accepts what ``contains`` accepts, and
     ``group_element_of(g)`` is g where S holds it.
 
-    An instance keeps its calculus and five memo dicts: windows by size,
-    hull atoms by letter pair, ``_mul`` and ``_ldiv`` rows by window and
-    letter, element actions by element and window, and the domains of
-    hull composites f h by (dom f, h).  All are pure functions of
-    canonical values, and none is a field.
+    An instance keeps its calculus and three memo dicts: windows by size
+    (each ``Window`` keeps what is computed on it), hull atoms by letter
+    pair, and the domains of hull composites f h by (dom f, h).  All are
+    pure functions of canonical values, and none is a field.
     """
 
     def contains(self, x):
@@ -430,20 +445,25 @@ class Semigroup(Value):
 
     _windows = cached_property(lambda self: {})
     _atoms = cached_property(lambda self: {})
-    _rows = cached_property(lambda self: {})
-    _actions = cached_property(lambda self: {})
     _domains = cached_property(lambda self: {})
 
     def window_of_size(self, size):
-        """The first ``size`` window elements as a tuple, built once per
+        """The first ``size`` window elements as a ``Window``, built once per
         instance: a window is a pure function of (backend, size)."""
         if size not in self._windows:
             bound, win = 1, self.window(1)
             while len(win) < size:
                 bound *= 2
                 win = self.window(bound)
-            self._windows[size] = tuple(win[:size])
+            self._windows[size] = Window(win[:size])
         return self._windows[size]
+
+    def own_window(self, elements):
+        """The window this instance built equal to ``elements``, else a fresh
+        one: answers kept for one backend never serve another."""
+        own = self._windows.get(len(elements))
+        return own if own is elements or own == tuple(elements) \
+            else Window(elements)
 
     def key(self, x):
         """Total order key consistent with window order."""

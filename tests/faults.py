@@ -61,11 +61,32 @@ FAULTS = (
           ("tests/test_hull_memos.py"
            "::test_memos_agree_with_the_bodies_that_keep_nothing",)),
     Fault("action-memo-keyed-without-window", "hull.py",
-          "    known = sg._actions.get((f, window))\n",
-          "    known = next((v for (g, _), v in sg._actions.items()"
-          " if g == f), None)\n",
+          "    known = W.actions.get(f)\n",
+          "    known = next((w.actions[f] for w in sg._windows.values()"
+          " if f in w.actions), None)\n",
           ("tests/test_hull_memos.py"
            "::test_memos_agree_with_the_bodies_that_keep_nothing",)),
+    Fault("row-memo-keyed-without-op", "hull.py",
+          "    row = W.rows.get((op, a))\n",
+          "    row = next((r for (_, b), r in W.rows.items() if b == a),"
+          " None)\n",
+          ("tests/test_hull_memos.py"
+           "::test_window_answers_agree_with_the_bodies_that_keep_nothing",
+           "tests/test_pinned_outputs.py::test_output_is_pinned[check-axb]")),
+    Fault("hull-matrix-boundary-safe", "operators.py",
+          "        frozenset(range(n)).difference(map(at.__getitem__,"
+          " action.boundary)))\n",
+          "        frozenset(range(n)))\n",
+          ("tests/test_hull_memos.py"
+           "::test_window_answers_agree_with_the_bodies_that_keep_nothing",
+           "tests/test_pinned_outputs.py"
+           "::test_matrix_exports_are_pinned[matrix-axb]")),
+    Fault("window-answers-for-any-backend", "semigroups.py",
+          "            else Window(elements)\n",
+          "            else elements if isinstance(elements, Window)"
+          " else Window(elements)\n",
+          ("tests/test_hull_memos.py"
+           "::test_a_window_answers_only_for_the_backend_that_built_it",)),
     Fault("domain-memo-keyed-by-h", "hull.py",
           "    dom = sg._domains.get((f.dom, h))\n",
           "    dom = next((v for (X, g), v in sg._domains.items() if g == h),"
@@ -104,6 +125,24 @@ FAULTS = (
            "::test_parse_refuses_text_that_render_never_prints[AxPlusB]",
            "tests/test_cli.py"
            "::test_a_generator_parse_refuses_exits_2[num23-5_0]")),
+    Fault("transpose-keeps-the-map", "matrices.py",
+          "                      {i: j for j, i in self.entries.items()})\n",
+          "                      {j: i for j, i in self.entries.items()})\n",
+          ("tests/test_matrices.py::test_transpose_and_diagonal",)),
+    Fault("columns-agree-reads-one-column", "matrices.py",
+          "        return all(mine.get(j) == theirs.get(j) for j in cols)\n",
+          "        return all(mine.get(j) == theirs.get(j)"
+          " for j in sorted(cols)[:1])\n",
+          ("tests/test_matrices.py::test_column_and_agreement",)),
+    Fault("crt-modulus-max", "ideals.py",
+          "    return (b + a * k) % l, l\n",
+          "    return (b + a * k) % l, max(a, c)\n",
+          ("tests/test_pinned_outputs.py::test_output_is_pinned[check-axb]",)),
+    Fault("free-meet-the-shorter-word", "ideals.py",
+          "            return w\n",
+          "            return v\n",
+          ("tests/test_ideals.py"
+           "::test_canonical_matches_oracle_on_windows[FreeMonoid(2)]",)),
     Fault("filter-meet-of-first-member", "filters.py",
           "        lattice.keys.__getitem__, set_bits(members)))]\n",
           "        lattice.keys.__getitem__, set_bits(members)[:1]))]\n",

@@ -12,16 +12,23 @@ partial maps the hull elements stand for.
 
 ``compose``, ``evaluate_word``, ``materialize_element`` and
 ``materialize_word`` are the bodies ``hull`` had before it kept composite
-domains, atoms, element actions and letter rows once per backend: an
-image, a meet and an image back per product, two composes and a star per
-pair, and a replay that calls ``_mul`` and ``_ldiv`` for every point.
-They keep nothing, so they are the oracles for those memos; the walks
-above compose with this ``compose`` too.
+domains, atoms, element actions and letter rows: an image, a meet and an
+image back per product, two composes and a star per pair, a membership
+test and an action per point, and a replay that calls ``_mul`` and
+``_ldiv`` for every point.  They keep nothing, so they are the oracles for
+those memos; the walks above compose with this ``compose`` too.
+
+``isometry_matrix``, ``hull_matrix``, ``covariance_safe`` and
+``annihilated`` are what ``operators`` computed before it read the
+window's letter rows and element actions: one ``_mul``, ``act`` or
+``_ldiv`` per window point.
 """
 
 from lefthull.hull import (ZERO, PartialMap, _element, hull_sort_key,
                            identity_element, lambda_, star)
 from lefthull.ideals import EMPTY, calculus
+from lefthull.matrices import Matrix
+from lefthull.operators import TruncatedOperator
 
 
 def compose(sg, f, h):
@@ -129,3 +136,52 @@ def materialize_word(sg, pairs, window):
         elif verdict == "boundary":
             boundary.add(x)
     return PartialMap(mapping, frozenset(boundary))
+
+
+def _positions(window):
+    return {x: j for j, x in enumerate(window)}
+
+
+def isometry_matrix(sg, s, window):
+    """V_s, one multiply per window point."""
+    index = _positions(window)
+    entries, safe = {}, set()
+    for j, t in enumerate(window):
+        st = sg._mul(s, t)
+        if st in index:
+            entries[j] = index[st]
+            safe.add(j)
+    n = len(window)
+    return TruncatedOperator(Matrix(n, n, entries), frozenset(safe))
+
+
+def hull_matrix(sg, f, window):
+    """f on the window: a membership test per point and an action per point
+    of the domain; the columns outside the domain are safe."""
+    index = _positions(window)
+    cols = [] if f is ZERO else [j for j, t in enumerate(window)
+                                 if calculus(sg).is_member(t, f.dom)]
+    n = len(window)
+    entries, safe = {}, set(range(n)).difference(cols)
+    for j in cols:
+        ft = sg.act(f.grade, window[j])
+        if ft in index:
+            entries[j] = index[ft]
+            safe.add(j)
+    return TruncatedOperator(Matrix(n, n, entries), frozenset(safe))
+
+
+def covariance_safe(sg, s, window):
+    """The covariance suite's safe columns for the letter s: s does not
+    divide t, or its quotient lies in the window."""
+    index = _positions(window)
+    return frozenset(j for j, t in enumerate(window)
+                     if (u := sg._ldiv(s, t)) is None or u in index)
+
+
+def annihilated(sg, t, s, window):
+    """The cs-grade-one columns the pair (t, s) annihilates: s x lies in
+    the window and t does not divide it."""
+    V = isometry_matrix(sg, s, window).matrix
+    return frozenset(j for j, i in V.entries.items()
+                     if sg._ldiv(t, window[i]) is None)

@@ -102,6 +102,25 @@ def test_check_on_axb_keeps_each_composite_domain(monkeypatch, capsys):
     assert len(images) <= 6000
 
 
+def test_check_reads_each_row_and_action_once_per_window(monkeypatch,
+                                                        capsys):
+    # every suite and the oracle read one window's letter rows and element
+    # actions: working them out per consumer took 195 _ldiv calls on table5
+    # and 5,102 act calls on cone2 at length 3
+    ldivs, ldiv = [], FiniteTable._ldiv
+    monkeypatch.setattr(FiniteTable, "_ldiv", lambda self, s, t:
+                        ldivs.append(s) or ldiv(self, s, t))
+    acts, act = [], PositiveCone.act
+    monkeypatch.setattr(PositiveCone, "act", lambda self, g, x:
+                        acts.append(g) or act(self, g, x))
+    assert main(["check", os.path.join(CONFIGS, "table5.cfg")]) == 0
+    assert main(["check", os.path.join(CONFIGS, "cone2.cfg"), "--length",
+                 "3"]) == 0
+    assert capsys.readouterr().out.count("failures: 0") == 2
+    assert len(ldivs) <= 60
+    assert len(acts) <= 4500
+
+
 def test_check_and_analyze_share_the_relation_summary(capsys):
     path = os.path.join(CONFIGS, "axb.cfg")
     summary = {}

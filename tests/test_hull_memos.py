@@ -1,10 +1,12 @@
-"""The hull memos a backend keeps (composite domains, atoms, letter rows,
-element actions) against the bodies in ``hull_oracle`` that keep nothing,
-and the faults a memo must never hide."""
+"""The hull memos a backend keeps (composite domains and atoms, and the
+letter rows, element actions and ideal columns its windows keep) against
+the bodies in ``hull_oracle`` that keep nothing, and the faults a memo
+must never hide."""
 
 from itertools import product
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,11 +15,13 @@ from lefthull import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
                       cyclic_table, hull, operators, run_checks)
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
-from lefthull.hull import (ZERO, compose, evaluate_word, hull_graph,
+from lefthull.hull import (OUT, ZERO, compose, evaluate_word, hull_graph,
                            identity_element, lambda_, materialize_element,
-                           materialize_word, star)
+                           materialize_word, star, window_row)
 from lefthull.ideals import calculus
-from lefthull.operators import s_window, verify_relation
+from lefthull.matrices import Matrix
+from lefthull.operators import (hull_matrix, isometry_matrix, s_window,
+                                verify_relation)
 
 import hull_oracle as oracle
 
@@ -38,7 +42,14 @@ MORE = {
     "num-4-5": "kind = numerical\nparams = 4 5\n",
 }
 SIZES = (1, 20, 30, 80)
-MEMOS = ("_atoms", "_rows", "_actions")
+
+
+def kept(sg):
+    """What the backend keeps of atoms, and of letter rows and element
+    actions on each of its windows."""
+    windows = vars(sg).get("_windows", {}).values()
+    return [vars(sg).get("_atoms")] + [w.rows for w in windows] + \
+        [w.actions for w in windows]
 
 
 def config(name):
@@ -85,9 +96,9 @@ def assert_agrees(sg, words):
 def test_memos_agree_with_the_bodies_that_keep_nothing(name):
     sg, generators = backend(name)
     words = sample_words(sg, generators, random.Random(name))
-    assert not any(vars(sg).get(m) for m in MEMOS)
+    assert not any(kept(sg))
     assert_agrees(sg, words)
-    assert all(vars(sg)[m] for m in MEMOS)
+    assert all(kept(sg))
     # warm: the check battery fills every memo, then the same words again
     run_checks(sg, generators=generators)
     assert_agrees(sg, words)
@@ -113,7 +124,7 @@ def test_a_non_element_letter_is_refused_before_any_memo(sg, good, bad):
                  lambda: hull_graph(sg, 2, generators=[good, bad])):
         with pytest.raises(UsageError, match="is not an element"):
             call()
-        assert not any(vars(sg).get(m) for m in MEMOS)
+        assert not any(kept(sg))
 
 
 def test_a_non_injective_action_is_never_kept(monkeypatch):
@@ -125,7 +136,7 @@ def test_a_non_injective_action_is_never_kept(monkeypatch):
     for _ in range(2):
         with pytest.raises(InvariantViolation, match="not injective"):
             materialize_element(sg, identity_element(sg), win)
-    assert sg._actions == {}
+    assert win.actions == {}
 
 
 def test_a_compose_fault_inside_an_atom_fails_hull_vs_oracle(monkeypatch):
@@ -216,3 +227,91 @@ def test_an_image_that_raises_stores_no_domain(broken, monkeypatch):
     assert calls[-1] == broken
     assert compose(sg, f, h) == oracle.compose(sg, f, h) != ZERO
     assert len(sg._domains) == len(kept) + 1
+
+
+def assert_window_answers_agree(sg, generators, monkeypatch):
+    """On windows of 20 and 30: every letter row of the identity and the
+    letters, the isometries, covariance safe sets and cs-grade-one
+    annihilated sets read off them, and the one-pair words; and the action
+    and matrix of every element of the length-3 hull graph."""
+    graph = hull_graph(sg, 3, generators)
+    agree, safes = Matrix.columns_agree, []
+    for size in (20, 30):
+        W = sg.window_of_size(size)
+        at = dict(zip(W, range(len(W))))
+        ldiv = {}
+        for a in graph.ends:
+            assert window_row(sg, "_mul", a, W) == tuple(
+                at.get(sg._mul(a, x), OUT) for x in W)
+            ldiv[a] = window_row(sg, "_ldiv", a, W)
+            assert ldiv[a] == tuple(None if (u := sg._ldiv(a, x)) is None
+                                    else at.get(u, OUT) for x in W)
+            assert isometry_matrix(sg, a, W) == \
+                oracle.isometry_matrix(sg, a, W)
+        for t, s in product(graph.ends, repeat=2):
+            V = isometry_matrix(sg, s, W).matrix
+            assert frozenset(j for j, i in V.entries.items()
+                             if ldiv[t][i] is None) == \
+                oracle.annihilated(sg, t, s, W)
+            assert materialize_word(sg, [(t, s)], W) == \
+                oracle.materialize_word(sg, [(t, s)], W)
+        # the covariance suite on a one-member family: one safe set a letter
+        with monkeypatch.context() as m:
+            m.setattr(Matrix, "columns_agree", lambda self, other, cols:
+                      safes.append(cols) or agree(self, other, cols))
+            verify_relation(sg, "covariance", W, generators=generators,
+                            lattice=SimpleNamespace(
+                                family=(calculus(sg).full(),)))
+        assert safes == [oracle.covariance_safe(sg, s, W)
+                         for s in graph.ends[1:]]
+        safes.clear()
+        for f in graph.elements:
+            assert materialize_element(sg, f, W) == \
+                oracle.materialize_element(sg, f, W)
+            assert hull_matrix(sg, f, W) == oracle.hull_matrix(sg, f, W)
+
+
+@pytest.mark.parametrize("name", SHIPPED + list(TEXTS) + list(MORE))
+def test_window_answers_agree_with_the_bodies_that_keep_nothing(
+        name, monkeypatch):
+    cfg = config(name)
+    sg, generators = backend(name)
+    assert not vars(sg).get("_windows")
+    assert_window_answers_agree(sg, generators, monkeypatch)
+    # warm: one whole check at length 3 reads and fills the same windows
+    run_checks(sg, length=3, window=cfg.bounds.get("window", 20),
+               generators=generators)
+    assert_window_answers_agree(sg, generators, monkeypatch)
+
+
+def relabelled_z5():
+    """Z/5 as a table, and the same group with the labels 1 and 2 swapped:
+    equal windows and equal hull values, different maps."""
+    swap = (0, 2, 1, 3, 4)
+    t1 = FiniteTable(cyclic_table(5))
+    t2 = FiniteTable(tuple(tuple(swap[t1.table[swap[a]][swap[b]]]
+                                 for b in range(5)) for a in range(5)))
+    return t1, t2
+
+
+def test_a_window_answers_only_for_the_backend_that_built_it():
+    # t1's window keeps t1's rows and actions; read through it, t2 still
+    # gets its own, whether or not t2 has built an equal window
+    t1, t2 = relabelled_z5()
+    W1 = s_window(t1, size=5)
+    word, f = [(0, 1)], lambda_(t1, 1)
+    assert lambda_(t2, 1) == f
+
+    def agrees(sg, W):
+        assert materialize_word(sg, word, W) == \
+            oracle.materialize_word(sg, word, W)
+        assert materialize_element(sg, f, W) == \
+            oracle.materialize_element(sg, f, W)
+        assert isometry_matrix(sg, 1, W) == oracle.isometry_matrix(sg, 1, W)
+
+    agrees(t1, W1)
+    agrees(t2, W1)
+    agrees(t2, s_window(t2, size=5))
+    agrees(t2, W1)
+    assert materialize_word(t1, word, W1).mapping[1] == 2
+    assert materialize_word(t2, word, W1).mapping[1] == 4

@@ -15,17 +15,16 @@ from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
 from lefthull.filters import truncate_semilattice
-from lefthull.hull import (ZERO, HullElement, compose, domain,
-                           enumerate_hull, evaluate_word, hull_graph,
-                           identity_element, is_idempotent, lambda_,
-                           render_element, star)
+from lefthull.hull import (ZERO, HullElement, compose, enumerate_hull,
+                           evaluate_word, hull_graph, identity_element,
+                           is_idempotent, lambda_, render_element, star,
+                           window_columns)
 from lefthull.matrices import Matrix
 from lefthull.operators import (RELATION_KINDS, RelationReport,
                                 TruncatedOperator, Window, char_projection,
                                 expectation_loop, hull_matrix, hull_window,
                                 intertwiner_matrix, isometry_matrix,
-                                regular_rep_matrix, s_window, verify_relation,
-                                window_columns)
+                                regular_rep_matrix, s_window, verify_relation)
 
 from dense_oracle import dense, dense_identity, dense_mul, dense_product
 from hull_oracle import apply_element
@@ -50,11 +49,6 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
 
 
-def hull_op(sg, f, W):
-    """``hull_matrix`` of f on the window columns of its domain."""
-    return hull_matrix(sg, f, W, window_columns(sg, domain(f), W))
-
-
 # ---------------------------------------------------------------------------
 # windows
 
@@ -66,9 +60,19 @@ def test_window_basics():
         Window(["a", "a"])
 
 
+@pytest.mark.parametrize("sg", BACKENDS, ids=ids)
+def test_s_window_is_the_backends_window_of_one_size(sg):
+    # windows are prefix-monotone in the bound, so the window of a bound is
+    # the window of its size, which the backend builds once
+    for bound in range(7):
+        W = s_window(sg, bound=bound)
+        assert W == tuple(sg.window(bound))
+        assert W is s_window(sg, size=len(W)) is sg.window_of_size(len(W))
+
+
 def test_s_window_arguments():
     assert len(s_window(LINE, size=5)) == 5
-    assert s_window(LINE, bound=3).elements == ((0,), (1,), (2,), (3,))
+    assert s_window(LINE, bound=3) == ((0,), (1,), (2,), (3,))
     with pytest.raises(UsageError):
         s_window(LINE)
     with pytest.raises(UsageError):
@@ -108,8 +112,8 @@ def test_hull_window_appends_lambdas():
     for s in W:
         assert lambda_(LINE, s) in HW
     # the hull comes first, and an empty window adds nothing
-    assert HW.elements[:len(graph.ordered)] == graph.ordered
-    assert hull_window(LINE, graph, include=()).elements == graph.ordered
+    assert HW[:len(graph.ordered)] == graph.ordered
+    assert hull_window(LINE, graph, include=()) == graph.ordered
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +142,7 @@ def test_single_element_operators_have_thin_columns(sg):
     # partial permutation shape: at most one 1 per column and per row
     W = s_window(sg, size=14)
     ops = [isometry_matrix(sg, s, W) for s in list(W)[:6]]
-    ops += [hull_op(sg, f, W) for f in enumerate_hull(sg, 1)]
+    ops += [hull_matrix(sg, f, W) for f in enumerate_hull(sg, 1)]
     for op in ops:
         d = dense(op.matrix)
         assert all(sum(row) <= 1 for row in d)
@@ -169,20 +173,20 @@ def test_projection_products_are_intersections(sg):
 
 def test_hull_matrix_frozen():
     W = s_window(LINE, size=5)
-    assert hull_op(LINE, identity_element(LINE), W).matrix == \
+    assert hull_matrix(LINE, identity_element(LINE), W).matrix == \
         Matrix.identity(5)
     V1 = isometry_matrix(LINE, (1,), W)
-    assert hull_op(LINE, lambda_(LINE, (1,)), W).matrix == V1.matrix
+    assert hull_matrix(LINE, lambda_(LINE, (1,)), W).matrix == V1.matrix
     back = HullElement((-1,), (1,))
-    assert hull_op(LINE, back, W).matrix == V1.matrix.transpose()
-    z = hull_op(LINE, ZERO, W)
+    assert hull_matrix(LINE, back, W).matrix == V1.matrix.transpose()
+    z = hull_matrix(LINE, ZERO, W)
     assert z.matrix.is_zero() and z.safe == frozenset(range(5))
 
 
 def test_hull_matrix_safe_core_definition():
     W = s_window(LINE, size=5)
     f = lambda_(LINE, (2,))  # 3 and 4 shift out of the window
-    M = hull_op(LINE, f, W)
+    M = hull_matrix(LINE, f, W)
     assert M.safe == frozenset({0, 1, 2})
 
 
@@ -194,10 +198,10 @@ def test_hull_matrix_is_multiplicative_on_joint_core(sg):
     for _ in range(30):
         f = pool[rng.randrange(len(pool))]
         h = pool[rng.randrange(len(pool))]
-        lhs = hull_op(sg, compose(sg, f, h), W).matrix
-        rhs = hull_op(sg, f, W).matrix * hull_op(sg, h, W).matrix
+        lhs = hull_matrix(sg, compose(sg, f, h), W).matrix
+        rhs = hull_matrix(sg, f, W).matrix * hull_matrix(sg, h, W).matrix
         joint = []
-        for j, t in enumerate(W.elements):
+        for j, t in enumerate(W):
             y = apply_element(sg, h, t)
             if y is None:
                 joint.append(j)
@@ -217,7 +221,7 @@ def test_regular_rep_frozen():
     # the one-step shift permutes the window where star f f q = q holds
     f = lambda_(LINE, (1,))
     L = regular_rep_matrix(LINE, f, HW)
-    for j, q in enumerate(HW.elements):
+    for j, q in enumerate(HW):
         fq = compose(LINE, f, q)
         cond = compose(LINE, compose(LINE, star(LINE, f), f), q) == q
         if cond and fq in HW:
@@ -260,7 +264,7 @@ def test_intertwiner_needs_lambdas():
 
 def test_expectation_basics():
     W = s_window(LINE, size=6)
-    eye = hull_op(LINE, identity_element(LINE), W)
+    eye = hull_matrix(LINE, identity_element(LINE), W)
     assert eye.matrix.diagonal() == Matrix.identity(6)
     V1 = isometry_matrix(LINE, (1,), W)
     assert V1.matrix.diagonal().is_zero()
@@ -269,7 +273,7 @@ def test_expectation_basics():
 def test_expectation_is_idempotent_linear_bimodule():
     rng = random.Random(9)
     W = s_window(LINE, size=6)
-    mats = [hull_op(LINE, f, W).matrix for f in enumerate_hull(LINE, 2)]
+    mats = [hull_matrix(LINE, f, W).matrix for f in enumerate_hull(LINE, 2)]
 
     def E(m):
         return m.diagonal()
@@ -298,7 +302,7 @@ def test_expectation_fixes_exactly_idempotents(sg):
     W = s_window(sg, size=30)
     visible = 0
     for f in enumerate_hull(sg, 2):
-        op = hull_op(sg, f, W)
+        op = hull_matrix(sg, f, W)
         fixed = op.matrix.diagonal() == op.matrix
         if f is not ZERO and not is_idempotent(sg, f) and op.matrix.is_zero():
             continue  # the window cannot see this element act at all
@@ -562,7 +566,7 @@ def test_intertwiner_matches_hull_rep_pointwise():
     for f in enumerate_hull(LINE, 2):
         lhs = T.matrix.transpose() \
             * regular_rep_matrix(LINE, f, HW).matrix * T.matrix
-        rep = hull_op(LINE, f, W)
+        rep = hull_matrix(LINE, f, W)
         assert lhs.columns_agree(rep.matrix, rep.safe)
 
 
@@ -573,7 +577,7 @@ def intertwiner_per_element(sg, W, graph):
     pointwise.  ``compose`` is looked up on the operators module at call
     time, so a fault patched in there reaches the oracle too."""
     compose = operators.compose
-    at = {lambda_(sg, s): j for j, s in enumerate(W.elements)}
+    at = {lambda_(sg, s): j for j, s in enumerate(W)}
     n = len(W)
     count = checked = 0
     for f in graph.ordered:
@@ -582,7 +586,7 @@ def intertwiner_per_element(sg, W, graph):
                             if compose(sg, ff, ls) == ls
                             and (fq := compose(sg, f, ls)) in at})
         entries, safe = {}, set()
-        for j, t in enumerate(W.elements):
+        for j, t in enumerate(W):
             y = apply_element(sg, f, t)
             if y in W.index:
                 entries[j] = W.index[y]
@@ -635,10 +639,10 @@ def test_wrong_column_test_names_the_same_first_element(monkeypatch):
     # first element with that star(f) f sends W_0 out of the window, so
     # the suite caches the wrong answer there and a later element shows it
     sg, generators, W, graph = intertwiner_inputs("axb")
-    one, target = identity_element(sg), lambda_(sg, W.elements[0])
+    one, target = identity_element(sg), lambda_(sg, W[0])
     first = graph.ordered[0]
     assert compose(sg, star(sg, first), first) == one
-    assert 0 not in hull_op(sg, first, W).safe
+    assert 0 not in hull_matrix(sg, first, W).safe
     real = operators.compose
 
     def faulty(sg, f, h):
@@ -660,7 +664,7 @@ def test_wrong_product_on_a_shared_domain_names_that_element(monkeypatch):
     ff = compose(sg, star(sg, f), f)
     assert not is_idempotent(sg, f)
     assert any(compose(sg, star(sg, g), g) == ff for g in graph.ordered[:i])
-    target = lambda_(sg, W.elements[min(hull_op(sg, f, W).matrix.entries)])
+    target = lambda_(sg, W[min(hull_matrix(sg, f, W).matrix.entries)])
     real = operators.compose
 
     def faulty(sg, g, h):

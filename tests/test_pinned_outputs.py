@@ -202,3 +202,46 @@ PINNED_GROUP = [
                          ids=[f for f, _ in PINNED_GROUP])
 def test_group_output_is_pinned(config, digest, capsys):
     test_output_is_pinned("group", config, 0, digest, capsys)
+
+
+# ``matrix --out DIR``: the digest covers stdout, with DIR read as OUT, then
+# each export file's name, a newline and its content, in sorted name order
+PINNED_MATRIX = [
+    ("", "axb",
+     "07dd92d759819fbfa289021a73b646fddb03e21854ff3f2375104f83db3d06e7"),
+    ("--length 3", "axb",
+     "67042f140e76104b25f90c4de77592f44e23f0378b53235ed9ffa85498b2f51f"),
+    ("", "cone2",
+     "75b5c2bc838997281af012855620728f7d71a62fe9fd07470f2ce8015dde3242"),
+    ("--length 3", "cone2",
+     "87b1d03d5dcab0a054e36d71b24dcf3211782aef63d9072cee9d143840cc82ca"),
+    ("", "free2",
+     "d88cda0d57f558ce936b650ade0fbbfba3016f8e2a2f40dbfcb85ce74890ce05"),
+    ("--length 3", "free2",
+     "d251a69f6dff5552a43ca26b941458eb720cc8aa6f69c96074c25afb8ca665f1"),
+    ("", "num23",
+     "540894a46978d748abda44df7aa50dddb7c7b210053ca86b318c952738532565"),
+    ("--length 3", "num23",
+     "e895c25164d364120967a084e386cb3817a41d2d0f88ea2bdb608e9aba8c21e9"),
+    ("", "table5",
+     "87e60d1c7a4b8798df0d73920ebb2bfafb918ae25e4023b2fbaa5c81da632411"),
+    ("--length 3", "table5",
+     "a8f3e01dea9388f665030071d9d49c16a247e78464f3d7375d539dc53a844784"),
+    ("", "zplus",
+     "409693e304002d2891b0e76ae2a200645a8174346d3f2c3c3179715ae2e5bb5f"),
+    ("--length 3", "zplus",
+     "b76acc7b3bea0d9984e5420af94c324f6a92ba81d931250b7b1c4f1b30fa113f"),
+]
+
+
+@pytest.mark.parametrize("flags, config, digest", PINNED_MATRIX,
+                         ids=["matrix%s-%s" % (f.replace(" ", ""), c)
+                              for f, c, _ in PINNED_MATRIX])
+def test_matrix_exports_are_pinned(flags, config, digest, tmp_path, capsys):
+    cfg = os.path.join(CONFIGS, config + ".cfg")
+    assert main(["matrix", cfg, "--out", str(tmp_path), *flags.split()]) == 0
+    text = capsys.readouterr().out.replace(str(tmp_path), "OUT")
+    for name in sorted(os.listdir(tmp_path)):
+        with open(os.path.join(tmp_path, name), encoding="utf-8") as fh:
+            text += name + "\n" + fh.read()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -55,7 +55,7 @@ def _run_steps(sg, W, t, steps):
 
 
 def _safe_columns(sg, W, steps):
-    return frozenset(j for j, t in enumerate(W.elements)
+    return frozenset(j for j, t in enumerate(W)
                      if _run_steps(sg, W, t, steps)[0] != "out")
 
 
@@ -109,7 +109,7 @@ def level_walk(sg, W, graph):
         for s in graph.ends:
             A = V[t].transpose() * V[s]
             zero = frozenset(j for j, i in V[s].entries.items()
-                             if sg.left_divide(t, W.elements[i]) is None)
+                             if sg.left_divide(t, W[i]) is None)
             pool.append(((t, s), A, zero))
     proj = {}
     count = checked = 0
