@@ -348,7 +348,6 @@ def estar_unitary_report(sg, graph, sample=200, seed=7):
     if zero_present and reversible:
         raise InvariantViolation("ZERO reachable in a left reversible hull")
     win = sg.window_of_size(20)
-    cal = calculus(sg)
     pool = [f for f in graph.ordered if f is not ZERO]
     idems = [f for f in pool if is_idempotent(sg, f)]
     hits = 0
@@ -367,8 +366,8 @@ def estar_unitary_report(sg, graph, sample=200, seed=7):
         if fe == e:
             hits += 1
             fm = materialize_element(sg, f, win)
-            fixed = all(fm.mapping.get(x) == x for x in win
-                        if x not in fm.boundary and cal.is_member(x, e.dom))
+            dom = {win[j] for j in window_columns(sg, e.dom, win)}
+            fixed = all(fm.mapping.get(x) == x for x in dom - fm.boundary)
             if not (is_idempotent(sg, f) and fixed):
                 bad += 1
     if bad:

@@ -1,12 +1,11 @@
-"""0/1 partial permutation matrices.
+"""0/1 partial permutation matrices, for export.
 
-Every compressed operator in this package sends each basis vector of its
-window to one basis vector or to zero, and no two basis vectors to the
-same one: the compression of a partial isometry, which is a 0/1 partial
-permutation matrix.  Such a matrix is held as its map from columns to
-rows.  A product is the composition of the maps, the transpose is the
-inverse map and the diagonal keeps the fixed points, so the arithmetic
-is exact by construction.
+A window compression of a partial isometry sends each basis vector to one
+basis vector or to none, no two to the same: a 0/1 partial permutation
+matrix, held as its map from columns to rows.  The relation suites read
+window rows and bitsets instead (operators.py); a ``Matrix`` is built for
+the exports of ``lefthull matrix`` and by ``regular_rep_matrix``.  Products
+compose the maps, transposes invert them, diagonals keep the fixed points.
 """
 
 from .semigroups import InvariantViolation, UsageError

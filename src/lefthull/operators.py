@@ -1,61 +1,55 @@
 """Finite window compressions of the regular representations.
 
-Every operator here is a 0/1 partial permutation of a finite basis window
-(see matrices.py): a basis vector goes to one basis vector or to zero.
-Truncation can only lose information at the boundary, so every relation
-is asserted on a safe core: the columns whose full trajectory through
-both sides of the relation provably stays inside the window.  A relation
-failing on its safe core is a genuine counterexample, never an artifact.
-The intertwiner suite builds T* L(f) T directly on the semigroup window,
-from the columns of L(f) at the basis vectors lambda(s) that T hits.
-L(f) keeps lambda(s) when star(f) f lambda(s) = lambda(s), decided once
-per call for each distinct idempotent star(f) f; f lambda(s) is composed if
-kept.
+Every operator here is a 0/1 partial permutation of a finite basis window.
+Truncation can only lose information at the boundary, so every relation is
+asserted on a safe core: the columns whose full trajectory through both
+sides provably stays inside the window.  A relation failing on its safe
+core is a genuine counterexample, never an artifact.
 
-Every suite reads the backend's own window (``s_window``), which keeps its
-ideal columns, letter rows and element actions (see hull.py): V_s is the
-``_mul`` row of s, L(f) is f's kept action, and the safe and annihilated
-columns below read ``_ldiv`` rows.
-
-The covariance and semilattice suites check the ideal lattice their caller
-passes (``truncate_semilattice``), and the cs-grade-one and intertwiner
-suites the hull graph (``hull_graph``), so a command builds each once.
-e_X is diagonal, the int bitset B(X) of the columns j with W_j in X, so
+The suites build no matrix; each reads the answers the backend's own window
+(``s_window``) keeps (see hull.py).  V_s is the ``_mul`` row of s, tested
+injective once per letter and suite, and V_s* the ``_ldiv`` row.  e_X is
+the int bitset B(X) of the columns j with W_j in X, and L(f) is read off
+f's kept action.  ``Matrix`` (matrices.py) serves the exports alone.  The
+covariance and semilattice suites check the ideal lattice their caller
+passes, the cs-grade-one and intertwiner suites the hull graph.
 e_X e_Y = e_{X meet Y} is one AND, the meet read off the lattice's keys.
-The safe core of covariance, V_s e_X V_s* = e_{sX}, does not depend on X:
-on the basis vector at t the left side divides by s, projects, and
-multiplies by s again, which gives back t.  So the column is safe when s
+V_s e_X V_s* = e_{sX} says the ``_mul`` row of s carries B(X) onto B(sX);
+on the basis vector at t the left side divides by s, projects and
+multiplies by s again, which gives back t, so the column is safe when s
 does not divide t (annihilated) or its quotient lies in the window.
 
 The cs-grade-one suite walks the words of the hull's right Cayley graph
-over the atoms a_p = star(lambda t) lambda s, up to the graph's length and
-over its letters, level by level and t-major over the pairs.  A word w p
-of n pairs extends its prefix w: its element is the successor of f_w along
-a_p, its product is P_w A_p with A_p = V_t* V_s, and its safe columns are
-Z_p, where p itself annihilates (s x is visible and t does not divide it),
-together with the columns that A_p sends into safe(w); on a column the
-last pair acts first.  This state (element, product, safe set) decides
-everything below the word: its check and every child's state.  So a level
-keeps each distinct state once, in order of first occurrence, with the
-first word that reached it and a multiplicity; a word reaching a held
-state adds its multiplicity and is neither checked nor extended, and the
-counts add multiplicity times the per-state figures.  The first failing
-word in level order, w p, is the first word with its state: the first
-word w0 with the state of w fails as w0 p, which comes no later, so
-w = w0, and the suite names the word a word-by-word walk names.  Words
-off grade 1 at the last level are dropped before any matrix is built.
-The pairs merge the same way: pairs with one atom (so one successor from
-every element; equal products can belong to different atoms), one A_p and
-one Z_p make the same transition from every state, so each class is
-walked once, by its first pair, with its size as a further multiplicity.
-The states, their order and the first failing word are those of a walk
-that extends every state by every pair.
+over the atoms a_p = star(lambda t) lambda s, level by level and t-major
+over the pairs.  A word w p extends its prefix w: its element is the
+successor of f_w along a_p, its product is P_w A_p with A_p = V_t* V_s
+(the last pair acts first), and its safe columns are Z_p, where p
+annihilates (s x is visible and t does not divide it), and the columns
+A_p sends into safe(w).  A product is a tuple of window positions plus a
+zero slot mapping to itself, so P_w A_p is P_w read along A_p; a safe set
+is a column bitset.  This state (element, product, safe set) decides the
+word's check and every child's state, so a level keeps each distinct
+state once, in order of first occurrence, with its first word and a
+multiplicity; a word reaching a held state adds its multiplicity to the
+counts and is neither checked nor extended.  The first failing word w p
+is the first word with its state: the first word w0 with the state of w
+fails as w0 p, no later, so w = w0, the word a word-by-word walk names.
+Pairs with one atom (one successor from every element), one A_p and one
+Z_p make one transition from every state, so such a class is walked once,
+by its first pair, with its size as a multiplicity.  Words off grade 1 at
+the last level are dropped unformed.
+
+The intertwiner suite builds T* L(f) T from the columns of L(f) at the
+lambda(s) that T hits.  L(f) keeps lambda(s) when star(f) f lambda(s) =
+lambda(s), decided once per call for each distinct star(f) f, and then
+composes f lambda(s).  That left side, a map of window points tested
+injective, must be f's kept action off the points f sends out of W.
 """
 
 from collections import namedtuple
 from functools import cache
 from itertools import product, repeat
-from operator import and_, ne
+from operator import and_, eq, ne
 
 from .hull import (OUT, ZERO, compose, domain, hull_sort_key, is_idempotent,
                    lambda_, materialize_element, render_element, star,
@@ -90,30 +84,33 @@ class TruncatedOperator(namedtuple("TruncatedOperator", "matrix safe")):
     __slots__ = ()
 
 
+def _letter_row(sg, s, W):
+    """V_s: the window's ``_mul`` row of s, tested injective."""
+    sg._check(s)  # once; the window's elements are the backend's own
+    row = window_row(sg, "_mul", s, W)
+    hit = [i for i in row if i is not OUT]
+    if len(set(hit)) != len(hit):
+        raise InvariantViolation("partial permutation is not injective")
+    return row
+
+
+def _bits(columns):
+    """The int bitset of window positions."""
+    return sum(map((1).__lshift__, columns))
+
+
+def _agrees(P, X, S):
+    """Whether the product P is e_X, X a column bitset, on the columns of S."""
+    n = len(P) - 1  # the zero slot
+    return all(P[c] == (c if X >> c & 1 else n) for c in range(n) if S >> c & 1)
+
+
 def isometry_matrix(sg, s, W):
     """V_s: the window's ``_mul`` row of s, safe where it stays inside."""
-    sg._check(s)  # once; the window's elements are the backend's own
-    entries = {j: i for j, i in enumerate(window_row(sg, "_mul", s, W))
+    entries = {j: i for j, i in enumerate(_letter_row(sg, s, W))
                if i is not OUT}
     n = len(W)
     return TruncatedOperator(Matrix(n, n, entries), frozenset(entries))
-
-
-def char_projection(sg, X, W):
-    n = len(W)
-    return TruncatedOperator(
-        Matrix(n, n, {j: j for j in window_columns(sg, X, W)}),
-        frozenset(range(n)))
-
-
-def hull_matrix(sg, f, W):
-    """The pointwise action of a hull element on the semigroup window, read
-    off ``materialize_element``.  A column outside its domain is genuinely
-    annihilated, no truncation involved, so only the boundary is unsafe."""
-    action, at, n = materialize_element(sg, f, W), W.index, len(W)
-    return TruncatedOperator(
-        Matrix(n, n, {at[x]: at[y] for x, y in action.mapping.items()}),
-        frozenset(range(n)).difference(map(at.__getitem__, action.boundary)))
 
 
 def regular_rep_matrix(sg, f, HW):
@@ -157,9 +154,8 @@ class RelationReport(namedtuple("RelationReport",
     __slots__ = ()
 
 
-def _mismatch(kind, instance, detail=""):
-    raise InvariantViolation("%s relation failed at %s%s"
-                             % (kind, instance, detail))
+def _mismatch(kind, instance):
+    raise InvariantViolation("%s relation failed at %s" % (kind, instance))
 
 
 def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
@@ -178,27 +174,26 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
     cal = calculus(sg)
     letters = tuple(generators if generators is not None else sg.generators())
     count = checked = 0
-    e = cache(lambda X: char_projection(sg, X, W).matrix)  # once per call
+    n = len(W)
+    e = cache(lambda X: _bits(window_columns(sg, X, W)))  # once per call
 
     if kind == "covariance":
-        # V_s e_X V_s* = e_{sX}
+        # V_s e_X V_s* = e_{sX}: the _mul row of s carries B(X) onto B(sX)
         for s in letters:
-            V = isometry_matrix(sg, s, W).matrix
-            Vt = V.transpose()
-            safe = frozenset(j for j, u in enumerate(
-                window_row(sg, "_ldiv", s, W)) if u is not OUT)
+            shift = [0 if i is OUT else 1 << i for i in _letter_row(sg, s, W)]
+            safe = _bits(j for j, u in enumerate(window_row(sg, "_ldiv", s, W))
+                         if u is not OUT)
             for X in lattice.family:
-                lhs = V * e(X) * Vt
-                if not lhs.columns_agree(e(cal.translate(s, X)), safe):
+                image = sum(map(shift.__getitem__, window_columns(sg, X, W)))
+                if (image ^ e(cal.translate(s, X))) & safe:
                     _mismatch(kind, "covariance s=%s X=%s"
                               % (sg.render(s), cal.render(X)))
                 count += 1
-                checked += len(safe)
+                checked += safe.bit_count()
 
     elif kind == "semilattice":
         # B(X) & B(Y) == B(X meet Y) over the family's pairs; all safe
-        bits = [sum(1 << j for j in window_columns(sg, X, W))
-                for X in lattice.elements]
+        bits = [_bits(window_columns(sg, X, W)) for X in lattice.elements]
         at = [lattice.index(X) for X in lattice.family]
         member_bits = [bits[i] for i in at]
         for a, i in enumerate(at):
@@ -210,83 +205,90 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
                 _mismatch(kind, "semilattice X=%s Y=%s"
                           % (lattice.render(i), lattice.render(k)))
         count = len(at) * (len(at) + 1) // 2
-        checked = count * len(W)
+        checked = count * n
 
     elif kind == "isometry":
         # V_s* V_s = 1 wherever the shift stays visible
         for s in letters:
-            V = isometry_matrix(sg, s, W)
-            prod = V.matrix.transpose() * V.matrix
-            eye = Matrix.identity(len(W))
-            if not prod.columns_agree(eye, V.safe):
+            row, back = _letter_row(sg, s, W), window_row(sg, "_ldiv", s, W)
+            safe = [j for j, i in enumerate(row) if i is not OUT]
+            if [back[row[j]] for j in safe] != safe:
                 _mismatch(kind, "isometry s=%s" % sg.render(s))
             count += 1
-            checked += len(V.safe)
+            checked += len(safe)
 
     elif kind == "cs-grade-one":
         # identity-graded words act as the projection onto their domain;
-        # each word extends a word of the previous level by one pair
+        # each word extends a word of the previous level by one pair.  n is
+        # the zero slot of a product, so V_s and V_t* are read as products
         graded = [is_idempotent(sg, f) for f in graph.elements]
-        V = {s: isometry_matrix(sg, s, W).matrix for s in graph.ends}
-        Vt = {t: V[t].transpose() for t in graph.ends}
+        up = {s: tuple(n if i is OUT else i for i in _letter_row(sg, s, W))
+              + (n,) for s in graph.ends}
         # the t-major pairs by class (atom, product, annihilated set): the
-        # atom slot, first pair, product, annihilated set and size of each
+        # atom slot, first pair, product, the (bit, position) of each of
+        # its nonzero columns, annihilated set and size of each
         classes = {}
         for k, (t, s) in enumerate(product(graph.ends, repeat=2)):
-            A = Vt[t] * V[s]
-            ldiv = window_row(sg, "_ldiv", t, W)
-            zero = frozenset(j for j, i in V[s].entries.items()
-                             if ldiv[i] is None)
-            classes.setdefault((graph.atoms[k], frozenset(A.entries.items()),
-                                zero), [k, (t, s), A, zero, 0])[4] += 1
+            ldiv = window_row(sg, "_ldiv", t, W) + (OUT,)
+            A = tuple(n if (u := ldiv[i]) is None or u is OUT else u
+                      for i in up[s])
+            zero = _bits(j for j, i in enumerate(up[s]) if ldiv[i] is None)
+            classes.setdefault((graph.atoms[k], A, zero), [
+                k, (t, s), A, [(1 << c, a) for c, a in enumerate(A[:n])
+                               if a < n], zero, 0])[5] += 1
         pool = list(classes.values())
-        # a level maps each distinct state (id, product entries, safe set)
-        # to [its first word, its product, its multiplicity], in order of
-        # first occurrence
-        n = len(W)
-        level = {(0, None, frozenset(range(n))): [(), Matrix.identity(n), 1]}
+        # a level maps each distinct state (id, product, safe set) to [its
+        # first word, its multiplicity], in order of first occurrence
+        level = {(0, tuple(range(n + 1)), (1 << n) - 1): [(), 1]}
+        pre = {}  # (class, safe set) -> the child's safe set
         # the last level checks only the words of grade one
         last = [[x for x in pool if graded[row[x[0]]]] for row in graph.succ]
         for left in range(graph.length - 1, -1, -1):
             nxt = {}
-            for (i, _, safe), (pairs, prod, m) in level.items():
+            for (i, prod, safe), (pairs, m) in level.items():
                 row = graph.succ[i]
-                for k, p, A, zero, size in pool if left else last[i]:
+                for k, p, A, pull, zero, size in pool if left else last[i]:
                     j, mult = row[k], m * size
-                    P = prod * A
-                    S = zero.union(c for c, r in A.entries.items() if r in safe)
-                    key = (j, frozenset(P.entries.items()), S)
-                    if key not in nxt:
-                        nxt[key] = [pairs + (p,), P, 0]
-                        if graded[j] and not P.columns_agree(
-                                e(domain(graph.elements[j])), S):
+                    P = tuple(map(prod.__getitem__, A))
+                    S = pre.get((k, safe))
+                    if S is None:
+                        S = pre[k, safe] = zero | sum(
+                            [b for b, a in pull if safe >> a & 1])
+                    key = (j, P, S)
+                    state = nxt.get(key)
+                    if state is None:
+                        state = nxt[key] = [pairs + (p,), 0]
+                        if graded[j] and not _agrees(
+                                P, e(domain(graph.elements[j])), S):
                             _mismatch(kind, "word %s" % " ".join(
                                 "%s*.%s" % (sg.render(t), sg.render(s))
                                 for t, s in pairs + (p,)))
-                    nxt[key][2] += mult
+                    state[1] += mult
                     if graded[j]:
                         count += mult
-                        checked += mult * len(S)
+                        checked += mult * S.bit_count()
             level = nxt
 
     elif kind == "intertwiner":
         # T* L(f) T = w(f) for every element of the hull graph.  T e_s is
         # the hull basis vector at lambda(s), so column s of T* L(f) T is
         # e_s' when L(f) keeps lambda(s) and sends it to lambda(s') with s'
-        # in W, else zero.
-        at = {lambda_(sg, s): j for j, s in enumerate(W)}
-        kept = cache(lambda ff: [(ls, j) for ls, j in at.items()
+        # in W, else zero: a map of window points, as f's kept action is.
+        at = {lambda_(sg, s): s for s in W}
+        kept = cache(lambda ff: [(ls, s) for ls, s in at.items()
                                  if compose(sg, ff, ls) == ls])
-        n = len(W)
         for f in graph.ordered:
             ff = compose(sg, star(sg, f), f)
-            lhs = Matrix(n, n, {j: at[fq] for ls, j in kept(ff)
-                                if (fq := compose(sg, f, ls)) in at})
-            rep = hull_matrix(sg, f, W)
-            if not lhs.columns_agree(rep.matrix, rep.safe):
+            lhs = {s: at[fq] for ls, s in kept(ff)
+                   if (fq := compose(sg, f, ls)) in at}
+            if len(set(lhs.values())) != len(lhs):
+                raise InvariantViolation("partial permutation is not injective")
+            action = materialize_element(sg, f, W)
+            out = action.boundary  # the columns left out of the safe core
+            if {x: y for x, y in lhs.items() if x not in out} != action.mapping:
                 _mismatch(kind, "intertwiner f=%s" % render_element(sg, f))
             count += 1
-            checked += len(rep.safe)
+            checked += n - len(out)
 
     else:
         raise UsageError("unknown relation kind %r" % (kind,))
@@ -310,10 +312,10 @@ def expectation_loop(sg, W, graph):
     (total, fixed, skipped)."""
     total = fixed = skipped = 0
     for f in graph.ordered:
-        op = hull_matrix(sg, f, W)
-        isfixed = op.matrix.diagonal() == op.matrix
+        mapping = materialize_element(sg, f, W).mapping
+        isfixed = all(map(eq, mapping, mapping.values()))
         expected = is_idempotent(sg, f)
-        if f is not ZERO and not expected and op.matrix.is_zero():
+        if f is not ZERO and not expected and not mapping:
             skipped += 1
             continue
         if isfixed != expected:

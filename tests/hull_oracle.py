@@ -22,13 +22,32 @@ those memos; the walks above compose with this ``compose`` too.
 ``annihilated`` are what ``operators`` computed before it read the
 window's letter rows and element actions: one ``_mul``, ``act`` or
 ``_ldiv`` per window point.
+
+``verify_relation`` and ``expectation_loop`` are the relation suites and
+the expectation loop as ``operators`` ran them on ``Matrix`` values, before
+they read window rows, column bitsets and kept actions directly: V_s the
+matrix of the ``_mul`` row, V_s* its transpose, e_X ``char_projection``
+and the element's matrix ``element_matrix``, compared column by column
+with ``Matrix.columns_agree``.  They read the same kept rows, columns and
+actions, so a fault injected into one reaches both paths, and they are the
+oracles for the reports and first failures of the suites.  Their
+intertwiner composes with the ``compose`` that ``operators`` calls.
 """
 
-from lefthull.hull import (ZERO, PartialMap, _element, hull_sort_key,
-                           identity_element, lambda_, star)
+from functools import cache
+from itertools import product, repeat
+from operator import and_, ne
+from types import SimpleNamespace
+
+from lefthull import hull, operators
+from lefthull.hull import (OUT, ZERO, PartialMap, _element, domain,
+                           hull_sort_key, identity_element, is_idempotent,
+                           lambda_, render_element, star, window_columns,
+                           window_row)
 from lefthull.ideals import EMPTY, calculus
 from lefthull.matrices import Matrix
-from lefthull.operators import TruncatedOperator
+from lefthull.operators import RelationReport, TruncatedOperator, _mismatch
+from lefthull.semigroups import InvariantViolation, UsageError
 
 
 def compose(sg, f, h):
@@ -185,3 +204,189 @@ def annihilated(sg, t, s, window):
     V = isometry_matrix(sg, s, window).matrix
     return frozenset(j for j, i in V.entries.items()
                      if sg._ldiv(t, window[i]) is None)
+
+
+# ---------------------------------------------------------------------------
+# the relation suites and the expectation loop on Matrix values
+
+
+def char_projection(sg, X, W):
+    """e_X: the diagonal matrix of the window columns in X, all safe."""
+    n = len(W)
+    return TruncatedOperator(
+        Matrix(n, n, {j: j for j in window_columns(sg, X, W)}),
+        frozenset(range(n)))
+
+
+def element_matrix(sg, f, W):
+    """The pointwise action of a hull element on the semigroup window, read
+    off its kept action (``hull.materialize_element``).  A column outside
+    its domain is genuinely annihilated, no truncation involved, so only
+    the boundary is unsafe."""
+    action, at, n = hull.materialize_element(sg, f, W), W.index, len(W)
+    return TruncatedOperator(
+        Matrix(n, n, {at[x]: at[y] for x, y in action.mapping.items()}),
+        frozenset(range(n)).difference(map(at.__getitem__, action.boundary)))
+
+
+def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
+    """The suite of ``operators.verify_relation`` on matrices: the same
+    instances, columns, order and failure texts."""
+    if kind in ("covariance", "semilattice") and lattice is None:
+        raise UsageError("the %s relation needs an ideal lattice" % kind)
+    if kind in ("cs-grade-one", "intertwiner") and graph is None:
+        raise UsageError("the %s relation needs a hull graph" % kind)
+    cal = calculus(sg)
+    letters = tuple(generators if generators is not None else sg.generators())
+    count = checked = 0
+    e = cache(lambda X: char_projection(sg, X, W).matrix)  # once per call
+    isometry_matrix = operators.isometry_matrix
+
+    if kind == "covariance":
+        # V_s e_X V_s* = e_{sX}
+        for s in letters:
+            V = isometry_matrix(sg, s, W).matrix
+            Vt = V.transpose()
+            safe = frozenset(j for j, u in enumerate(
+                window_row(sg, "_ldiv", s, W)) if u is not OUT)
+            for X in lattice.family:
+                lhs = V * e(X) * Vt
+                if not lhs.columns_agree(e(cal.translate(s, X)), safe):
+                    _mismatch(kind, "covariance s=%s X=%s"
+                              % (sg.render(s), cal.render(X)))
+                count += 1
+                checked += len(safe)
+
+    elif kind == "semilattice":
+        # B(X) & B(Y) == B(X meet Y) over the family's pairs; all safe
+        bits = [sum(1 << j for j in window_columns(sg, X, W))
+                for X in lattice.elements]
+        at = [lattice.index(X) for X in lattice.family]
+        member_bits = [bits[i] for i in at]
+        for a, i in enumerate(at):
+            lhs = list(map(and_, repeat(bits[i]), member_bits[a:]))
+            rhs = list(map(bits.__getitem__, lattice.meets(i, at[a:])))
+            if lhs != rhs:
+                k = at[a + list(map(ne, lhs, rhs)).index(True)]
+                _mismatch(kind, "semilattice X=%s Y=%s"
+                          % (lattice.render(i), lattice.render(k)))
+        count = len(at) * (len(at) + 1) // 2
+        checked = count * len(W)
+
+    elif kind == "isometry":
+        # V_s* V_s = 1 wherever the shift stays visible
+        for s in letters:
+            V = isometry_matrix(sg, s, W)
+            prod = V.matrix.transpose() * V.matrix
+            eye = Matrix.identity(len(W))
+            if not prod.columns_agree(eye, V.safe):
+                _mismatch(kind, "isometry s=%s" % sg.render(s))
+            count += 1
+            checked += len(V.safe)
+
+    elif kind == "cs-grade-one":
+        # the state walk, each state keyed by its product's entries and its
+        # safe set as frozensets
+        graded = [is_idempotent(sg, f) for f in graph.elements]
+        V = {s: isometry_matrix(sg, s, W).matrix for s in graph.ends}
+        Vt = {t: V[t].transpose() for t in graph.ends}
+        classes = {}
+        for k, (t, s) in enumerate(product(graph.ends, repeat=2)):
+            A = Vt[t] * V[s]
+            ldiv = window_row(sg, "_ldiv", t, W)
+            zero = frozenset(j for j, i in V[s].entries.items()
+                             if ldiv[i] is None)
+            classes.setdefault((graph.atoms[k], frozenset(A.entries.items()),
+                                zero), [k, (t, s), A, zero, 0])[4] += 1
+        pool = list(classes.values())
+        n = len(W)
+        level = {(0, None, frozenset(range(n))): [(), Matrix.identity(n), 1]}
+        last = [[x for x in pool if graded[row[x[0]]]] for row in graph.succ]
+        for left in range(graph.length - 1, -1, -1):
+            nxt = {}
+            for (i, _, safe), (pairs, prod, m) in level.items():
+                row = graph.succ[i]
+                for k, p, A, zero, size in pool if left else last[i]:
+                    j, mult = row[k], m * size
+                    P = prod * A
+                    S = zero.union(c for c, r in A.entries.items() if r in safe)
+                    key = (j, frozenset(P.entries.items()), S)
+                    if key not in nxt:
+                        nxt[key] = [pairs + (p,), P, 0]
+                        if graded[j] and not P.columns_agree(
+                                e(domain(graph.elements[j])), S):
+                            _mismatch(kind, "word %s" % " ".join(
+                                "%s*.%s" % (sg.render(t), sg.render(s))
+                                for t, s in pairs + (p,)))
+                    nxt[key][2] += mult
+                    if graded[j]:
+                        count += mult
+                        checked += mult * len(S)
+            level = nxt
+
+    elif kind == "intertwiner":
+        # T* L(f) T = w(f) for every element of the hull graph; compose is
+        # the one operators calls, so a fault patched there reaches both
+        compose = operators.compose
+        at = {lambda_(sg, s): j for j, s in enumerate(W)}
+        kept = cache(lambda ff: [(ls, j) for ls, j in at.items()
+                                 if compose(sg, ff, ls) == ls])
+        n = len(W)
+        for f in graph.ordered:
+            ff = compose(sg, star(sg, f), f)
+            lhs = Matrix(n, n, {j: at[fq] for ls, j in kept(ff)
+                                if (fq := compose(sg, f, ls)) in at})
+            rep = element_matrix(sg, f, W)
+            if not lhs.columns_agree(rep.matrix, rep.safe):
+                _mismatch(kind, "intertwiner f=%s" % render_element(sg, f))
+            count += 1
+            checked += len(rep.safe)
+
+    else:
+        raise UsageError("unknown relation kind %r" % (kind,))
+
+    return RelationReport(kind, count, checked)
+
+
+def expectation_loop(sg, W, graph):
+    """``operators.expectation_loop`` on element matrices: (total, fixed,
+    skipped)."""
+    total = fixed = skipped = 0
+    for f in graph.ordered:
+        op = element_matrix(sg, f, W)
+        isfixed = op.matrix.diagonal() == op.matrix
+        expected = is_idempotent(sg, f)
+        if f is not ZERO and not expected and op.matrix.is_zero():
+            skipped += 1
+            continue
+        if isfixed != expected:
+            raise InvariantViolation(
+                "expectation loop failed at %s" % render_element(sg, f))
+        total += 1
+        fixed += isfixed
+    return total, fixed, skipped
+
+
+def covariance_compared(sg, s, X, W, monkeypatch,
+                        suite=operators.verify_relation):
+    """The columns the covariance suite compares at the instance (s, X):
+    those at which a right side e_{sX} with that one column flipped is
+    caught.  The flipped column tuple is kept by the window for a stand-in
+    ideal, which the calculus's ``translate`` answers for sX alone."""
+    cal = calculus(sg)
+    W = sg.own_window(W)
+    cols = set(window_columns(sg, cal.translate(s, X), W))
+    real = cal.translate
+    caught = set()
+    for c in range(len(W)):
+        probe = ("flipped", c)
+        with monkeypatch.context() as m:
+            m.setitem(W.columns, probe, tuple(sorted(cols ^ {c})))
+            m.setattr(cal, "translate", lambda t, Y: probe
+                      if (t, Y) == (s, X) else real(t, Y))
+            try:
+                suite(sg, "covariance", W, generators=(s,),
+                      lattice=SimpleNamespace(family=(X,)))
+            except InvariantViolation:
+                caught.add(c)
+    return frozenset(caught)

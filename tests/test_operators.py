@@ -15,19 +15,20 @@ from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
 from lefthull.filters import truncate_semilattice
-from lefthull.hull import (ZERO, HullElement, compose, enumerate_hull,
-                           evaluate_word, hull_graph, identity_element,
-                           is_idempotent, lambda_, render_element, star,
-                           window_columns)
+from lefthull.hull import (ZERO, HullElement, PartialMap, compose,
+                           enumerate_hull, evaluate_word, hull_graph,
+                           identity_element, is_idempotent, lambda_,
+                           render_element, star, window_columns, window_row)
 from lefthull.matrices import Matrix
 from lefthull.operators import (RELATION_KINDS, RelationReport,
-                                TruncatedOperator, Window, char_projection,
-                                expectation_loop, hull_matrix, hull_window,
-                                intertwiner_matrix, isometry_matrix,
-                                regular_rep_matrix, s_window, verify_relation)
+                                TruncatedOperator, Window, expectation_loop,
+                                hull_window, intertwiner_matrix,
+                                isometry_matrix, regular_rep_matrix, s_window,
+                                verify_relation)
 
+import hull_oracle
 from dense_oracle import dense, dense_identity, dense_mul, dense_product
-from hull_oracle import apply_element
+from hull_oracle import apply_element, char_projection, element_matrix
 from test_checks import count_calls
 from word_oracle import level_walk
 
@@ -142,7 +143,7 @@ def test_single_element_operators_have_thin_columns(sg):
     # partial permutation shape: at most one 1 per column and per row
     W = s_window(sg, size=14)
     ops = [isometry_matrix(sg, s, W) for s in list(W)[:6]]
-    ops += [hull_matrix(sg, f, W) for f in enumerate_hull(sg, 1)]
+    ops += [element_matrix(sg, f, W) for f in enumerate_hull(sg, 1)]
     for op in ops:
         d = dense(op.matrix)
         assert all(sum(row) <= 1 for row in d)
@@ -173,20 +174,20 @@ def test_projection_products_are_intersections(sg):
 
 def test_hull_matrix_frozen():
     W = s_window(LINE, size=5)
-    assert hull_matrix(LINE, identity_element(LINE), W).matrix == \
+    assert element_matrix(LINE, identity_element(LINE), W).matrix == \
         Matrix.identity(5)
     V1 = isometry_matrix(LINE, (1,), W)
-    assert hull_matrix(LINE, lambda_(LINE, (1,)), W).matrix == V1.matrix
+    assert element_matrix(LINE, lambda_(LINE, (1,)), W).matrix == V1.matrix
     back = HullElement((-1,), (1,))
-    assert hull_matrix(LINE, back, W).matrix == V1.matrix.transpose()
-    z = hull_matrix(LINE, ZERO, W)
+    assert element_matrix(LINE, back, W).matrix == V1.matrix.transpose()
+    z = element_matrix(LINE, ZERO, W)
     assert z.matrix.is_zero() and z.safe == frozenset(range(5))
 
 
 def test_hull_matrix_safe_core_definition():
     W = s_window(LINE, size=5)
     f = lambda_(LINE, (2,))  # 3 and 4 shift out of the window
-    M = hull_matrix(LINE, f, W)
+    M = element_matrix(LINE, f, W)
     assert M.safe == frozenset({0, 1, 2})
 
 
@@ -198,8 +199,8 @@ def test_hull_matrix_is_multiplicative_on_joint_core(sg):
     for _ in range(30):
         f = pool[rng.randrange(len(pool))]
         h = pool[rng.randrange(len(pool))]
-        lhs = hull_matrix(sg, compose(sg, f, h), W).matrix
-        rhs = hull_matrix(sg, f, W).matrix * hull_matrix(sg, h, W).matrix
+        lhs = element_matrix(sg, compose(sg, f, h), W).matrix
+        rhs = element_matrix(sg, f, W).matrix * element_matrix(sg, h, W).matrix
         joint = []
         for j, t in enumerate(W):
             y = apply_element(sg, h, t)
@@ -264,7 +265,7 @@ def test_intertwiner_needs_lambdas():
 
 def test_expectation_basics():
     W = s_window(LINE, size=6)
-    eye = hull_matrix(LINE, identity_element(LINE), W)
+    eye = element_matrix(LINE, identity_element(LINE), W)
     assert eye.matrix.diagonal() == Matrix.identity(6)
     V1 = isometry_matrix(LINE, (1,), W)
     assert V1.matrix.diagonal().is_zero()
@@ -273,7 +274,7 @@ def test_expectation_basics():
 def test_expectation_is_idempotent_linear_bimodule():
     rng = random.Random(9)
     W = s_window(LINE, size=6)
-    mats = [hull_matrix(LINE, f, W).matrix for f in enumerate_hull(LINE, 2)]
+    mats = [element_matrix(LINE, f, W).matrix for f in enumerate_hull(LINE, 2)]
 
     def E(m):
         return m.diagonal()
@@ -302,7 +303,7 @@ def test_expectation_fixes_exactly_idempotents(sg):
     W = s_window(sg, size=30)
     visible = 0
     for f in enumerate_hull(sg, 2):
-        op = hull_matrix(sg, f, W)
+        op = element_matrix(sg, f, W)
         fixed = op.matrix.diagonal() == op.matrix
         if f is not ZERO and not is_idempotent(sg, f) and op.matrix.is_zero():
             continue  # the window cannot see this element act at all
@@ -354,6 +355,28 @@ def test_relation_reports_deterministic():
     assert (a.count, a.checked_columns) == (b.count, b.checked_columns)
 
 
+def fail_first_instance(kind, sg, W, lattice, graph, monkeypatch):
+    """A fault in what the suite of ``kind`` reads, which its first
+    instance shows: e_{(1)+S} short of its first column; every meet read
+    as the zero; the ``_ldiv`` row of (1) read as that of (0), so V_1*
+    undoes no shift; S short of its last column; every kept action
+    empty."""
+    if kind == "covariance":
+        monkeypatch.setitem(W.columns, (1,), window_columns(sg, (1,), W)[1:])
+    elif kind == "semilattice":
+        monkeypatch.setattr(lattice, "key_meet",
+                            lambda a, b: lattice.keys[lattice.zero])
+    elif kind == "isometry":
+        monkeypatch.setitem(W.rows, ("_ldiv", (1,)),
+                            window_row(sg, "_ldiv", (0,), W))
+    elif kind == "cs-grade-one":
+        full = calculus(sg).full()
+        monkeypatch.setitem(W.columns, full, window_columns(sg, full, W)[:-1])
+    else:
+        for f in graph.ordered:
+            monkeypatch.setitem(W.actions, f, PartialMap({}, frozenset()))
+
+
 @pytest.mark.parametrize("kind, instance", [
     ("covariance", "covariance s=(1) X=S"),
     ("semilattice", "semilattice X=S Y=S"),
@@ -361,16 +384,16 @@ def test_relation_reports_deterministic():
     ("cs-grade-one", "word (0)*.(0)"),
     ("intertwiner", "intertwiner f=(-1) | (1)+S")])
 def test_relation_mismatch_names_its_instance(kind, instance, monkeypatch):
-    # every comparison fails, so each suite names its first instance; the
-    # semilattice suite compares no matrices, and every meet it reads is
-    # made the zero
-    monkeypatch.setattr(Matrix, "columns_agree", lambda *args: False)
-    lattice = line_lattice(1)
-    monkeypatch.setattr(lattice, "key_meet",
-                        lambda a, b: lattice.keys[lattice.zero])
+    # a fault in the window's kept answers or in the lattice's meets that
+    # the first instance of the suite already shows: the suite names it
+    sg = PositiveCone(1)
+    W = s_window(sg, size=8)
+    lattice = truncate_semilattice(sg, constructible_closure(sg, 1))
+    graph = hull_graph(sg, 1)
+    verify_relation(sg, kind, W, lattice=lattice, graph=graph)
+    fail_first_instance(kind, sg, W, lattice, graph, monkeypatch)
     with pytest.raises(InvariantViolation) as err:
-        verify_relation(LINE, kind, s_window(LINE, size=8), lattice=lattice,
-                        graph=hull_graph(LINE, 1))
+        verify_relation(sg, kind, W, lattice=lattice, graph=graph)
     assert str(err.value) == "%s relation failed at %s" % (kind, instance)
 
 
@@ -566,7 +589,7 @@ def test_intertwiner_matches_hull_rep_pointwise():
     for f in enumerate_hull(LINE, 2):
         lhs = T.matrix.transpose() \
             * regular_rep_matrix(LINE, f, HW).matrix * T.matrix
-        rep = hull_matrix(LINE, f, W)
+        rep = element_matrix(LINE, f, W)
         assert lhs.columns_agree(rep.matrix, rep.safe)
 
 
@@ -642,7 +665,7 @@ def test_wrong_column_test_names_the_same_first_element(monkeypatch):
     one, target = identity_element(sg), lambda_(sg, W[0])
     first = graph.ordered[0]
     assert compose(sg, star(sg, first), first) == one
-    assert 0 not in hull_matrix(sg, first, W).safe
+    assert 0 not in element_matrix(sg, first, W).safe
     real = operators.compose
 
     def faulty(sg, f, h):
@@ -664,7 +687,7 @@ def test_wrong_product_on_a_shared_domain_names_that_element(monkeypatch):
     ff = compose(sg, star(sg, f), f)
     assert not is_idempotent(sg, f)
     assert any(compose(sg, star(sg, g), g) == ff for g in graph.ordered[:i])
-    target = lambda_(sg, W[min(hull_matrix(sg, f, W).matrix.entries)])
+    target = lambda_(sg, W[min(element_matrix(sg, f, W).matrix.entries)])
     real = operators.compose
 
     def faulty(sg, g, h):
@@ -677,8 +700,9 @@ def test_wrong_product_on_a_shared_domain_names_that_element(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# every matrix a relation suite compares, against the dense product of its
-# factors; the intertwiner's against T* L(f) T over the full hull window
+# every matrix the Matrix oracle of a relation suite compares, against the
+# dense product of its factors, and the suite's report against the oracle's;
+# the intertwiner's against T* L(f) T over the full hull window
 
 
 def compared_matrices(monkeypatch, walk, *args, **kwargs):
@@ -693,6 +717,23 @@ def compared_matrices(monkeypatch, walk, *args, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(Matrix, "columns_agree", spy_agree)
+        out = walk(*args, **kwargs)
+    return out, seen
+
+
+def compared_products(monkeypatch, walk, *args, **kwargs):
+    """What ``walk`` returns and, as matrices, the products the suite's
+    cs-grade-one walk compares, in order."""
+    seen = []
+    agrees = operators._agrees
+
+    def spy(P, X, S):
+        n = len(P) - 1  # the zero slot
+        seen.append(Matrix(n, n, {c: P[c] for c in range(n) if P[c] != n}))
+        return agrees(P, X, S)
+
+    with monkeypatch.context() as m:
+        m.setattr(operators, "_agrees", spy)
         out = walk(*args, **kwargs)
     return out, seen
 
@@ -748,16 +789,22 @@ def test_relation_suites_match_dense_oracle(name, monkeypatch):
     kinds = ("intertwiner",) if name in SHARING_TEXTS else \
         [k for k in RELATION_KINDS if k != "semilattice"]
     for kind in kinds:
-        rep, got = compared_matrices(monkeypatch, verify_relation, sg, kind,
-                                     W, lattice=lattice, graph=graph,
-                                     generators=generators)
+        rep, products = compared_products(
+            monkeypatch, verify_relation, sg, kind, W, lattice=lattice,
+            graph=graph, generators=generators)
+        mat, got = compared_matrices(
+            monkeypatch, hull_oracle.verify_relation, sg, kind, W,
+            lattice=lattice, graph=graph, generators=generators)
+        assert rep == mat
         want = oracle_products(sg, kind, W, bounds["depth"],
                                bounds["length"], generators)
         if kind == "cs-grade-one":
             # the suite compares each distinct state of a level once; the
             # level walk compares every word, in the oracle's order
             assert rep.count == len(want)
-            assert {tuple(map(tuple, dense(m))) for m in got} == \
+            assert products and \
+                {tuple(map(tuple, dense(m))) for m in got} == \
+                {tuple(map(tuple, dense(m))) for m in products} == \
                 {tuple(map(tuple, d)) for d in want}
             _, got = compared_matrices(monkeypatch, level_walk, sg, W, graph)
         if kind == "intertwiner":
@@ -765,3 +812,121 @@ def test_relation_suites_match_dense_oracle(name, monkeypatch):
         assert len(got) == len(want) > 0, kind
         for i, (m, d) in enumerate(zip(got, want)):
             assert dense(m) == d, (kind, i)
+
+
+# ---------------------------------------------------------------------------
+# the suites and the expectation loop against their Matrix bodies
+
+
+# the lhbench inputs that are not shipped configs
+LHBENCH_TEXTS = {
+    "axb-i": "kind = axb\ngenerators = (0,2) (0,3) (0,5)\n",
+    "axb-c": "kind = axb\ngenerators = (1,2) (0,3)\n",
+    "num-3-5-7": "kind = numerical\nparams = 3 5 7\n",
+    "num-4-5": "kind = numerical\nparams = 4 5\n",
+    "num-10-11": "kind = numerical\nparams = 10 11\n",
+    "cyc12": "kind = table\nparams = cyclic 12\n",
+    "cyc14": "kind = table\nparams = cyclic 14\n",
+    "cyc48-g1": "kind = table\nparams = cyclic 48\ngenerators = 1\n",
+}
+
+
+def agreement_inputs(name, length):
+    """A fresh backend with its generators, window, lattice and hull graph
+    at the config's bounds and the given length."""
+    if name in LHBENCH_TEXTS:
+        cfg = parse_config(LHBENCH_TEXTS[name])
+    else:
+        cfg = load_config(os.path.join(CONFIGS, name + ".cfg"))
+    sg = build_backend(cfg)
+    generators = config_generators(sg, cfg)
+    bounds = dict(DEFAULTS, **cfg.bounds)
+    lattice = truncate_semilattice(
+        sg, constructible_closure(sg, bounds["depth"], generators))
+    return (sg, generators, s_window(sg, size=bounds["window"]), lattice,
+            hull_graph(sg, length, generators))
+
+
+def outcome(run):
+    """What a suite returns, or the text of the violation it raises."""
+    try:
+        return run()
+    except InvariantViolation as err:
+        return str(err)
+
+
+def inject_agreement_fault(fault, sg, generators, W, lattice, graph):
+    """Write a fault into what both paths read: every proper domain of the
+    graph short of its last window column; the first letter given the
+    ``_mul`` and ``_ldiv`` rows of the last end; the middle element's kept
+    action emptied; the meet of the first and last family members read as
+    the zero."""
+    cal = calculus(sg)
+    if fault == "columns":
+        for f in graph.ordered:
+            if f is not ZERO and f.dom != cal.full():
+                W.columns[f.dom] = window_columns(sg, f.dom, W)[:-1]
+    elif fault == "rows":
+        g = (generators if generators is not None else sg.generators())[0]
+        for op in ("_mul", "_ldiv"):
+            W.rows[op, g] = window_row(sg, op, graph.ends[-1], W)
+    elif fault == "action":
+        W.actions[graph.ordered[len(graph.ordered) // 2]] = \
+            PartialMap({}, frozenset())
+    else:
+        keys, real = lattice.keys, lattice.key_meet
+        i, k = map(lattice.index, (lattice.family[0], lattice.family[-1]))
+        lattice.key_meet = lambda x, y: (
+            keys[lattice.zero] if (x, y) == (keys[i], keys[k])
+            else real(x, y))
+
+
+@pytest.mark.parametrize("length", [2, 3])
+@pytest.mark.parametrize("name", SHIPPED + sorted(LHBENCH_TEXTS))
+def test_suites_agree_with_their_matrix_bodies(name, length):
+    # the same reports and expectation counts, and under each fault the
+    # same first failure, of the suites and of the Matrix bodies they
+    # replace, both reading one backend's kept answers
+    failed = 0
+    for fault in (None, "columns", "rows", "action", "meet"):
+        sg, generators, W, lattice, graph = agreement_inputs(name, length)
+        if fault is not None:
+            inject_agreement_fault(fault, sg, generators, W, lattice, graph)
+        W30 = s_window(sg, size=max(len(W), 30))
+        for kind in RELATION_KINDS:
+            got, want = (outcome(lambda: suite(
+                sg, kind, W, lattice=lattice, graph=graph,
+                generators=generators))
+                for suite in (verify_relation, hull_oracle.verify_relation))
+            assert got == want, (fault, kind)
+            failed += isinstance(got, str)
+        assert outcome(lambda: expectation_loop(sg, W30, graph)) == \
+            outcome(lambda: hull_oracle.expectation_loop(sg, W30, graph))
+        if fault is None:
+            assert failed == 0
+    assert failed > 0
+
+
+def test_intertwiner_left_side_is_tested_for_injectivity(monkeypatch):
+    # compose sends lambda(2) where it sends lambda(1) under the shift by
+    # one, so T* L(f) T maps two window points to one: no partial
+    # permutation, whatever f's action is
+    sg = PositiveCone(1)
+    W = s_window(sg, size=8)
+    graph = hull_graph(sg, 1)
+    f = lambda_(sg, (1,))
+    assert f in graph.index
+    real = operators.compose
+
+    def faulty(sg, g, h):
+        if (g, h) == (f, lambda_(sg, (2,))):
+            h = lambda_(sg, (1,))
+        return real(sg, g, h)
+
+    monkeypatch.setattr(operators, "compose", faulty)
+    with pytest.raises(InvariantViolation) as err:
+        verify_relation(sg, "intertwiner", W, graph=graph)
+    assert str(err.value) == "partial permutation is not injective"
+    with pytest.raises(InvariantViolation) as err:
+        hull_oracle.verify_relation(sg, "intertwiner", W, graph=graph)
+    assert str(err.value) == "partial permutation is not injective"

@@ -1,7 +1,8 @@
 """Pinned command outputs: the sha256 of stdout and the exit code of eight
-commands on the six shipped configs, of three commands whose lattices
-have more than 700 elements, of commands on configs whose generators the
-backend parses, and of ``group`` on the shipped configs it supports.
+commands on the six shipped configs and two long-word checks, of three
+commands whose lattices have more than 700 elements, of commands on
+configs whose generators the backend parses, and of ``group`` on the
+shipped configs it supports.
 
 A refactor that should not change what the program prints keeps every
 digest.  Where a change is meant to alter an output, recompute the digest
@@ -115,6 +116,11 @@ PINNED = [
      "390e148ae415e0fc43c16c396993ab9c522cbf1db895d041d567cb3a3f889216"),
     ("ideals --depth 3", "zplus", 0,
      "aa43fb5a406c24f45435192aeb8469a1b5c0db9f7ba2793974a837e2fa4a8eaf"),
+    # long words: 13,368 hull elements on axb, and a 40-point cone window
+    ("check --length 5", "axb", 0,
+     "8b020eb387337e8b1caff5f361fa499f0bf7073f5f9319344673e81e1ad08ff7"),
+    ("check --length 6 --window 40", "cone2", 0,
+     "e784d19fd74b0002d75efedbae06d69d5eb760aa040b6d24838c102b401e9df5"),
 ]
 
 

@@ -3,8 +3,9 @@ against the word-by-word oracle: the same instances, the same checked
 columns and the same safe set for every word.  The suite's state walk
 against the level walk: the same instances and checked columns, and one
 comparison per distinct state of a level, in order of first occurrence.
-Under an injected fault every walk names the same first failing word.  The
-covariance suite's per-letter safe core against the step interpreter."""
+Under a fault injected into the window's kept columns or letter rows every
+walk names the same first failing word.  The covariance suite's per-letter
+safe core against the step interpreter."""
 
 import os
 
@@ -16,10 +17,11 @@ from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
 from lefthull.filters import truncate_semilattice
-from lefthull.hull import hull_graph
+from lefthull.hull import ZERO, hull_graph, window_columns, window_row
 from lefthull.matrices import Matrix
 from lefthull.operators import s_window, verify_relation
 
+from hull_oracle import covariance_compared
 from word_oracle import _safe_columns, level_walk, word_by_word
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -73,12 +75,6 @@ def spied_safe_sets(monkeypatch, walk, *args, **kwargs):
     return out, seen
 
 
-def suite_safe_sets(monkeypatch, sg, kind, W, **bounds):
-    """The report of a suite and the column set of each comparison."""
-    return spied_safe_sets(monkeypatch, verify_relation, sg, kind, W,
-                           **bounds)
-
-
 PREFIX_CASES = [(n, None) for n in SHIPPED] + [
     ("free2", 1), ("free2", 3), ("cone2", 3), ("axb", 3),
     ("axb-i", 2), ("axb-i", 3), ("cyc12", 2), ("cyc14", 2),
@@ -102,14 +98,17 @@ def test_merged_walk_matches_level_walk(name, length, monkeypatch):
     sg, generators, W, length = suite_inputs(name, length)
     graph = hull_graph(sg, length, generators)
     seen = []
-    agree = Matrix.columns_agree
+    agrees = operators._agrees
 
-    def spy(self, other, cols):
-        seen.append((frozenset(self.entries.items()), frozenset(cols)))
-        return agree(self, other, cols)
+    def spy(P, X, S):
+        # the product tuple as matrix entries, the safe bitset as columns
+        n = len(P) - 1
+        seen.append((frozenset((c, P[c]) for c in range(n) if P[c] != n),
+                     frozenset(c for c in range(n) if S >> c & 1)))
+        return agrees(P, X, S)
 
     with monkeypatch.context() as m:
-        m.setattr(Matrix, "columns_agree", spy)
+        m.setattr(operators, "_agrees", spy)
         rep = verify_relation(sg, "cs-grade-one", W, graph=graph,
                               generators=generators)
     want, states = level_walk(sg, W, graph)
@@ -126,9 +125,12 @@ def test_merged_walk_matches_level_walk(name, length, monkeypatch):
 
 def test_prefix_walk_of_length_zero_checks_nothing(monkeypatch):
     sg, generators, W, _ = suite_inputs("free2")
-    rep, seen = suite_safe_sets(monkeypatch, sg, "cs-grade-one", W,
-                                graph=hull_graph(sg, 0, generators),
-                                generators=generators)
+    seen = []
+    monkeypatch.setattr(operators, "_agrees",
+                        lambda *args: seen.append(args) or True)
+    rep = verify_relation(sg, "cs-grade-one", W,
+                          graph=hull_graph(sg, 0, generators),
+                          generators=generators)
     assert (rep.count, rep.checked_columns, seen) == (0, 0, [])
     assert word_by_word(sg, W, 0, generators) == (0, 0, [])
 
@@ -164,40 +166,37 @@ def test_covariance_safe_core_matches_step_interpreter(name, depth,
     letters = generators if generators is not None else sg.generators()
     want = [_safe_columns(sg, W, (("div", s), ("proj", X), ("mul", s)))
             for s in letters for X in family]
-    rep, seen = suite_safe_sets(monkeypatch, sg, "covariance", W,
-                                lattice=truncate_semilattice(sg, family),
-                                generators=generators)
+    # the columns compared at each instance: those where a flipped column
+    # of e_{sX} is caught
+    seen = [covariance_compared(sg, s, X, W, monkeypatch)
+            for s in letters for X in family]
     assert seen == want
+    rep = verify_relation(sg, "covariance", W,
+                          lattice=truncate_semilattice(sg, family),
+                          generators=generators)
     assert (rep.count, rep.checked_columns) == \
         (len(want), sum(map(len, want)))
     assert rep.count > 0
 
 
-def inject(monkeypatch, sg, fault):
-    """Patch ``fault`` into the operators module, where every walk looks up
-    its operators.  A domain rendering drops the last member column of the
-    projection on that domain, and None that of every proper domain.  A
-    letter pair (g, h) builds the isometry of g as that of h: in a group
-    every domain is S, so only the isometries can carry a fault."""
+def inject(sg, W, graph, fault):
+    """Write ``fault`` into the answers the window W keeps, which the suite
+    and every walk read.  A domain rendering drops the last member column
+    of that domain of an element of ``graph``, and None that of every
+    proper domain.  A letter pair (g, h) gives g the ``_mul`` and ``_ldiv``
+    rows of h, so V_g and V_g* are those of h: in a group every domain is
+    S, so only the letter rows can carry a fault."""
     if isinstance(fault, tuple):
         g, h = fault
-        isometry = operators.isometry_matrix
-        monkeypatch.setattr(operators, "isometry_matrix", lambda sg, s, W:
-                            isometry(sg, h if s == g else s, W))
+        for op in ("_mul", "_ldiv"):
+            W.rows[op, g] = window_row(sg, op, h, W)
         return
     cal = calculus(sg)
-    projection = operators.char_projection
-
-    def faulty(sg, X, W):
-        op = projection(sg, X, W)
-        entries = dict(op.matrix.entries)
-        if (X != cal.full() if fault is None else cal.render(X) == fault) \
-                and entries:
-            del entries[max(entries)]
-        return operators.TruncatedOperator(
-            Matrix(len(W), len(W), entries), op.safe)
-
-    monkeypatch.setattr(operators, "char_projection", faulty)
+    for f in graph.elements:
+        X = None if f is ZERO else f.dom
+        if X is not None and (X != cal.full() if fault is None
+                              else cal.render(X) == fault):
+            W.columns[X] = window_columns(sg, X, W)[:-1]
 
 
 # name -> (length, the first failing word, the fault), None for the
@@ -219,10 +218,10 @@ FAULT_CASES = {
 def test_fault_names_the_same_first_word(name, monkeypatch):
     length, word, fault = FAULT_CASES[name]
     sg, generators, W, length = suite_inputs(name, length)
-    inject(monkeypatch, sg, fault)
+    graph = hull_graph(sg, length, generators)
+    inject(sg, W, graph, fault)
     with pytest.raises(InvariantViolation) as walked:
-        verify_relation(sg, "cs-grade-one", W,
-                        graph=hull_graph(sg, length, generators),
+        verify_relation(sg, "cs-grade-one", W, graph=graph,
                         generators=generators)
     with pytest.raises(InvariantViolation) as oracle:
         word_by_word(sg, W, length, generators)
@@ -248,7 +247,7 @@ def test_fault_on_a_shared_state_names_the_same_first_word(
         name, length, fault, word, monkeypatch):
     sg, generators, W, length = suite_inputs(name, length)
     graph = hull_graph(sg, length, generators)
-    inject(monkeypatch, sg, fault)
+    inject(sg, W, graph, fault)
     with monkeypatch.context() as m:
         # the states of the faulty walk, every comparison passed
         m.setattr(Matrix, "columns_agree", lambda *args: True)

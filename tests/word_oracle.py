@@ -7,8 +7,10 @@ each one is handled on its own: its element comes from ``evaluate_word``,
 its product from the identity times V_t* V_s for each of its pairs, and
 its safe columns from replaying its full step list on every basis vector.
 This is how the suite checked the words before it walked them as a prefix
-tree.  ``char_projection`` is looked up on the operators module at call
-time, so a fault patched in there reaches every walk.
+tree.  The walks read the window's kept letter rows (through
+``operators.isometry_matrix``) and ideal columns (through
+``hull_oracle.char_projection``), so a fault injected into one of them
+reaches every walk and the suite alike.
 
 ``level_walk`` is the prefix walk as the suite ran it before it merged the
 words of a level that reach the same state: each word extends a word of
@@ -26,6 +28,8 @@ from lefthull.ideals import EMPTY, calculus
 from lefthull.matrices import Matrix
 from lefthull.operators import RelationReport
 from lefthull.semigroups import InvariantViolation, UsageError
+
+from hull_oracle import char_projection
 
 
 def _run_steps(sg, W, t, steps):
@@ -83,8 +87,7 @@ def word_by_word(sg, W, length, generators=None):
             prod = prod * V[t].transpose() * V[s]
         for t, s in reversed(pairs):
             steps.extend((("mul", s), ("div", t)))
-        rhs = operators.char_projection(sg, EMPTY if f is ZERO else f.dom,
-                                        W).matrix
+        rhs = char_projection(sg, EMPTY if f is ZERO else f.dom, W).matrix
         safe = _safe_columns(sg, W, steps)
         if not prod.columns_agree(rhs, safe):
             raise InvariantViolation(
@@ -129,7 +132,7 @@ def level_walk(sg, W, graph):
                     g = graph.elements[j]
                     X = EMPTY if g is ZERO else g.dom
                     if X not in proj:
-                        proj[X] = operators.char_projection(sg, X, W).matrix
+                        proj[X] = char_projection(sg, X, W).matrix
                     if not P.columns_agree(proj[X], S):
                         raise InvariantViolation(
                             "cs-grade-one relation failed at word %s"
