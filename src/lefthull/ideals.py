@@ -537,8 +537,8 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
     principal reduces any element to this form.  The family {EMPTY} u
     {principal ideals} is closed under the meet because Z is a GCD domain,
     which this calculus states by congruence arithmetic, with membership,
-    a closed-form preimage (a meet and a division cost more) and a key by
-    modulus; image, translation and rendering follow from AxPlusB.
+    a closed-form preimage (a meet and a division cost more), s(qS) = (sq)S
+    and a key by modulus; image and rendering follow from AxPlusB.
     """
 
     def left_reversible(self):
@@ -601,6 +601,9 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
             return (0, 1)
         x0 = ((b - d) // g * pow(c // g, -1, m)) % m
         return (x0, m)
+
+    def _translate(self, s, X):
+        return self.principal(self.sg._mul(s, X))
 
     def _intersect(self, X, Y):
         return _crt(*X, *Y) or EMPTY
@@ -704,25 +707,27 @@ def meet_keys(cal, members):
 def constructible_closure(sg, depth, generators=None):
     """The reachable ideals at ``depth``, closed under pairwise intersection.
     Sorted canonically, Full first.
+
+    One reachable ideal R at a time, in canonical order: F holds the meets
+    of the reachable ideals before R.  A meet of those and R leaves R out
+    (it is in F), is R alone, or is f n R for an f in F.  So F, R and each
+    f n R is the next F, closed as (f n R) n (g n R) = (f n g) n R, and an
+    R in F adds nothing: sum |F| meets of keys.  A new key is a later
+    reachable ideal's (found by ``in``: the free monoid's S is the falsy
+    ()), or its ideal is built by one intersect.
     """
     cal = calculus(sg)
     reach = reachable_ideals(sg, depth, generators)
     keys, meet = meet_keys(cal, reach)
-    family = dict(zip(keys, reach))
-    # semi-naive: every member of the closure is a meet X1 n ... n Xk of
-    # reachable ideals, and meets associate, so it is found by meeting
-    # X1 n ... n X(k-1) with Xk.  The first pass meets every pair of
-    # reachable ideals; each later pass meets only the ideals the pass
-    # before it found with the reachable ones.  A key not seen before is
-    # built once, by intersecting one pair whose keys meet in it
-    rows = [(a, X, i + 1) for i, (a, X) in enumerate(family.items())]
-    while rows:
-        fresh = {}
-        for a, X, start in rows:
-            row = dict(zip(map(meet, repeat(a), keys[start:]), reach[start:]))
-            for c in set(row).difference(family):
-                family[c] = fresh[c] = cal.intersect(X, row[c])
-        rows = [(a, X, 0) for a, X in fresh.items()]
+    reached = dict(zip(keys, reach))
+    family = {}
+    for r, R in reached.items():
+        if r not in family:
+            row = dict(zip(map(meet, family, repeat(r)), family.values()))
+            family[r] = R
+            for c in row.keys() - family.keys():
+                family[c] = reached[c] if c in reached else cal.intersect(
+                    row[c], R)
     return tuple(sorted(family.values(), key=cal.key))
 
 

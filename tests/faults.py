@@ -165,6 +165,33 @@ FAULTS = (
           "            return v\n",
           ("tests/test_ideals.py"
            "::test_canonical_matches_oracle_on_windows[FreeMonoid(2)]",)),
+    Fault("closure-meets-only-earlier-reachables", "ideals.py",
+          "            row = dict(zip(map(meet, family, repeat(r)),"
+          " family.values()))\n",
+          "            row = dict(zip(map(meet, keys[:keys.index(r)],"
+          " repeat(r)), reach))\n",
+          ("tests/test_signatures.py"
+           "::test_closure_agrees_with_the_keyed_semi_naive_closure"
+           "[cone6-depth3]",
+           "tests/test_pinned_outputs.py"
+           "::test_large_lattice_output_is_pinned[filters--depth2-cone6]")),
+    Fault("closure-found-members-left-unmet", "ideals.py",
+          "            row = dict(zip(map(meet, family, repeat(r)),"
+          " family.values()))\n",
+          "            row = {meet(f, r): X for f, X in family.items()"
+          " if f in reached}\n",
+          ("tests/test_signatures.py"
+           "::test_signature_path_intersects_once_per_new_member[cone3]",
+           "tests/test_signatures.py"
+           "::test_closure_agrees_with_the_keyed_semi_naive_closure"
+           "[num-10-11-depth3]")),
+    Fault("axb-translate-multiplies-on-the-right", "ideals.py",
+          "        return self.principal(self.sg._mul(s, X))\n",
+          "        return self.principal(self.sg._mul(X, s))\n",
+          ("tests/test_derived_ideal_ops.py"
+           "::test_axb_translation_by_the_product_agrees_with_the_image"
+           "_of_embed",
+           "tests/test_pinned_outputs.py::test_output_is_pinned[check-axb]")),
     Fault("filter-meet-of-first-member", "filters.py",
           "        lattice.keys.__getitem__, set_bits(members)))]\n",
           "        lattice.keys.__getitem__, set_bits(members)[:1]))]\n",

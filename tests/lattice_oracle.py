@@ -14,9 +14,10 @@ keeps every meet it has answered, so a meet the fast path stored, right or
 wrong, would otherwise be read back by its oracle and agree with itself.
 """
 
-from itertools import combinations
+from itertools import combinations, repeat
 
 from lefthull import EMPTY, UsageError, calculus, reachable_ideals
+from lefthull.ideals import meet_keys
 
 
 def fresh_calculus(sg):
@@ -58,6 +59,27 @@ def pairwise_closure(sg, depth, generators=None):
         fresh = {Z for X in fresh for Y in reach
                  if (Z := cal.intersect(X, Y)) not in family}
     return tuple(sorted(family, key=cal.key))
+
+
+def keyed_closure(sg, depth, generators=None):
+    """The reachable ideals closed under intersection on their keys
+    (``meet_keys``): every pair of reachable ideals, then the keys each
+    pass found met with every reachable one, until a pass finds nothing
+    new.  A key not seen before is built by one intersect.  Sorted
+    canonically."""
+    cal = fresh_calculus(sg)
+    reach = reachable_ideals(sg, depth, generators)
+    keys, meet = meet_keys(cal, reach)
+    family = dict(zip(keys, reach))
+    rows = [(a, X, i + 1) for i, (a, X) in enumerate(family.items())]
+    while rows:
+        fresh = {}
+        for a, X, start in rows:
+            row = dict(zip(map(meet, repeat(a), keys[start:]), reach[start:]))
+            for c in set(row).difference(family):
+                family[c] = fresh[c] = cal.intersect(X, row[c])
+        rows = [(a, X, 0) for a, X in fresh.items()]
+    return tuple(sorted(family.values(), key=cal.key))
 
 
 def leq(lattice, i, j):

@@ -8,10 +8,12 @@ ones and their meets), for every letter of the hull graph and of a
 graph (image), on the shipped configs, five of the benchmark's and one
 ax+b config with a negative slope.  An image must raise exactly where the
 oracle's does.  On ax+b the closed-form preimage the calculus keeps must
-also equal the meet-then-divide form the base class derives.
+also equal the meet-then-divide form the base class derives, and its
+translation by one product the image under embed(s).
 """
 
 import os
+import random
 
 import pytest
 
@@ -109,3 +111,16 @@ def test_derived_ideal_operations_match_the_oracles(name):
     assert len(ideals) > 1 or isinstance(sg, FiniteTable)
     assert 0 < raised < len(ideals) * len(grades) \
         or isinstance(sg, FiniteTable)
+
+
+def test_axb_translation_by_the_product_agrees_with_the_image_of_embed():
+    # s(qS) = (sq)S: one product in S, against the image of qS under the
+    # grade embed(s) that the base class derives, on random pairs with
+    # slopes of either sign
+    sg = AxPlusB()
+    cal = calculus(sg)
+    rng = random.Random(20)
+    for _ in range(20000):
+        s = (rng.randint(-60, 60), rng.choice([-1, 1]) * rng.randint(1, 30))
+        X = cal.principal((rng.randint(-60, 60), rng.randint(1, 40)))
+        assert cal.translate(s, X) == IdealCalculus._translate(cal, s, X)

@@ -1,6 +1,6 @@
 """Meets read off the ideals' signatures, against the pairwise table and
-the pairwise semi-naive closure of ``lattice_oracle``, and the laws tested
-where ax+b meets come from intersect."""
+the pairwise and keyed semi-naive closures of ``lattice_oracle``, and the
+laws tested where ax+b meets come from intersect."""
 
 import os
 import random
@@ -11,7 +11,7 @@ from lefthull import (EMPTY, AxPlusB, FreeMonoid, InvariantViolation,
                       NumericalSemigroup, PositiveCone, UsageError, calculus,
                       constructible_closure, cyclic_table, FiniteTable,
                       reachable_ideals)
-from lefthull import checks
+from lefthull import checks, ideals
 from lefthull.cli import main
 from lefthull.filters import truncate_semilattice
 from lefthull.ideals import SIGNATURE_POINTS
@@ -46,6 +46,13 @@ STRESSED = {
 }
 AGREEMENT_CASES = {**{name: shipped(name) for name in SHIPPED},
                    **bench_cases(), **STRESSED, **SIGNED_CASES}
+# closures past STRESSED, each of thousands of ideals, for the keyed
+# semi-naive oracle alone: the pairwise one takes seconds on them
+KEYED_STRESSED = {
+    "num-10-11-depth4": (NumericalSemigroup((10, 11)), 4, None),
+    "cone6-depth3": (PositiveCone(6), 3, None),
+    "cone8-depth2": (PositiveCone(8), 2, None),
+}
 # backends whose calculus states a determining set; the closures of
 # PositiveCone(1) are chains, where no member is a meet of two others
 SIGNED = [NumericalSemigroup((2, 3)), NumericalSemigroup((3, 5, 7)),
@@ -120,6 +127,41 @@ def test_closure_and_table_agree_with_pairwise_oracle(case):
     fam = constructible_closure(sg, depth, generators)
     assert fam == oracle.pairwise_closure(sg, depth, generators)
     assert lattice_table(sg, fam) == oracle.pairwise_table(sg, fam)
+
+
+@pytest.mark.parametrize("case", {**AGREEMENT_CASES,
+                                  **KEYED_STRESSED}.values(),
+                         ids={**AGREEMENT_CASES, **KEYED_STRESSED})
+def test_closure_agrees_with_the_keyed_semi_naive_closure(case):
+    sg, depth, generators = case
+    assert constructible_closure(sg, depth, generators) == \
+        oracle.keyed_closure(sg, depth, generators)
+
+
+def count_meets(monkeypatch):
+    """Patch ``meet_keys`` so that each meet of two keys is recorded."""
+    real = ideals.meet_keys
+    calls = []
+
+    def counted(cal, members):
+        keys, meet = real(cal, members)
+        return keys, lambda a, b: calls.append(None) or meet(a, b)
+
+    monkeypatch.setattr(ideals, "meet_keys", counted)
+    return calls
+
+
+def test_closure_meets_each_reachable_ideal_with_the_closure_so_far(
+        monkeypatch):
+    # ax+b with generators (1,2) (0,3) at depth 4: 787 ideals, 99 of them
+    # reachable.  Meeting each new member with every reachable ideal took
+    # 72,963 meets of keys; one reachable ideal at a time takes sum |F|,
+    # 17,175
+    sg, generators = AxPlusB(), ((1, 2), (0, 3))
+    calls = count_meets(monkeypatch)
+    fam = constructible_closure(sg, 4, generators)
+    assert len(fam) == 787
+    assert 0 < len(calls) <= 20000
 
 
 def test_cone6_depth3_closure_and_sampled_meets():
@@ -276,16 +318,20 @@ def test_tied_signatures_raise_invariant_violation(monkeypatch, capsys):
     assert "signatures tie" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sg, generators", [
-    (NumericalSemigroup((10, 11)), None),
-    (AxPlusB(), ((1, 2), (0, 3))),
-], ids=["num-10-11", "axb-c"])
-def test_signature_path_intersects_once_per_new_member(sg, generators,
+@pytest.mark.parametrize("sg, generators, new", [
+    (NumericalSemigroup((10, 11)), None, 1091),
+    (AxPlusB(), ((1, 2), (0, 3)), 117),
+    (FreeMonoid(2), None, 0),
+    (PositiveCone(3), None, 44),
+], ids=["num-10-11", "axb-c", "free2", "cone3"])
+def test_signature_path_intersects_once_per_new_member(sg, generators, new,
                                                        monkeypatch):
+    # a meet on the key of a reachable ideal takes that ideal: in the free
+    # monoid every meet is reachable, and none is built
     reach = reachable_ideals(sg, 3, generators)
     calls = count_intersects(monkeypatch, sg)
     fam = constructible_closure(sg, 3, generators)
-    assert len(calls) == len(fam) - len(reach) > 0
+    assert len(calls) == len(fam) - len(reach) == new
     calls.clear()
     truncate_semilattice(sg, fam)
     assert calls == []
