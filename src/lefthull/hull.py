@@ -17,7 +17,8 @@ oracle; any other window is answered afresh.  The atoms star(lambda t)
 lambda s and the domains of composites are kept once per backend; an
 operation that raises stores nothing.  The domain of f after h is
 h^-1(dom f n ran h), a function of (dom f, h) alone: composites that
-share dom f and h share it.
+share dom f and h share it.  The calculus answers it (``pullback``) and
+the window columns of an ideal (``window_positions``).
 """
 
 from collections import namedtuple
@@ -73,15 +74,13 @@ def compose(sg, f, h):
     kept once per backend by (dom f, h), EMPTY where the meet is empty."""
     if f is ZERO or h is ZERO:
         return ZERO
-    G = sg.grading_group()
     dom = sg._domains.get((f.dom, h))
     if dom is None:
         cal = calculus(sg)
-        meet = cal.intersect(f.dom, cal.image(h.grade, h.dom))
-        dom = sg._domains[f.dom, h] = cal.image(G.inv(h.grade), meet)
+        dom = sg._domains[f.dom, h] = cal.pullback(h.grade, f.dom, h.dom)
     if dom is EMPTY:
         return ZERO
-    return _element((G.mul(f.grade, h.grade), dom))
+    return _element((sg.grading_group().mul(f.grade, h.grade), dom))
 
 
 def domain(f):
@@ -229,9 +228,7 @@ def window_columns(sg, X, W):
     W = sg.own_window(W)
     cols = W.columns.get(X)
     if cols is None:
-        member = calculus(sg).is_member
-        cols = W.columns[X] = tuple(j for j, t in enumerate(W)
-                                    if member(t, X))
+        cols = W.columns[X] = calculus(sg).window_positions(X, W)
     return cols
 
 

@@ -23,6 +23,9 @@ All closure properties here are theorems about the backends; the calculus
 never approximates.  ``image`` computes the forward translate g . X of an
 ideal by a grading-group element and is the workhorse for the hull algebra;
 it raises when the result would leave S, which honest callers never trigger.
+``pullback(g, X, D)``, D n g^-1 X, is by default g^-1 (X n g . D), and
+``window_positions(X, W)`` one membership test per point of W; the
+numerical calculus answers both on bits, the second on its own windows.
 
 Each calculus class also answers, exactly, the questions about ideals asked
 of every left cancellative S: left reversibility, the Clifford condition,
@@ -71,8 +74,8 @@ class _TableFull:
 
 _TABLE_FULL = _TableFull()
 
-# near this many points of Z/L, building the closure and the lattice by &
-# costs what it does by intersect on ax+b
+# past this many points of Z/L, ax+b builds the meet lattice by intersect,
+# as near it the lattice build costs what it does by & on signatures
 SIGNATURE_POINTS = 7000
 
 
@@ -195,6 +198,16 @@ class IdealCalculus:
         if X is EMPTY:
             return EMPTY
         return self._image(g, X)
+
+    def pullback(self, g, X, D):
+        """D n g^-1 X, the domain of f after h = (g, D) with dom f = X:
+        g^-1 (X n g . D), which raises where g . D leaves S."""
+        return self.image(self.sg.grading_group().inv(g),
+                          self.intersect(X, self.image(g, D)))
+
+    def window_positions(self, X, W):
+        """The positions j with W[j] in X, one membership test each."""
+        return tuple(j for j, t in enumerate(W) if self.is_member(t, X))
 
     def principal_witness(self, X):
         """q with X == qS, or None when X is not principal."""
@@ -470,6 +483,25 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         Y = self._images[key] = self._canonical(bits, g + cut)
         return Y
 
+    def pullback(self, g, X, D):
+        # t in D with t + g in X, by bits below b; from b on every member t
+        # is in D and t + g in X, as g . D lies in S, which _image checks
+        if X is EMPTY or D is EMPTY:
+            return EMPTY
+        self._image(g, D)
+        b = max(D[0], X[0] - g, 0)
+        xb = self._below(X, b + g) >> g if g >= 0 \
+            else self._below(X, max(b + g, 0)) << -g
+        return self._canonical(self._below(D, b) & xb, b)
+
+    def window_positions(self, X, W):
+        # the backend's own windows hold the least members of S, so every
+        # member of X up to the last point is a point
+        if X is EMPTY or not W or W is not self.sg._windows.get(len(W)):
+            return super().window_positions(X, W)
+        return tuple(map(W.index.__getitem__,
+                         set_bits(self._below(X, W[-1] + 1))))
+
     def principal_witness(self, X):
         m = self.min_member(X)
         return m if self.principal(m) == X else None
@@ -714,7 +746,8 @@ def constructible_closure(sg, depth, generators=None):
     f n R is the next F, closed as (f n R) n (g n R) = (f n g) n R, and an
     R in F adds nothing: sum |F| meets of keys.  A new key is a later
     reachable ideal's (found by ``in``: the free monoid's S is the falsy
-    ()), or its ideal is built by one intersect.
+    ()), or its ideal is built by one intersect; where the keys are the
+    members, the meet is intersect and the key is that ideal.
     """
     cal = calculus(sg)
     reach = reachable_ideals(sg, depth, generators)
@@ -726,8 +759,8 @@ def constructible_closure(sg, depth, generators=None):
             row = dict(zip(map(meet, family, repeat(r)), family.values()))
             family[r] = R
             for c in row.keys() - family.keys():
-                family[c] = reached[c] if c in reached else cal.intersect(
-                    row[c], R)
+                family[c] = c if keys is reach else reached[c] \
+                    if c in reached else cal.intersect(row[c], R)
     return tuple(sorted(family.values(), key=cal.key))
 
 

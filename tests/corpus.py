@@ -1,8 +1,9 @@
 """The command corpus that ``compare.py`` runs on two trees; stdlib only.
 
 Every subcommand runs on every config under each flag set: the shipped
-configs, the configs of lhbench's workloads and the generator configs of
-the pinned outputs (``test_pinned_outputs.PINNED_PARSED``), a config whose
+configs, the configs of lhbench's workloads, the generator configs of the
+pinned outputs (``test_pinned_outputs.PINNED_PARSED``) and two numerical
+semigroups whose generators share a factor (``GCD``), a config whose
 text, comments aside, repeats an earlier one being listed once.  Then come
 the lattice-bound commands at ``--depth 4``.  ``matrix`` always runs with
 ``--out``, which ``compare.py`` points at a fresh directory per run.
@@ -29,6 +30,12 @@ PINNED_PARSED = {
     "cyc48-g1": "kind = table\nparams = cyclic 48\ngenerators = 1\n",
     "cone2-gens": "kind = cone\nparams = 2\ngenerators = (1,0) (1,1)\n",
     "num-3-5-7-gens": "kind = numerical\nparams = 3 5 7\ngenerators = 5 7\n",
+}
+# numerical semigroups with gcd 2 and 3: the bitset paths on a lattice
+# coarser than Z
+GCD = {
+    "num-4-6": "kind = numerical\nparams = 4 6\n",
+    "num-6-9-15": "kind = numerical\nparams = 6 9 15\n",
 }
 # the closure and the lattice past the flag sets' depth: axb has 2,171
 # ideals at depth 4, lhbench's axb-c 787
@@ -61,6 +68,7 @@ def configs():
             named["shipped/" + name] = fh.read()
     named.update(("lhbench/" + k, v) for k, v in bench_configs().items())
     named.update(("pinned/" + k, v) for k, v in PINNED_PARSED.items())
+    named.update(("gcd/" + k, v) for k, v in GCD.items())
     seen, out = set(), {}
     for name, text in named.items():
         if content(text) not in seen:

@@ -126,10 +126,11 @@ FAULTS = (
            "tests/test_hull.py"
            "::test_inverse_semigroup_axioms[PositiveCone(2)]")),
     Fault("domain-memo-keeps-the-meet", "hull.py",
-          "        dom = sg._domains[f.dom, h] = cal.image(G.inv(h.grade),"
-          " meet)\n",
-          "        dom = cal.image(G.inv(h.grade), meet);"
-          " sg._domains[f.dom, h] = meet\n",
+          "        dom = sg._domains[f.dom, h] = cal.pullback(h.grade, f.dom,"
+          " h.dom)\n",
+          "        dom = cal.pullback(h.grade, f.dom, h.dom);"
+          " sg._domains[f.dom, h] = cal.intersect(f.dom,"
+          " cal.image(h.grade, h.dom))\n",
           ("tests/test_hull_memos.py"
            "::test_compose_agrees_with_the_body_that_keeps_nothing[axb]",
            "tests/test_pinned_outputs.py"
@@ -192,6 +193,34 @@ FAULTS = (
            "::test_axb_translation_by_the_product_agrees_with_the_image"
            "_of_embed",
            "tests/test_pinned_outputs.py::test_output_is_pinned[check-axb]")),
+    Fault("pullback-drops-the-mask-below-b", "ideals.py",
+          "        return self._canonical(self._below(D, b) & xb, b)\n",
+          "        return self._canonical(self.sg.member_bits(b) & xb, b)\n",
+          ("tests/test_pullback.py"
+           "::test_pullback_is_the_default_and_the_member_walk"
+           "[lhbench/num-3-5-7]",
+           "tests/test_hull_memos.py"
+           "::test_compose_agrees_with_the_body_that_keeps_nothing[num23]")),
+    Fault("pullback-without-the-range-image", "ideals.py",
+          "        self._image(g, D)\n",
+          "        pass\n",
+          ("tests/test_pullback.py"
+           "::test_a_grade_off_s_raises_on_both_paths[<3,5,7>]",
+           "tests/test_pullback.py"
+           "::test_a_grade_off_s_raises_on_both_paths[<4,6>]")),
+    Fault("window-positions-on-any-window", "ideals.py",
+          "        if X is EMPTY or not W or W is not"
+          " self.sg._windows.get(len(W)):\n",
+          "        if X is EMPTY or not W:\n",
+          ("tests/test_pullback.py"
+           "::test_a_window_not_built_by_the_backend_takes_the_scan"
+           "[gapped]",)),
+    Fault("window-positions-to-the-last-point-excluded", "ideals.py",
+          "                         set_bits(self._below(X, W[-1] + 1))))\n",
+          "                         set_bits(self._below(X, W[-1]))))\n",
+          ("tests/test_pullback.py"
+           "::test_window_positions_is_the_scan_on_own_windows[20-<3,5,7>]",
+           "tests/test_pinned_outputs.py::test_output_is_pinned[check-num23]")),
     Fault("filter-meet-of-first-member", "filters.py",
           "        lattice.keys.__getitem__, set_bits(members)))]\n",
           "        lattice.keys.__getitem__, set_bits(members)[:1]))]\n",

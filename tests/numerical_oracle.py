@@ -99,6 +99,18 @@ class TupleLoopIdeals:
             members.append(g + x)
         return self.canonical(members, g + cut)
 
+    def pullback(self, g, X, D):
+        """D n g^-1 X, the members t of D with t + g in X; None where
+        g . D leaves S and the calculus must raise."""
+        if self.image(g, D) is None:
+            return None
+        # from the bound on, t and t + g are members past both thresholds
+        # and the conductor (g is a multiple of the gcd, as the image is)
+        bound = max(D[0], X[0]) + abs(g) + self.conductor
+        inside = set(self.ideal_members_below(X, bound + g))
+        return self.canonical([t for t in self.ideal_members_below(D, bound)
+                               if t + g in inside], bound)
+
     def union(self, parts):
         bound = max(p[0] for p in parts)
         below = set()

@@ -42,3 +42,10 @@ def test_the_deep_commands_are_in_the_corpus():
     for sub in ("ideals", "filters"):
         for name in ("shipped/axb", "lhbench/axb-c"):
             assert (sub, name, ("--depth", "4")) in commands
+
+
+def test_numerical_configs_with_a_gcd_above_one_are_in_the_corpus():
+    texts = corpus.configs()
+    gcds = [build_backend(parse_config(texts["gcd/" + name])).gcd
+            for name in corpus.GCD]
+    assert gcds == [2, 3]
