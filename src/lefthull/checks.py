@@ -17,7 +17,7 @@ from .hull import (ZERO, atom, estar_unitary_report, evaluate_word,
                    clifford_normal_form, hull_graph, maps_agree,
                    materialize_element, materialize_word, random_word)
 from .ideals import (EMPTY, calculus, clifford_check, constructible_closure,
-                     independence_check)
+                     independence_check, reachable_ideals)
 from .operators import expectation_loop, relation_summary, s_window
 from .semigroups import InvariantViolation, UnsupportedOperation, UsageError
 
@@ -46,9 +46,13 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
     results = []
 
     @cache
+    def reach():
+        return reachable_ideals(sg, depth, generators)
+
+    @cache
     def family():
         # not cached when it raises, so each check that asks reports it
-        return constructible_closure(sg, depth, generators)
+        return constructible_closure(sg, depth, generators, reach())
 
     @cache
     def hull():
@@ -57,7 +61,7 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
     @cache
     def lattice():
         # raises when the family is not intersection closed
-        return truncate_semilattice(sg, family())
+        return truncate_semilattice(sg, family(), reach())
 
     def semigroup_axioms():
         # the sample and its products are checked, then trusted

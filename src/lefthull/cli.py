@@ -17,7 +17,7 @@ from .filters import (enumerate_filters, maximal_representation_check,
 from .group_image import gamma, group_of_S, is_left_reversible
 from .hull import estar_unitary_report, hull_graph, render_element
 from .ideals import (calculus, clifford_check, constructible_closure,
-                     independence_check)
+                     independence_check, reachable_ideals)
 from .operators import (RELATION_KINDS, intertwiner_matrix, isometry_matrix,
                         hull_window, relation_summary, s_window,
                         verify_relation)
@@ -42,6 +42,12 @@ def _yesno(flag):
     return "yes" if flag else "no"
 
 
+def _closure(sg, depth, generators):
+    """The closure and the reachable ideals it closes, for the lattice."""
+    reach = reachable_ideals(sg, depth, generators)
+    return constructible_closure(sg, depth, generators, reach), reach
+
+
 def _verdicts(sg, depth, graph, seed, generators):
     cal = calculus(sg)
     pairs = [("backend", sg.describe())]
@@ -56,7 +62,7 @@ def _verdicts(sg, depth, graph, seed, generators):
     pairs.append(("clifford", "holds" if cliff.holds else "fails"))
     if not cliff.holds:
         pairs.append(("clifford.witness", "%s %s" % cliff.witness[:2]))
-    fam = constructible_closure(sg, depth, generators)
+    fam, reach = _closure(sg, depth, generators)
     indep = independence_check(sg, fam)
     pairs.append(("independent", _yesno(indep.holds)))
     if not indep.holds:
@@ -67,15 +73,16 @@ def _verdicts(sg, depth, graph, seed, generators):
     rep = estar_unitary_report(sg, graph, sample=100, seed=seed)
     pairs.append(("estar.mode", rep.mode))
     pairs.append(("ordered", _yesno(sg.units_trivial())))
-    return pairs, fam
+    return pairs, fam, reach
 
 
 def cmd_analyze(sg, args, generators, out):
     graph = hull_graph(sg, args.length, generators)
-    pairs, fam = _verdicts(sg, args.depth, graph, args.seed, generators)
+    pairs, fam, reach = _verdicts(sg, args.depth, graph, args.seed,
+                                  generators)
     pairs.append(("ideals.count", str(len(fam))))
     pairs.append(("hull.count", str(len(graph.ordered))))
-    lat = truncate_semilattice(sg, fam)
+    lat = truncate_semilattice(sg, fam, reach)
     pairs.append(("filters.count", str(len(enumerate_filters(lat)))))
     try:
         pairs.append(("group", group_of_S(sg).describe()))
@@ -117,8 +124,7 @@ def cmd_hull(sg, args, generators, out):
 
 
 def cmd_filters(sg, args, generators, out):
-    fam = constructible_closure(sg, args.depth, generators)
-    lat = truncate_semilattice(sg, fam)
+    lat = truncate_semilattice(sg, *_closure(sg, args.depth, generators))
     fs = enumerate_filters(lat)
     pairs = [("backend", sg.describe()), ("depth", str(args.depth)),
              ("lattice.size", str(len(lat))), ("count", str(len(fs)))]
@@ -165,8 +171,7 @@ def cmd_matrix(sg, args, generators, out):
              ("hull.window", str(len(HW)))]
     for p in written:
         pairs.append(("written", p))
-    lat = truncate_semilattice(
-        sg, constructible_closure(sg, args.depth, generators))
+    lat = truncate_semilattice(sg, *_closure(sg, args.depth, generators))
     for kind in RELATION_KINDS:
         rep = verify_relation(sg, kind, W, lat, graph, generators)
         pairs.append(("relation.%s" % kind,

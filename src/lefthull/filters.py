@@ -8,12 +8,21 @@ bitset, bit j for index j, the one format here for a set of elements; a
 filter is the up-set of its least element.  Set semantics, whether some
 element is a union of strictly smaller ones, is the independence of the
 family the truncation was built from, which the ideal calculus decides.
+
+On signatures the build meets each of the r reachable ideals R the family
+closes (the family itself by default), the top and the zero with all n
+elements: In_R = {i : X_i <= R}, and RX(i) is the R with i in In_R.  It
+checks that each meet is a key, each nonzero X_i is the meet of RX(i), and
+the top and zero laws.  Then X_i X_j = (..(X_i R_1)..) R_k for RX(j) = {R_1
+.. R_k} is a member by induction on k, and for nonzero i and j, X_i <= X_j
+iff RX(j) lies in RX(i).  So U(i) is the AND of the complements of In_R
+over R not in RX(i): for i nonzero the zero's row is among them.
 """
 
 from collections import namedtuple
 from functools import reduce
-from itertools import repeat
-from operator import and_, eq
+from itertools import compress, repeat
+from operator import and_, eq, not_
 
 from .ideals import EMPTY, calculus, independence_check, meet_keys
 from .semigroups import UsageError, set_bits
@@ -33,7 +42,7 @@ class FiniteSemilattice:
     is the family it was built from, in the caller's order, and ``keys``,
     ``key_meet`` and ``by_key`` the elements' meet keys."""
 
-    def __init__(self, sg, family):
+    def __init__(self, sg, family, reachable=None):
         cal = calculus(sg)
         self.sg, self.family = sg, tuple(family)
         elements = sorted(set(self.family) | {EMPTY}, key=cal.key)
@@ -45,26 +54,51 @@ class FiniteSemilattice:
         self._index = {X: i for i, X in enumerate(elements)}
         self.keys, self.key_meet = meet_keys(cal, self.elements)
         self.by_key = {k: i for i, k in enumerate(self.keys)}
-        self.up = self._up_sets()
+        self.up = self._up_sets(self.family if reachable is None
+                                else reachable)
 
-    def _up_sets(self):
+    def _up_sets(self, reachable):
+        # see above; on a failed check the row scan names what fails, if any
+        if self.key_meet is not and_:
+            return self._row_scan()
+        keys, by_key, n = self.keys, self.by_key, len(self.keys)
+        full = (1 << n) - 1
+        rows = dict.fromkeys([self.top, *map(self._index.get, reachable),
+                              self.zero])
+        rkeys = [] if None in rows else list(map(keys.__getitem__, rows))
+        flags, outs, up = [], [], []
+        for R, a in zip(rows, rkeys):
+            row = list(map(and_, repeat(a), keys))
+            if not all(map(by_key.__contains__, row)) or \
+                    R == self.zero and row.count(a) != n:
+                break
+            flags.append(bytes(map(eq, row, keys)))
+            outs.append(full ^ _bitset(flags[-1]))
+        if len(flags) == len(rows) and 0 not in flags[0]:  # the top law
+            for i, rx in enumerate(zip(*flags)):
+                if i != self.zero and reduce(and_, compress(rkeys, rx)) \
+                        != keys[i]:
+                    break
+                up.append(reduce(and_, compress(outs, map(not_, rx)), full))
+        if len(up) < n:
+            self._row_scan()
+            raise UsageError("family is not the meet closure of its "
+                             "reachable ideals")
+        return up
+
+    def _row_scan(self):
         # Row i holds the keys of the meets i j, U(i) = {j : i j = i}, and a
         # key that no element has is a missing meet, named at the first
-        # pair in row-major order.  On signatures & commutes, so a row needs
-        # that test only from i on, and the laws of a semilattice hold by
-        # construction: & on ints is idempotent, commutative and
-        # associative, sig(EMPTY) = 0, and keys[by_key[x]] == x carries &
-        # over to the indices.  What else can fail is checked: tied keys
-        # (meet_keys) and the top law, sig(S) holding every member's points.
+        # pair in row-major order.  On signatures this runs only where the
+        # build above failed; the laws hold for & on ints, and keys[by_key[x]]
+        # == x carries them over to the indices, so the law test passes.
         keys, by_key, meet = self.keys, self.by_key, self.key_meet
-        signed = meet is and_
         n = len(keys)
         up, down = [], []
         for i, a in enumerate(keys):
             row = list(map(meet, repeat(a), keys))
-            start = i if signed else 0
-            if not all(map(by_key.__contains__, row[start:])):
-                j = next(j for j in range(start, n) if row[j] not in by_key)
+            if not all(map(by_key.__contains__, row)):
+                j = next(j for j in range(n) if row[j] not in by_key)
                 cal = calculus(self.sg)
                 Z = cal.intersect(self.elements[i], self.elements[j])
                 raise UsageError("family is not intersection closed: "
@@ -73,8 +107,7 @@ class FiniteSemilattice:
                     i == self.zero and row.count(a) != n:
                 raise UsageError("meet table violates the top or zero law")
             up.append(_bitset(map(eq, row, repeat(a))))
-            if not signed:
-                down.append(_bitset(map(eq, row, keys)))
+            down.append(_bitset(map(eq, row, keys)))
         # Meets from intersect are tested, in O(n^2) whole-int operations
         # instead of n^3 lookups.  Write j <= i when i j = j, and let D(i)
         # = {j : j <= i}, read off row i.  The meets are those of a
@@ -85,10 +118,10 @@ class FiniteSemilattice:
         # antisymmetric as D is injective.  And i j is in D(i j) = D(i) n
         # D(j), as is every lower bound of i and j, so i j is their
         # greatest lower bound: idempotent, commutative and associative.
-        if not signed and (len(set(down)) < n or any(
+        if len(set(down)) < n or any(
                 list(map(down.__getitem__, self.meets(i, range(n))))
                 != list(map(and_, repeat(d), down))
-                for i, d in enumerate(down))):
+                for i, d in enumerate(down)):
             raise UsageError("meet table is not a semilattice")
         return up
 
@@ -112,9 +145,10 @@ class FiniteSemilattice:
         return calculus(self.sg).render(self.elements[i])
 
 
-def truncate_semilattice(sg, family):
-    """Wrap an intersection-closed ideal family as a finite semilattice."""
-    return FiniteSemilattice(sg, family)
+def truncate_semilattice(sg, family, reachable=None):
+    """Wrap an intersection-closed ideal family as a finite semilattice, its
+    order read off the ``reachable`` ideals it closes, by default itself."""
+    return FiniteSemilattice(sg, family, reachable)
 
 
 class Filter(namedtuple("Filter", "members minimal")):

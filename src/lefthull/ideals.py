@@ -46,7 +46,7 @@ numerical calculus searches a family for a union that collapses.
 
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 import math
 from operator import and_, ge
 
@@ -207,7 +207,8 @@ class IdealCalculus:
 
     def window_positions(self, X, W):
         """The positions j with W[j] in X, one membership test each."""
-        return tuple(j for j, t in enumerate(W) if self.is_member(t, X))
+        return () if X is EMPTY else tuple(compress(range(len(W)), map(
+            self._member, W, repeat(X))))
 
     def principal_witness(self, X):
         """q with X == qS, or None when X is not principal."""
@@ -736,9 +737,10 @@ def meet_keys(cal, members):
     return keys, and_
 
 
-def constructible_closure(sg, depth, generators=None):
+def constructible_closure(sg, depth, generators=None, reachable=None):
     """The reachable ideals at ``depth``, closed under pairwise intersection.
-    Sorted canonically, Full first.
+    Sorted canonically, Full first.  A caller that holds the reachable
+    ideals passes them as ``reachable``.
 
     One reachable ideal R at a time, in canonical order: F holds the meets
     of the reachable ideals before R.  A meet of those and R leaves R out
@@ -750,7 +752,7 @@ def constructible_closure(sg, depth, generators=None):
     members, the meet is intersect and the key is that ideal.
     """
     cal = calculus(sg)
-    reach = reachable_ideals(sg, depth, generators)
+    reach = reachable or reachable_ideals(sg, depth, generators)
     keys, meet = meet_keys(cal, reach)
     reached = dict(zip(keys, reach))
     family = {}

@@ -13,7 +13,13 @@ the int bitset B(X) of the columns j with W_j in X, and L(f) is read off
 f's kept action.  ``Matrix`` (matrices.py) serves the exports alone.  The
 covariance and semilattice suites check the ideal lattice their caller
 passes, the cs-grade-one and intertwiner suites the hull graph.
-e_X e_Y = e_{X meet Y} is one AND, the meet read off the lattice's keys.
+e_X e_Y = e_{X meet Y} over the family's pairs is decided one window point
+w at a time: with C_w the elements X with w in B(X) and m_w their meet (and
+the top's), every pair holds at w iff C_w = U(m_w), the up-set the lattice
+proved.  If so, X, Y are in C_w iff m_w <= X Y iff X Y is in C_w.
+Conversely, as S holds w and the empty ideal does not, C_w is meet closed,
+so holds m_w, and each Y >= m_w as m_w Y = m_w.  A failing column names the
+first failing pair in row-major order, or itself where no pair fails.
 V_s e_X V_s* = e_{sX} says the ``_mul`` row of s carries B(X) onto B(sX);
 on the basis vector at t the left side divides by s, projects and
 multiplies by s again, which gives back t, so the column is safe when s
@@ -47,7 +53,7 @@ injective, must be f's kept action off the points f sends out of W.
 """
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, reduce
 from itertools import product, repeat
 from operator import and_, eq, ne
 
@@ -56,7 +62,7 @@ from .hull import (OUT, ZERO, compose, domain, hull_sort_key, is_idempotent,
                    window_columns, window_row)
 from .ideals import calculus
 from .matrices import Matrix
-from .semigroups import InvariantViolation, UsageError, Window
+from .semigroups import InvariantViolation, UsageError, Window, set_bits
 
 
 def s_window(sg, size=None, bound=None):
@@ -154,6 +160,20 @@ class RelationReport(namedtuple("RelationReport",
     __slots__ = ()
 
 
+def _first_pair(sg, W, lattice):
+    """The instance of the first failing pair in row-major order, or None."""
+    bits = [_bits(window_columns(sg, X, W)) for X in lattice.elements]
+    at = [lattice.index(X) for X in lattice.family]
+    for a, i in enumerate(at):
+        lhs = list(map(and_, repeat(bits[i]), map(bits.__getitem__, at[a:])))
+        rhs = list(map(bits.__getitem__, lattice.meets(i, at[a:])))
+        if lhs != rhs:
+            k = at[a + list(map(ne, lhs, rhs)).index(True)]
+            return "semilattice X=%s Y=%s" % (lattice.render(i),
+                                             lattice.render(k))
+    return None
+
+
 def _mismatch(kind, instance):
     raise InvariantViolation("%s relation failed at %s" % (kind, instance))
 
@@ -192,19 +212,20 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
                 checked += safe.bit_count()
 
     elif kind == "semilattice":
-        # B(X) & B(Y) == B(X meet Y) over the family's pairs; all safe
-        bits = [_bits(window_columns(sg, X, W)) for X in lattice.elements]
-        at = [lattice.index(X) for X in lattice.family]
-        member_bits = [bits[i] for i in at]
-        for a, i in enumerate(at):
-            # the row of i with each later member, meets by the key map
-            lhs = list(map(and_, repeat(bits[i]), member_bits[a:]))
-            rhs = list(map(bits.__getitem__, lattice.meets(i, at[a:])))
-            if lhs != rhs:
-                k = at[a + list(map(ne, lhs, rhs)).index(True)]
-                _mismatch(kind, "semilattice X=%s Y=%s"
-                          % (lattice.render(i), lattice.render(k)))
-        count = len(at) * (len(at) + 1) // 2
+        # B(X) & B(Y) == B(X meet Y) over the family's pairs, decided one
+        # window column at a time (see above); all safe
+        cols = [0] * n  # C_w, the elements holding W[w], as a bitset
+        for i, X in enumerate(lattice.elements):
+            for w in window_columns(sg, X, W):
+                cols[w] |= 1 << i
+        keys, top = lattice.keys, lattice.keys[lattice.top]
+        for w, C in enumerate(cols):
+            m = lattice.by_key.get(reduce(lattice.key_meet, map(
+                keys.__getitem__, set_bits(C)), top))
+            if m is None or lattice.up[m] != C:
+                _mismatch(kind, _first_pair(sg, W, lattice)
+                          or "semilattice w=%s" % sg.render(W[w]))
+        count = len(lattice.family) * (len(lattice.family) + 1) // 2
         checked = count * n
 
     elif kind == "isometry":

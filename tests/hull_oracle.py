@@ -23,6 +23,9 @@ those memos; the walks above compose with this ``compose`` too.
 window's letter rows and element actions: one ``_mul``, ``act`` or
 ``_ldiv`` per window point.
 
+``semilattice_pair`` is the pairwise semilattice suite, the oracle for
+the suite that decides the relation one window column at a time.
+
 ``verify_relation`` and ``expectation_loop`` are the relation suites and
 the expectation loop as ``operators`` ran them on ``Matrix`` values, before
 they read window rows, column bitsets and kept actions directly: V_s the
@@ -229,6 +232,26 @@ def element_matrix(sg, f, W):
         frozenset(range(n)).difference(map(at.__getitem__, action.boundary)))
 
 
+def semilattice_pair(sg, W, lattice):
+    """The pairwise semilattice suite, as ``operators`` ran it before it
+    decided the relation one window column at a time: B(X) & B(Y) against
+    B(X meet Y) for every pair of family members, a row of pairs at a time,
+    the meets read off the lattice's keys.  The instance text of the first
+    pair in row-major order that fails, or None."""
+    bits = [sum(1 << j for j in window_columns(sg, X, W))
+            for X in lattice.elements]
+    at = [lattice.index(X) for X in lattice.family]
+    member_bits = [bits[i] for i in at]
+    for a, i in enumerate(at):
+        lhs = list(map(and_, repeat(bits[i]), member_bits[a:]))
+        rhs = list(map(bits.__getitem__, lattice.meets(i, at[a:])))
+        if lhs != rhs:
+            k = at[a + list(map(ne, lhs, rhs)).index(True)]
+            return "semilattice X=%s Y=%s" % (lattice.render(i),
+                                             lattice.render(k))
+    return None
+
+
 def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
     """The suite of ``operators.verify_relation`` on matrices: the same
     instances, columns, order and failure texts."""
@@ -259,18 +282,10 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
 
     elif kind == "semilattice":
         # B(X) & B(Y) == B(X meet Y) over the family's pairs; all safe
-        bits = [sum(1 << j for j in window_columns(sg, X, W))
-                for X in lattice.elements]
-        at = [lattice.index(X) for X in lattice.family]
-        member_bits = [bits[i] for i in at]
-        for a, i in enumerate(at):
-            lhs = list(map(and_, repeat(bits[i]), member_bits[a:]))
-            rhs = list(map(bits.__getitem__, lattice.meets(i, at[a:])))
-            if lhs != rhs:
-                k = at[a + list(map(ne, lhs, rhs)).index(True)]
-                _mismatch(kind, "semilattice X=%s Y=%s"
-                          % (lattice.render(i), lattice.render(k)))
-        count = len(at) * (len(at) + 1) // 2
+        pair = semilattice_pair(sg, W, lattice)
+        if pair is not None:
+            _mismatch(kind, pair)
+        count = len(lattice.family) * (len(lattice.family) + 1) // 2
         checked = count * len(W)
 
     elif kind == "isometry":

@@ -4,7 +4,8 @@ the oracle for the up-set bitsets of ``lefthull.filters``, for
 ``maximal_representation_check`` and for the independence verdict each
 ideal calculus states.  The pairwise meet table and the pairwise
 semi-naive closure are the oracle for the meets ``lefthull`` reads off the
-ideals' signatures.
+ideals' signatures, and the row build, one row of key meets per element,
+the oracle for the order the lattice reads off the reachable ideals.
 
 Every function here reads only the meet table (through ``meet``, and
 ``leq`` on top of it) and the ideal calculus' ``intersect``, ``subset``
@@ -43,6 +44,28 @@ def pairwise_table(sg, family):
             row.append(index[Z])
         table.append(tuple(row))
     return tuple(table)
+
+
+def row_build(lattice):
+    """The meet table and the up-sets of a lattice as ``lefthull.filters``
+    built them before it read the order off the reachable ideals: row i
+    holds the key meets of i with every element, U(i) the j whose meet with
+    i is i, and a key that no element has is a missing meet, named at the
+    first pair (i, j) with j >= i in row-major order, as & commutes."""
+    keys, by_key, meet = lattice.keys, lattice.by_key, lattice.key_meet
+    table, up = [], []
+    for i, a in enumerate(keys):
+        row = [meet(a, b) for b in keys]
+        j = next((j for j in range(i, len(keys)) if row[j] not in by_key),
+                 None)
+        if j is not None:
+            cal = fresh_calculus(lattice.sg)
+            Z = cal.intersect(lattice.elements[i], lattice.elements[j])
+            raise UsageError("family is not intersection closed: missing %s"
+                             % cal.render(Z))
+        table.append(tuple(map(by_key.get, row)))
+        up.append(sum(1 << j for j, c in enumerate(row) if c == a))
+    return tuple(table), up
 
 
 def pairwise_closure(sg, depth, generators=None):

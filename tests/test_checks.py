@@ -191,16 +191,19 @@ def test_missing_meet_fails_closure_family_and_filters(monkeypatch):
     lambda u, j, lat: u & ~(1 << lat.top),
     lambda u, j, lat: u | 1 << lat.zero,
 ], ids=["incomparable-bit", "top-cleared", "zero-set"])
-def test_wrong_up_set_fails_the_filters_check_alone(fault, monkeypatch):
-    # only the filters check reads the up-sets, so a fault in one shows
-    # there and nowhere else; (1,0)+S is incomparable with (0,1)+S, so
-    # U((0,1)) with it added is no up-set
+def test_wrong_up_set_fails_the_filters_and_relations_checks(fault,
+                                                             monkeypatch):
+    # the filters check and the semilattice suite read the up-sets, so a
+    # fault in one shows there and nowhere else; (1,0)+S is incomparable
+    # with (0,1)+S, so U((0,1)) with it added is no up-set.  The suite's
+    # pairs read the meets, which are right, so it names the first window
+    # column whose members are not the up-set of their meet
     cfg = load_config(os.path.join(CONFIGS, "cone2.cfg"))
     sg = build_backend(cfg)
     build = FiniteSemilattice._up_sets
 
-    def faulty(self):
-        up = build(self)
+    def faulty(self, reachable):
+        up = build(self, reachable)
         i, j = self.index((0, 1)), self.index((1, 0))
         assert self.meet(i, j) not in (i, j)
         up[i] = fault(up[i], j, self)
@@ -211,4 +214,7 @@ def test_wrong_up_set_fails_the_filters_check_alone(fault, monkeypatch):
                          **cfg.bounds)
     failed = {r.name: (r.status, r.detail) for r in results
               if r.status != "ok"}
-    assert failed == {"filters": ("fail", "up-set of (0,1)+S is not a filter")}
+    assert failed == {
+        "filters": ("fail", "up-set of (0,1)+S is not a filter"),
+        "operator-relations": ("fail", "semilattice relation failed at "
+                                       "semilattice w=(0,1)")}

@@ -11,7 +11,7 @@ import pytest
 
 from lefthull import (AxPlusB, FiniteTable, FreeMonoid, NumericalSemigroup,
                       PositiveCone, constructible_closure, cyclic_table,
-                      independence_check)
+                      independence_check, reachable_ideals)
 from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
@@ -52,13 +52,19 @@ def case_id(case):
     return "%s-depth%d" % (sg.describe(), depth)
 
 
-def bench_cases():
-    """The numerical and axb configs of lhbench's workloads, at the depth
-    each workload command runs them with."""
+def lhbench_workloads():
+    """lhbench's workloads module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("lhbench_workloads",
                                                   WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bench_cases():
+    """The numerical and axb configs of lhbench's workloads, at the depth
+    each workload command runs them with."""
+    workloads = lhbench_workloads()
     cases = {}
     for workload in workloads.WORKLOADS.values():
         for command in workload.commands + workload.references:
@@ -157,3 +163,39 @@ def test_every_subset_of_small_lattices(sg, depth):
         members = set(itertools.compress(range(n), bits))
         assert is_filter(bitset(members), lat) == \
             oracle.is_filter(members, lat), sorted(members)
+
+
+def text_case(text, depth):
+    cfg = parse_config(text)
+    sg = build_backend(cfg)
+    return sg, depth, config_generators(sg, cfg)
+
+
+# the shipped configs at their depth, lhbench's configs at depths 1 to 3,
+# two numerical semigroups with gcd > 1, and lhbench's axb-c at depth 4
+LHBENCH_TEXTS = lhbench_workloads().CONFIGS
+ROW_CASES = {
+    **{name: shipped(name) for name in SHIPPED},
+    **{"%s-depth%d" % (name, depth): text_case(text, depth)
+       for name, text in LHBENCH_TEXTS.items() for depth in (1, 2, 3)},
+    **{"num-%s-depth%d" % ("-".join(map(str, gens)), depth):
+       (NumericalSemigroup(gens), depth, None)
+       for gens in ((4, 6), (6, 9, 15)) for depth in (1, 2, 3)},
+    "axb-c-depth4": text_case(LHBENCH_TEXTS["axb-c"], 4),
+}
+
+
+@pytest.mark.parametrize("case", ROW_CASES.values(), ids=ROW_CASES)
+def test_reachable_order_agrees_with_the_row_build(case):
+    # the lattice a command builds, its order read off the reachable
+    # ideals: the up-sets of the row build and of the library call, which
+    # reads it off every member, and the pairwise table's meets
+    sg, depth, generators = case
+    reach = reachable_ideals(sg, depth, generators)
+    fam = constructible_closure(sg, depth, generators, reach)
+    lat = truncate_semilattice(sg, fam, reach)
+    table, up = oracle.row_build(lat)
+    assert lat.up == up == truncate_semilattice(sg, fam).up
+    meets = tuple(tuple(lat.meets(i, range(len(lat))))
+                  for i in range(len(lat)))
+    assert meets == table == oracle.pairwise_table(sg, fam)

@@ -10,7 +10,7 @@ import lefthull
 from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
                       InvariantViolation, NumericalSemigroup, PositiveCone,
                       UsageError, calculus, constructible_closure,
-                      cyclic_table, operators)
+                      cyclic_table, filters, operators)
 from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
@@ -19,6 +19,7 @@ from lefthull.hull import (ZERO, HullElement, PartialMap, compose,
                            enumerate_hull, evaluate_word, hull_graph,
                            identity_element, is_idempotent, lambda_,
                            render_element, star, window_columns, window_row)
+from lefthull.ideals import meet_keys
 from lefthull.matrices import Matrix
 from lefthull.operators import (RELATION_KINDS, RelationReport,
                                 TruncatedOperator, Window, expectation_loop,
@@ -85,13 +86,13 @@ def test_window_columns_answered_once_per_window(sg, monkeypatch):
     # covariance, semilattice, intertwiner and the expectation loop share
     # one answer per (window, ideal): each ideal costs one window_positions
     # call, however many suites ask.  That call tests each window element
-    # for membership, except on the numerical calculus, which answers a
-    # nonempty ideal on its own window by bits
+    # for membership in a nonempty ideal, except on the numerical calculus,
+    # which answers a nonempty ideal on its own window by bits
     W = s_window(sg, size=20)
     cal = calculus(sg)
     lat = truncate_semilattice(sg, constructible_closure(sg, 2))
     graph = hull_graph(sg, 2)
-    positions, member, answers, calls = (cal.window_positions, cal.is_member,
+    positions, member, answers, calls = (cal.window_positions, cal._member,
                                          [], [])
 
     def answered(X, V):
@@ -103,7 +104,7 @@ def test_window_columns_answered_once_per_window(sg, monkeypatch):
         return member(x, X)
 
     monkeypatch.setattr(cal, "window_positions", answered)
-    monkeypatch.setattr(cal, "is_member", counted)
+    monkeypatch.setattr(cal, "_member", counted)
     for kind in ("covariance", "semilattice", "intertwiner"):
         verify_relation(sg, kind, W, lat, graph)
     expectation_loop(sg, W, graph)
@@ -111,12 +112,13 @@ def test_window_columns_answered_once_per_window(sg, monkeypatch):
     assert set(lat.elements) <= asked
     assert len(answers) == len(asked) == len({X for X, _ in answers})
     assert all(V is W for _, V in answers)
-    scanned = [X for X in asked if X is EMPTY
-               or not isinstance(sg, NumericalSemigroup)]
+    scanned = [X for X in asked if X is not EMPTY
+               and not isinstance(sg, NumericalSemigroup)]
     assert len(calls) == len(scanned) * len(W)
     for X, cols in W.columns.items():
         assert window_columns(sg, X, W) is cols
-        assert cols == tuple(j for j, t in enumerate(W) if member(t, X))
+        assert cols == tuple(j for j, t in enumerate(W)
+                             if cal.is_member(t, X))
 
 
 def test_hull_window_appends_lambdas():
@@ -514,42 +516,54 @@ def test_lattice_build_rejects_a_missing_meet():
     assert str(err.value).startswith("family is not intersection closed")
 
 
-def test_semilattice_suite_catches_a_wrong_meet():
+def swap_keys(monkeypatch, X, Y):
+    """Build each lattice with the meet keys of the elements X and Y traded:
+    a wrong meet that is still a semilattice's, so the build takes it and
+    its up-sets carry it.  Every meet that is X or Y reads as the other."""
+    def swapped(cal, members):
+        keys, meet = meet_keys(cal, members)
+        keys = list(keys)
+        i, k = members.index(X), members.index(Y)
+        keys[i], keys[k] = keys[k], keys[i]
+        return keys, meet
+
+    monkeypatch.setattr(filters, "meet_keys", swapped)
+
+
+def test_semilattice_suite_catches_a_wrong_meet(monkeypatch):
     sg = PositiveCone(2)
-    lattice = truncate_semilattice(sg, constructible_closure(sg, 2))
-    # the suite reads each pair once, at i < k; the meets commute
-    i, k = sorted((lattice.index((1, 0)), lattice.index((0, 1))))
-    assert lattice.meet(i, k) == lattice.index((1, 1))
+    family = constructible_closure(sg, 2)
     W = s_window(sg, size=20)
-    verify_relation(sg, "semilattice", W, lattice=lattice)
-    # the meet of the pair now names the first of the two
-    a, b, real = lattice.keys[i], lattice.keys[k], lattice.key_meet
-    lattice.key_meet = lambda x, y: a if (x, y) == (a, b) else real(x, y)
+    verify_relation(sg, "semilattice", W,
+                    lattice=truncate_semilattice(sg, family))
+    # (1,0) and (1,1) trade keys before the build, so the meet of (1,0) and
+    # (0,1), which is (1,1), now names the first of the two
+    swap_keys(monkeypatch, (1, 0), (1, 1))
+    lattice = truncate_semilattice(sg, family)
+    i, k = sorted((lattice.index((1, 0)), lattice.index((0, 1))))
+    assert lattice.meet(i, k) == lattice.index((1, 0))
     with pytest.raises(InvariantViolation) as err:
         verify_relation(sg, "semilattice", W, lattice=lattice)
     assert str(err.value) == "semilattice relation failed at semilattice " \
         "X=%s Y=%s" % (lattice.render(i), lattice.render(k))
 
 
-def test_semilattice_suite_compares_every_pair_of_the_family():
-    # a meet read wrong at any one pair of family members, in the order
-    # the suite reads it, is named; no cone meet is empty, so the zero's
-    # bits differ from the meet's
+def test_semilattice_suite_compares_every_pair_of_the_family(monkeypatch):
+    # any two members other than S trade keys before the build: the suite
+    # decides every pair of the family by its window columns, and names the
+    # first pair in row-major order that reads a wrong meet, as the
+    # pairwise loop does
     sg = PositiveCone(2)
-    lattice = truncate_semilattice(sg, constructible_closure(sg, 1))
+    family = constructible_closure(sg, 2)
     W = s_window(sg, size=20)
-    keys, real = lattice.keys, lattice.key_meet
-    at = [lattice.index(X) for X in lattice.family]
-    for a, i in enumerate(at):
-        for k in at[a:]:
-            pair = (keys[i], keys[k])
-            lattice.key_meet = lambda x, y, pair=pair: (
-                keys[lattice.zero] if (x, y) == pair else real(x, y))
-            with pytest.raises(InvariantViolation) as err:
-                verify_relation(sg, "semilattice", W, lattice=lattice)
-            assert str(err.value) == "semilattice relation failed at " \
-                "semilattice X=%s Y=%s" % (lattice.render(i),
-                                           lattice.render(k))
+    for X, Y in itertools.combinations(family[1:], 2):
+        swap_keys(monkeypatch, X, Y)
+        lattice = truncate_semilattice(sg, family)
+        pair = hull_oracle.semilattice_pair(sg, W, lattice)
+        assert pair is not None
+        with pytest.raises(InvariantViolation) as err:
+            verify_relation(sg, "semilattice", W, lattice=lattice)
+        assert str(err.value) == "semilattice relation failed at " + pair
 
 
 def test_semilattice_suite_catches_a_dropped_member(monkeypatch):
@@ -558,12 +572,12 @@ def test_semilattice_suite_catches_a_dropped_member(monkeypatch):
     sg = PositiveCone(2)
     cal = calculus(sg)
     lattice = truncate_semilattice(sg, constructible_closure(sg, 2))
-    member = type(cal).is_member
+    member = type(cal)._member
 
     def dropped(self, x, X):
         return member(self, x, X) and not (x == (1, 1) and X == cal.full())
 
-    monkeypatch.setattr(type(cal), "is_member", dropped)
+    monkeypatch.setattr(type(cal), "_member", dropped)
     with pytest.raises(InvariantViolation) as err:
         verify_relation(sg, "semilattice", s_window(sg, size=20),
                         lattice=lattice)
@@ -843,9 +857,11 @@ LHBENCH_TEXTS = {
 }
 
 
-def agreement_inputs(name, length):
+def agreement_inputs(name, length, monkeypatch=None):
     """A fresh backend with its generators, window, lattice and hull graph
-    at the config's bounds and the given length."""
+    at the config's bounds and the given length.  With ``monkeypatch``, the
+    first and last members other than S and the empty ideal trade keys
+    before the lattice is built (``swap_keys``)."""
     if name in LHBENCH_TEXTS:
         cfg = parse_config(LHBENCH_TEXTS[name])
     else:
@@ -853,8 +869,13 @@ def agreement_inputs(name, length):
     sg = build_backend(cfg)
     generators = config_generators(sg, cfg)
     bounds = dict(DEFAULTS, **cfg.bounds)
-    lattice = truncate_semilattice(
-        sg, constructible_closure(sg, bounds["depth"], generators))
+    family = constructible_closure(sg, bounds["depth"], generators)
+    members = [X for X in family[1:] if X is not EMPTY]
+    if monkeypatch is not None and len(members) > 1:
+        swap_keys(monkeypatch, members[0], members[-1])
+    lattice = truncate_semilattice(sg, family)
+    if monkeypatch is not None:
+        monkeypatch.undo()
     return (sg, generators, s_window(sg, size=bounds["window"]), lattice,
             hull_graph(sg, length, generators))
 
@@ -867,12 +888,12 @@ def outcome(run):
         return str(err)
 
 
-def inject_agreement_fault(fault, sg, generators, W, lattice, graph):
+def inject_agreement_fault(fault, sg, generators, W, graph):
     """Write a fault into what both paths read: every proper domain of the
     graph short of its last window column; the first letter given the
     ``_mul`` and ``_ldiv`` rows of the last end; the middle element's kept
-    action emptied; the meet of the first and last family members read as
-    the zero."""
+    action emptied.  The wrong meet goes in before the lattice is built
+    (``agreement_inputs``)."""
     cal = calculus(sg)
     if fault == "columns":
         for f in graph.ordered:
@@ -885,25 +906,20 @@ def inject_agreement_fault(fault, sg, generators, W, lattice, graph):
     elif fault == "action":
         W.actions[graph.ordered[len(graph.ordered) // 2]] = \
             PartialMap({}, frozenset())
-    else:
-        keys, real = lattice.keys, lattice.key_meet
-        i, k = map(lattice.index, (lattice.family[0], lattice.family[-1]))
-        lattice.key_meet = lambda x, y: (
-            keys[lattice.zero] if (x, y) == (keys[i], keys[k])
-            else real(x, y))
 
 
 @pytest.mark.parametrize("length", [2, 3])
 @pytest.mark.parametrize("name", SHIPPED + sorted(LHBENCH_TEXTS))
-def test_suites_agree_with_their_matrix_bodies(name, length):
+def test_suites_agree_with_their_matrix_bodies(name, length, monkeypatch):
     # the same reports and expectation counts, and under each fault the
     # same first failure, of the suites and of the Matrix bodies they
     # replace, both reading one backend's kept answers
     failed = 0
     for fault in (None, "columns", "rows", "action", "meet"):
-        sg, generators, W, lattice, graph = agreement_inputs(name, length)
-        if fault is not None:
-            inject_agreement_fault(fault, sg, generators, W, lattice, graph)
+        sg, generators, W, lattice, graph = agreement_inputs(
+            name, length, monkeypatch if fault == "meet" else None)
+        if fault not in (None, "meet"):
+            inject_agreement_fault(fault, sg, generators, W, graph)
         W30 = s_window(sg, size=max(len(W), 30))
         for kind in RELATION_KINDS:
             got, want = (outcome(lambda: suite(

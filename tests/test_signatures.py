@@ -479,6 +479,41 @@ def test_a_dropped_reachable_ideal_fails_closure_family_as_before(
     assert detail["closure-family"] == ("fail", expected)
 
 
+def test_a_member_that_is_no_meet_of_reachable_ideals_fails_the_lattice():
+    # (5,5)+S lies inside every other member, so the family stays closed
+    # and the row scan names no pair; as its own reachable set it passes,
+    # but no reachable ideal at depth 1 lies above it but S
+    sg = PositiveCone(2)
+    reach = reachable_ideals(sg, 1)
+    fam = constructible_closure(sg, 1, None, reach) + ((5, 5),)
+    assert truncate_semilattice(sg, fam).up
+    with pytest.raises(UsageError) as err:
+        truncate_semilattice(sg, fam, reach)
+    assert str(err.value) == \
+        "family is not the meet closure of its reachable ideals"
+
+
+@pytest.mark.parametrize("sg, generators", [
+    (PositiveCone(2), None), (NumericalSemigroup((2, 3)), None),
+    (AxPlusB(), None)], ids=["cone2", "num23", "axb"])
+def test_a_reachable_ideal_left_out_of_a_closed_family_fails_the_lattice(
+        sg, generators):
+    # the first reachable ideal that is no meet of the others is left out
+    # with the meets only it brings: what is left is closed, so the row
+    # scan names no pair
+    reach = reachable_ideals(sg, 2, generators)
+    for R in reach[1:]:
+        rest = tuple(X for X in reach if X != R)
+        fam = constructible_closure(sg, 2, generators, rest)
+        if R not in fam:
+            break
+    assert R not in fam and truncate_semilattice(sg, fam, rest).up
+    with pytest.raises(UsageError) as err:
+        truncate_semilattice(sg, fam, reach)
+    assert str(err.value) == \
+        "family is not the meet closure of its reachable ideals"
+
+
 def test_an_asymmetric_intersect_on_the_axb_fallback_is_caught(monkeypatch):
     # past SIGNATURE_POINTS meets come from intersect; one that answers
     # one pair with its first argument in one order only is not
