@@ -8,7 +8,9 @@ the empty map; ``compose`` and ``star`` build their results unchecked.
 
 ``materialize_word`` is the independent oracle: it replays an alternating
 word pointwise on a finite window using only multiply and left_divide,
-never consulting the (g, X) algebra.  It reads each point's step from the
+never consulting the (g, X) algebra.  It and ``evaluate_word`` check the
+letters, then run the trusted bodies ``_replay`` and ``_evaluate``, which
+a caller whose letters are checked already calls directly.  It reads each point's step from the
 window rows of the two operations.  Window exits are tracked as boundary
 points and excluded from comparisons; a failed left_divide inside the
 window is genuine undefinedness.  A backend's own windows keep their ideal
@@ -64,8 +66,8 @@ def lambda_(sg, s):
 def star(sg, f):
     if f is ZERO:
         return ZERO
-    G = sg.grading_group()
-    return _element((G.inv(f.grade), calculus(sg).image(f.grade, f.dom)))
+    return _element((sg._grading_group.inv(f.grade),
+                     calculus(sg).image(f.grade, f.dom)))
 
 
 def compose(sg, f, h):
@@ -80,7 +82,7 @@ def compose(sg, f, h):
         dom = sg._domains[f.dom, h] = cal.pullback(h.grade, f.dom, h.dom)
     if dom is EMPTY:
         return ZERO
-    return _element((sg.grading_group().mul(f.grade, h.grade), dom))
+    return _element((sg._grading_group.mul(f.grade, h.grade), dom))
 
 
 def domain(f):
@@ -109,6 +111,11 @@ def evaluate_word(sg, pairs):
     pairs: one compose per pair."""
     pairs = list(pairs)
     sg._check(*[x for pair in pairs for x in pair])  # the letters, once
+    return _evaluate(sg, pairs)
+
+
+def _evaluate(sg, pairs):
+    # evaluate_word on letters already checked
     acc = identity_element(sg)
     for t, s in pairs:
         acc = compose(sg, acc, atom(sg, t, s))
@@ -203,7 +210,7 @@ class PartialMap(namedtuple("PartialMap", "mapping boundary")):
     def __new__(cls, mapping, boundary):
         if len(set(mapping.values())) != len(mapping):
             raise InvariantViolation("partial map is not injective")
-        return super().__new__(cls, mapping, boundary)
+        return tuple.__new__(cls, (mapping, boundary))
 
 
 OUT = object()  # a row's entry where the step leaves the window
@@ -239,12 +246,14 @@ def materialize_element(sg, f, window):
     known = W.actions.get(f)
     if known is None:
         mapping, boundary = {}, set()
-        for j in () if f is ZERO else window_columns(sg, f.dom, W):
-            i = W.index.get(sg.act(f.grade, W[j]))
-            if i is None:
-                boundary.add(W[j])
-            else:
-                mapping[W[j]] = W[i]
+        if f is not ZERO:
+            act, g, at = sg.act, f.grade, W.index.get
+            for j in window_columns(sg, f.dom, W):
+                i = at(act(g, W[j]))
+                if i is None:
+                    boundary.add(W[j])
+                else:
+                    mapping[W[j]] = W[i]
         known = W.actions[f] = PartialMap(mapping, frozenset(boundary))
     return known
 
@@ -252,11 +261,16 @@ def materialize_element(sg, f, window):
 def materialize_word(sg, pairs, window):
     """Pointwise replay of the word by trusted multiply and left_divide,
     each point's step read off the window rows of its letters."""
-    pairs = list(pairs)[::-1]
+    pairs = list(pairs)
     sg._check(*[x for pair in pairs for x in pair])  # the letters, once
+    return _replay(sg, pairs, window)
+
+
+def _replay(sg, pairs, window):
+    # materialize_word on letters already checked; the last pair acts first
     W = sg.own_window(window)
     steps = [(window_row(sg, "_mul", s, W), window_row(sg, "_ldiv", t, W))
-             for t, s in pairs]
+             for t, s in reversed(pairs)]
     mapping, boundary = {}, set()
     for j, x in enumerate(W):
         state = j
@@ -317,7 +331,7 @@ def clifford_normal_form(sg, f, window_size=30):
     one = sg.identity()
     if recompose(sg, p, q) != f or not maps_agree(
             materialize_element(sg, f, win),
-            materialize_word(sg, [(one, p), (q, one)], win)):
+            _replay(sg, [(one, p), (q, one)], win)):
         raise InvariantViolation("normal form (%r, %r) does not recompose "
                                  "to %r" % (p, q, f))
     return (p, q)
@@ -345,6 +359,7 @@ def estar_unitary_report(sg, graph, sample=200, seed=7):
     if zero_present and reversible:
         raise InvariantViolation("ZERO reachable in a left reversible hull")
     win = sg.window_of_size(20)
+    sg._check(*sg.window_of_size(10))  # the letters of random_word, once
     pool = [f for f in graph.ordered if f is not ZERO]
     idems = [f for f in pool if is_idempotent(sg, f)]
     hits = 0
@@ -354,7 +369,7 @@ def estar_unitary_report(sg, graph, sample=200, seed=7):
             f = rng.choice(pool)
         else:
             w = random_word(sg, rng, rng.randrange(1, 3))
-            f = evaluate_word(sg, w)
+            f = _evaluate(sg, w)
             if f is ZERO:
                 f = rng.choice(idems)
         e = rng.choice(idems)

@@ -23,9 +23,11 @@ All closure properties here are theorems about the backends; the calculus
 never approximates.  ``image`` computes the forward translate g . X of an
 ideal by a grading-group element and is the workhorse for the hull algebra;
 it raises when the result would leave S, which honest callers never trigger.
-``pullback(g, X, D)``, D n g^-1 X, is by default g^-1 (X n g . D), and
-``window_positions(X, W)`` one membership test per point of W; the
-numerical calculus answers both on bits, the second on its own windows.
+``pullback(g, X, D)``, D n g^-1 X, is by default g^-1 (X n g . D), as
+on ax+b; the free monoid and the cone answer it in one step after the
+action g . D, the numerical calculus on bits.  ``window_positions(X, W)``
+is one membership test per point of W, or the bits of X on a numerical
+semigroup's own windows.
 
 Each calculus class also answers, exactly, the questions about ideals asked
 of every left cancellative S: left reversibility, the Clifford condition,
@@ -48,7 +50,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import combinations, compress, repeat
 import math
-from operator import and_, ge
+from operator import and_, ge, sub
 
 from .semigroups import (AxPlusB, FiniteTable, FreeMonoid, InvariantViolation,
                          NumericalSemigroup, PositiveCone,
@@ -274,6 +276,16 @@ class _FreeMonoidIdeals(IdealCalculus, backend=FreeMonoid):
             return v
         return EMPTY
 
+    def pullback(self, g, X, D):
+        # g.(D u) = y u for y = g.D, and y u is in XS iff X prefixes y u:
+        # for u in zS when X = y z, every u when X prefixes y, else none
+        if X is EMPTY or D is EMPTY:
+            return EMPTY
+        y = self.sg.act(g, D)  # raises where g.D leaves S
+        if X[:len(y)] == y:
+            return D + X[len(y):]
+        return D if y[:len(X)] == X else EMPTY
+
     def signatures(self, family):
         # in lexicographic order the words w prefixes run from w up to,
         # not including, w followed by a letter past the alphabet
@@ -318,6 +330,14 @@ class _ConeIdeals(IdealCalculus, backend=PositiveCone):
 
     def _intersect(self, p, q):
         return tuple(map(max, p, q))
+
+    def pullback(self, g, X, D):
+        # D + u is in g^-1 (X + S) iff g + D + u >= X, so the meet is the
+        # corner max(D, X - g), in S as it is >= D
+        if X is EMPTY or D is EMPTY:
+            return EMPTY
+        self.sg.act(g, D)  # raises where g + D leaves S
+        return tuple(map(max, D, map(sub, X, g)))
 
     def _render(self, p):
         return "S" if not any(p) else self.sg.render(p) + "+S"

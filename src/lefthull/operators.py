@@ -300,8 +300,8 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
                                  if compose(sg, ff, ls) == ls])
         for f in graph.ordered:
             ff = compose(sg, star(sg, f), f)
-            lhs = {s: at[fq] for ls, s in kept(ff)
-                   if (fq := compose(sg, f, ls)) in at}
+            lhs = {s: t for ls, s in kept(ff)
+                   if (t := at.get(compose(sg, f, ls))) is not None}
             if len(set(lhs.values())) != len(lhs):
                 raise InvariantViolation("partial permutation is not injective")
             action = materialize_element(sg, f, W)
@@ -330,12 +330,15 @@ def expectation_loop(sg, W, graph):
     is idempotent.  Verified for every element of the built hull
     ``graph``; a non-idempotent whose action misses the window entirely
     proves nothing, so it is counted as invisible and left out.  Returns
-    (total, fixed, skipped)."""
+    (total, fixed, skipped).  An element with no window column acts as
+    the empty map, which fixes every point it keeps: it is fixed if
+    idempotent and invisible if not, and no action is kept for it."""
     total = fixed = skipped = 0
     for f in graph.ordered:
-        mapping = materialize_element(sg, f, W).mapping
-        isfixed = all(map(eq, mapping, mapping.values()))
         expected = is_idempotent(sg, f)
+        mapping = {} if f is ZERO or not window_columns(sg, f.dom, W) \
+            else materialize_element(sg, f, W).mapping
+        isfixed = all(map(eq, mapping, mapping.values()))
         if f is not ZERO and not expected and not mapping:
             skipped += 1
             continue

@@ -208,6 +208,20 @@ FAULTS = (
            "::test_a_grade_off_s_raises_on_both_paths[<3,5,7>]",
            "tests/test_pullback.py"
            "::test_a_grade_off_s_raises_on_both_paths[<4,6>]")),
+    Fault("cone-pullback-takes-the-min-corner", "ideals.py",
+          "        return tuple(map(max, D, map(sub, X, g)))\n",
+          "        return tuple(map(min, D, map(sub, X, g)))\n",
+          ("tests/test_pullback.py"
+           "::test_pullback_is_the_default_and_the_member_walk"
+           "[shipped/cone2]",
+           "tests/test_pinned_outputs.py::test_output_is_pinned[check-cone2]")),
+    Fault("free-pullback-drops-the-rest-of-x", "ideals.py",
+          "            return D + X[len(y):]\n",
+          "            return D\n",
+          ("tests/test_pullback.py"
+           "::test_pullback_is_the_default_and_the_member_walk"
+           "[shipped/free2]",
+           "tests/test_pinned_outputs.py::test_output_is_pinned[check-free2]")),
     Fault("window-positions-on-any-window", "ideals.py",
           "        if X is EMPTY or not W or W is not"
           " self.sg._windows.get(len(W)):\n",

@@ -3,7 +3,7 @@ pointwise oracle, the word evaluator and the isometries check what enters
 them, and the trusted paths inside give the same results as the validating
 ones."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 import contextlib
 import importlib.util
 import io
@@ -12,12 +12,14 @@ import os
 import pytest
 
 from lefthull import (AxPlusB, FiniteTable, FreeMonoid, NumericalSemigroup,
-                      PositiveCone, UsageError, cyclic_table, hull)
+                      PositiveCone, UsageError, checks, cyclic_table, hull)
 from lefthull.cli import main
+from lefthull.config import build_backend, config_generators, load_config
 from lefthull.hull import (HullElement, compose, evaluate_word, lambda_,
                            materialize_word, star)
 from lefthull.ideals import EMPTY, calculus
 from lefthull.operators import isometry_matrix, s_window
+from lefthull.semigroups import Semigroup
 
 HERE = os.path.dirname(__file__)
 CONFIGS = os.path.join(HERE, "..", "configs")
@@ -67,6 +69,40 @@ def test_oracle_and_isometry_check_their_letters(sg, good, bad):
     isometry_matrix(sg, good, W)
     with pytest.raises(UsageError, match="is not an element of"):
         isometry_matrix(sg, bad, W)
+
+
+def test_sampled_checks_check_the_ten_window_once(monkeypatch):
+    # hull-vs-oracle, normal-form and estar-unitary draw every letter of
+    # their random words from the 10-window: each checks that window once,
+    # not each word, and then runs the trusted bodies
+    cfg = load_config(os.path.join(CONFIGS, "cone2.cfg"))
+    sg = build_backend(cfg)
+    window = tuple(sg.window_of_size(10))
+    seen, current = defaultdict(list), [None]
+    run_check, check = checks._check, Semigroup._check
+
+    def labelled(name, fn):
+        current[0] = name
+        return run_check(name, fn)
+
+    def counted(self, *xs):
+        seen[current[0]].append(xs)
+        return check(self, *xs)
+
+    monkeypatch.setattr(checks, "_check", labelled)
+    monkeypatch.setattr(Semigroup, "_check", counted)
+    generators = config_generators(sg, cfg)
+    results = checks.run_checks(sg, length=3, window=cfg.bounds["window"],
+                                generators=generators)
+    assert all(r.status == "ok" for r in results)
+    assert seen["hull-vs-oracle"] == [window]
+    # estar-unitary first builds the hull graph, which checks its ends
+    ends = (sg.identity(),) + tuple(generators or sg.generators())
+    assert seen["estar-unitary"] == [ends, window]
+    # normal-form then checks the letters p and q of each normal form
+    assert seen["normal-form"][0] == window
+    assert len(seen["normal-form"]) > 1
+    assert all(len(xs) == 1 for xs in seen["normal-form"][1:])
 
 
 @pytest.mark.parametrize("sg, good, bad", CASES, ids=ids)

@@ -195,33 +195,42 @@ def test_compose_agrees_with_the_body_that_keeps_nothing(name, monkeypatch):
         assert ZERO in cold  # the suite's ZERO results are compared too
 
 
-@pytest.mark.parametrize("broken", [(-2, -1), (2, 1)],
-                         ids=["range", "preimage"])
-def test_an_image_that_raises_stores_no_domain(broken, monkeypatch):
-    # the image by h's grade (its range) or by the inverse grade (the
-    # preimage of the meet) raises: the memo is left as it was, and the
-    # next call works the domain out
-    sg, generators = backend("cone2")
-    hull_graph(sg, 2, generators)
-    f, h = lambda_(sg, (0, 3)), star(sg, lambda_(sg, (2, 1)))
-    kept = dict(sg._domains)
-    assert kept and (f.dom, h) not in kept and h.grade == (-2, -1)
-    cal, calls = calculus(sg), []
-    real = cal.image
+# a config, the letters of f = lambda(s) and h = star(lambda(t)), and the
+# grade whose action raises: h's (the range g . dom h, which every pullback
+# proves lies in S) or its inverse (the back-image of the meet, which only
+# the default pullback of ax+b computes)
+BROKEN_IMAGES = [("cone2", (0, 3), (2, 1), "range"),
+                 ("axb", (1, 2), (1, 3), "range"),
+                 ("axb", (1, 2), (1, 3), "preimage")]
 
-    def image(g, X):
+
+@pytest.mark.parametrize("name, s, t, broken", BROKEN_IMAGES,
+                         ids=["range", "axb-range", "preimage"])
+def test_an_image_that_raises_stores_no_domain(name, s, t, broken,
+                                               monkeypatch):
+    # the action raises inside the pullback: the memo is left as it was,
+    # and the next call works the domain out
+    sg, generators = backend(name)
+    hull_graph(sg, 2, generators)
+    f, h = lambda_(sg, s), star(sg, lambda_(sg, t))
+    kept = dict(sg._domains)
+    assert kept and (f.dom, h) not in kept
+    bad = h.grade if broken == "range" else sg.grading_group().inv(h.grade)
+    real, calls = type(sg).act, []
+
+    def act(self, g, x):
         calls.append(g)
-        if g == broken:
+        if g == bad:
             raise InvariantViolation("image broke")
-        return real(g, X)
+        return real(self, g, x)
 
     with monkeypatch.context() as m:
-        m.setattr(cal, "image", image)
+        m.setattr(type(sg), "act", act)
         for _ in range(2):
             with pytest.raises(InvariantViolation, match="image broke"):
                 compose(sg, f, h)
             assert sg._domains == kept
-    assert calls[-1] == broken
+    assert calls[-1] == bad
     assert compose(sg, f, h) == oracle.compose(sg, f, h) != ZERO
     assert len(sg._domains) == len(kept) + 1
 

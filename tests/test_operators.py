@@ -340,6 +340,25 @@ def test_expectation_loop_counts_and_guard():
     assert skipped > 0 and total + skipped == 10
 
 
+def test_expectation_loop_keeps_no_action_off_the_window():
+    # ax+b with generators (0,2) (0,3) (0,5) at length 3: 211 of the 285
+    # elements have no column in the 30-point window.  The loop decides
+    # them from their columns and keeps no action for them, and it counts
+    # what the matrix body, run on a second instance, counts
+    text = "kind = axb\ngenerators = (0,2) (0,3) (0,5)\n"
+    sg, other = (build_backend(parse_config(text)) for _ in range(2))
+    gens = config_generators(sg, parse_config(text))
+    graph = hull_graph(sg, 3, gens)
+    W = s_window(sg, size=30)
+    off = [f for f in graph.ordered
+           if f is ZERO or not window_columns(sg, f.dom, W)]
+    assert (len(graph.ordered), len(off)) == (285, 211)
+    assert expectation_loop(sg, W, graph) == hull_oracle.expectation_loop(
+        other, s_window(other, size=30), hull_graph(other, 3, gens))
+    assert not W.actions.keys() & set(off)
+    assert len(W.actions) == 285 - 211
+
+
 # ---------------------------------------------------------------------------
 # relation suites
 
