@@ -1,22 +1,33 @@
 """Finite truncations of the ideal semilattice and their filters.
 
 A truncation keeps the canonical ideals as elements, each with its meet key
-(``meet_keys``), and reads a meet when asked as the element whose key is the
-meet of two keys, so it keeps nothing with n^2 entries.  The build checks
-what can fail, and keeps each element's up-set U(i) = {j : i <= j} as an int
-bitset, bit j for index j, the one format here for a set of elements; a
-filter is the up-set of its least element.  Set semantics, whether some
-element is a union of strictly smaller ones, is the independence of the
-family the truncation was built from, which the ideal calculus decides.
+(``meet_keys``): its signature, met by &, or on ax+b past SIGNATURE_POINTS
+the member itself, met by intersect.  It reads a meet when asked as the
+element whose key is the meet of two keys, so it keeps nothing with n^2
+entries.  The build checks what can fail, and keeps each element's up-set
+U(i) = {j : i <= j} as an int bitset, bit j for index j, the one format here
+for a set of elements; a filter is the up-set of its least element.  Set
+semantics, whether some element is a union of strictly smaller ones, is the
+independence of the family the truncation was built from, which the ideal
+calculus decides.
 
-On signatures the build meets each of the r reachable ideals R the family
-closes (the family itself by default), the top and the zero with all n
-elements: In_R = {i : X_i <= R}, and RX(i) is the R with i in In_R.  It
+On either kind of key the build meets each of the r reachable ideals R the
+family closes (the family itself by default), the top and the zero with all
+n elements: In_R = {i : X_i <= R}, and RX(i) is the R with i in In_R.  It
 checks that each meet is a key, each nonzero X_i is the meet of RX(i), and
 the top and zero laws.  Then X_i X_j = (..(X_i R_1)..) R_k for RX(j) = {R_1
 .. R_k} is a member by induction on k, and for nonzero i and j, X_i <= X_j
 iff RX(j) lies in RX(i).  So U(i) is the AND of the complements of In_R
 over R not in RX(i): for i nonzero the zero's row is among them.
+
+The semilattice laws are not tested, as they cannot fail: & on ints is
+idempotent, commutative and associative, and intersect returns the
+canonical form of the set intersection, so each law is a theorem of each
+calculus.  What can fail is what the build checks: a missing meet, a member
+that is no meet of the reachable ideals, and the top and zero laws.  Where
+it fails, the row scan names the first missing meet in row-major order or
+the law that fails.  The semilattice suite of ``check`` tests the meets
+pointwise, independently of both.
 """
 
 from collections import namedtuple
@@ -58,17 +69,17 @@ class FiniteSemilattice:
                                 else reachable)
 
     def _up_sets(self, reachable):
-        # see above; on a failed check the row scan names what fails, if any
-        if self.key_meet is not and_:
-            return self._row_scan()
-        keys, by_key, n = self.keys, self.by_key, len(self.keys)
+        # see above, on either kind of key; on a failed check the row scan
+        # names what fails, if any
+        keys, by_key, meet = self.keys, self.by_key, self.key_meet
+        n = len(keys)
         full = (1 << n) - 1
         rows = dict.fromkeys([self.top, *map(self._index.get, reachable),
                               self.zero])
         rkeys = [] if None in rows else list(map(keys.__getitem__, rows))
         flags, outs, up = [], [], []
         for R, a in zip(rows, rkeys):
-            row = list(map(and_, repeat(a), keys))
+            row = list(map(meet, repeat(a), keys))
             if not all(map(by_key.__contains__, row)) or \
                     R == self.zero and row.count(a) != n:
                 break
@@ -76,7 +87,7 @@ class FiniteSemilattice:
             outs.append(full ^ _bitset(flags[-1]))
         if len(flags) == len(rows) and 0 not in flags[0]:  # the top law
             for i, rx in enumerate(zip(*flags)):
-                if i != self.zero and reduce(and_, compress(rkeys, rx)) \
+                if i != self.zero and reduce(meet, compress(rkeys, rx)) \
                         != keys[i]:
                     break
                 up.append(reduce(and_, compress(outs, map(not_, rx)), full))
@@ -87,14 +98,10 @@ class FiniteSemilattice:
         return up
 
     def _row_scan(self):
-        # Row i holds the keys of the meets i j, U(i) = {j : i j = i}, and a
-        # key that no element has is a missing meet, named at the first
-        # pair in row-major order.  On signatures this runs only where the
-        # build above failed; the laws hold for & on ints, and keys[by_key[x]]
-        # == x carries them over to the indices, so the law test passes.
+        # after a failed build: the first missing meet in row-major order,
+        # or the top or zero law where its row fails first
         keys, by_key, meet = self.keys, self.by_key, self.key_meet
         n = len(keys)
-        up, down = [], []
         for i, a in enumerate(keys):
             row = list(map(meet, repeat(a), keys))
             if not all(map(by_key.__contains__, row)):
@@ -106,24 +113,6 @@ class FiniteSemilattice:
             if i == self.top and row != list(keys) or \
                     i == self.zero and row.count(a) != n:
                 raise UsageError("meet table violates the top or zero law")
-            up.append(_bitset(map(eq, row, repeat(a))))
-            down.append(_bitset(map(eq, row, keys)))
-        # Meets from intersect are tested, in O(n^2) whole-int operations
-        # instead of n^3 lookups.  Write j <= i when i j = j, and let D(i)
-        # = {j : j <= i}, read off row i.  The meets are those of a
-        # semilattice iff D is injective and D(i j) = D(i) n D(j) for every
-        # ordered pair.  A semilattice has both.  Conversely, D(i i) = D(i)
-        # gives i i = i, so i is in D(i).  j <= i gives D(j) = D(i j) =
-        # D(i) n D(j), so D(j) lies in D(i): <= is transitive, and
-        # antisymmetric as D is injective.  And i j is in D(i j) = D(i) n
-        # D(j), as is every lower bound of i and j, so i j is their
-        # greatest lower bound: idempotent, commutative and associative.
-        if len(set(down)) < n or any(
-                list(map(down.__getitem__, self.meets(i, range(n))))
-                != list(map(and_, repeat(d), down))
-                for i, d in enumerate(down)):
-            raise UsageError("meet table is not a semilattice")
-        return up
 
     def __len__(self):
         return len(self.elements)

@@ -60,7 +60,13 @@ def identity_element(sg):
 
 def lambda_(sg, s):
     """Left translation by s, defined on all of S."""
-    return HullElement(sg.embed(s), calculus(sg).full())
+    sg._check(s)
+    return _lambda(sg, s)
+
+
+def _lambda(sg, s):
+    # lambda_ on an s already checked
+    return _element((sg._embed(s), calculus(sg).full()))
 
 
 def star(sg, f):
@@ -99,10 +105,8 @@ def atom(sg, t, s):
     per backend and pair."""
     a = sg._atoms.get((t, s))
     if a is None:
-        full = calculus(sg).full()
-        a = sg._atoms[t, s] = compose(
-            sg, star(sg, _element((sg._embed(t), full))),
-            _element((sg._embed(s), full)))
+        a = sg._atoms[t, s] = compose(sg, star(sg, _lambda(sg, t)),
+                                      _lambda(sg, s))
     return a
 
 
@@ -326,12 +330,12 @@ def clifford_normal_form(sg, f, window_size=30):
         raise InvariantViolation(
             "domain %r is not principal on a backend passing the "
             "principality test" % (f.dom,))
-    p = sg.act(f.grade, q)
+    p = sg.act(f.grade, q)  # in S, as q is: neither is checked again
     win = sg.window_of_size(window_size)
     one = sg.identity()
-    if recompose(sg, p, q) != f or not maps_agree(
-            materialize_element(sg, f, win),
-            _replay(sg, [(one, p), (q, one)], win)):
+    if compose(sg, _lambda(sg, p), star(sg, _lambda(sg, q))) != f or \
+            not maps_agree(materialize_element(sg, f, win),
+                           _replay(sg, [(one, p), (q, one)], win)):
         raise InvariantViolation("normal form (%r, %r) does not recompose "
                                  "to %r" % (p, q, f))
     return (p, q)

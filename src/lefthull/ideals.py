@@ -76,8 +76,10 @@ class _TableFull:
 
 _TABLE_FULL = _TableFull()
 
-# past this many points of Z/L, ax+b builds the meet lattice by intersect,
-# as near it the lattice build costs what it does by & on signatures
+# the kind of meet key alone: past this many points of Z/L, ax+b keys its
+# members by themselves, met by intersect, as the lattice build, the same on
+# either kind, is no faster on signatures there (it is at L = 1,296 and is
+# not at L = 7,776)
 SIGNATURE_POINTS = 7000
 
 
@@ -747,8 +749,9 @@ def reachable_ideals(sg, depth, generators=None):
 
 def meet_keys(cal, members):
     """Keys for distinct members and the meet on them: the signatures and
-    &, or, on ax+b past SIGNATURE_POINTS, the members and intersect.
-    Raises InvariantViolation where two signatures tie."""
+    &, or, on ax+b past SIGNATURE_POINTS, the members and intersect.  The
+    closure and the lattice run the same on either.  Raises
+    InvariantViolation where two signatures tie."""
     keys = cal.signatures(members)
     if keys is None:
         return members, cal.intersect
@@ -768,8 +771,7 @@ def constructible_closure(sg, depth, generators=None, reachable=None):
     f n R is the next F, closed as (f n R) n (g n R) = (f n g) n R, and an
     R in F adds nothing: sum |F| meets of keys.  A new key is a later
     reachable ideal's (found by ``in``: the free monoid's S is the falsy
-    ()), or its ideal is built by one intersect; where the keys are the
-    members, the meet is intersect and the key is that ideal.
+    ()), or its ideal is built by one intersect.
     """
     cal = calculus(sg)
     reach = reachable or reachable_ideals(sg, depth, generators)
@@ -781,8 +783,8 @@ def constructible_closure(sg, depth, generators=None, reachable=None):
             row = dict(zip(map(meet, family, repeat(r)), family.values()))
             family[r] = R
             for c in row.keys() - family.keys():
-                family[c] = c if keys is reach else reached[c] \
-                    if c in reached else cal.intersect(row[c], R)
+                family[c] = reached[c] if c in reached \
+                    else cal.intersect(row[c], R)
     return tuple(sorted(family.values(), key=cal.key))
 
 

@@ -161,6 +161,25 @@ FAULTS = (
           "    return (b + a * k) % l, l\n",
           "    return (b + a * k) % l, max(a, c)\n",
           ("tests/test_pinned_outputs.py::test_output_is_pinned[check-axb]",)),
+    Fault("crt-wrong-class-for-2-and-15", "ideals.py",
+          "    return (b + a * k) % l, l\n",
+          "    return (b + a * k + ({a, c} == {2, 15})) % l, l\n",
+          ("tests/test_lattice_oracle.py"
+           "::test_reachable_order_agrees_with_the_row_build"
+           "[axb-primes-depth3]",
+           "tests/test_pinned_outputs.py"
+           "::test_parsed_generator_output_is_pinned"
+           "[check--depth3-axb-primes]")),
+    Fault("axb-intersect-asymmetric", "ideals.py",
+          "        return _crt(*X, *Y) or EMPTY\n",
+          "        return X if (X, Y) == ((0, 2), (0, 3))"
+          " else _crt(*X, *Y) or EMPTY\n",
+          ("tests/test_lattice_oracle.py"
+           "::test_reachable_order_agrees_with_the_row_build"
+           "[axb-primes-depth3]",
+           "tests/test_pinned_outputs.py"
+           "::test_parsed_generator_output_is_pinned"
+           "[check--depth3-axb-primes]")),
     Fault("free-meet-the-shorter-word", "ideals.py",
           "            return w\n",
           "            return v\n",

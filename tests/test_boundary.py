@@ -99,10 +99,9 @@ def test_sampled_checks_check_the_ten_window_once(monkeypatch):
     # estar-unitary first builds the hull graph, which checks its ends
     ends = (sg.identity(),) + tuple(generators or sg.generators())
     assert seen["estar-unitary"] == [ends, window]
-    # normal-form then checks the letters p and q of each normal form
-    assert seen["normal-form"][0] == window
-    assert len(seen["normal-form"]) > 1
-    assert all(len(xs) == 1 for xs in seen["normal-form"][1:])
+    # normal-form does not check again p and q, the values of act and of
+    # the calculus' witness
+    assert seen["normal-form"] == [window]
 
 
 @pytest.mark.parametrize("sg, good, bad", CASES, ids=ids)

@@ -372,8 +372,8 @@ def test_estar_catches_a_compose_blind_to_domains(sg, monkeypatch):
 
 def test_normal_form_replay_catches_a_wrong_q(monkeypatch):
     # principal_witness answers q (0,2) for the ideal qS, a generator of a
-    # smaller ideal, and recompose shares the fault, answering f whatever
-    # it is given: only the pointwise replay of lambda(p) lambda(q)* sees q
+    # smaller ideal, and compose shares the fault, answering f whatever it
+    # is given: only the pointwise replay of lambda(p) lambda(q)* sees q
     sg = AxPlusB()
     f = compose(sg, lambda_(sg, (1, 3)), star(sg, lambda_(sg, (0, 2))))
     assert clifford_normal_form(sg, f) == ((1, 3), (0, 2))
@@ -381,6 +381,6 @@ def test_normal_form_replay_catches_a_wrong_q(monkeypatch):
     witness = cal.principal_witness
     monkeypatch.setattr(cal, "principal_witness",
                         lambda X: sg.multiply(witness(X), (0, 2)))
-    monkeypatch.setattr(hull, "recompose", lambda sg, p, q: f)
+    monkeypatch.setattr(hull, "compose", lambda sg, a, b: f)
     with pytest.raises(InvariantViolation, match="does not recompose"):
         clifford_normal_form(sg, f)

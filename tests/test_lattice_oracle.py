@@ -172,8 +172,11 @@ def text_case(text, depth):
 
 
 # the shipped configs at their depth, lhbench's configs at depths 1 to 3,
-# two numerical semigroups with gcd > 1, and lhbench's axb-c at depth 4
+# two numerical semigroups with gcd > 1, lhbench's axb-c at depth 4, and ax+b
+# on the first four primes at depths 2 and 3, past SIGNATURE_POINTS, where
+# the keys are the members
 LHBENCH_TEXTS = lhbench_workloads().CONFIGS
+PRIMES = ((0, 2), (0, 3), (0, 5), (0, 7))
 ROW_CASES = {
     **{name: shipped(name) for name in SHIPPED},
     **{"%s-depth%d" % (name, depth): text_case(text, depth)
@@ -182,6 +185,8 @@ ROW_CASES = {
        (NumericalSemigroup(gens), depth, None)
        for gens in ((4, 6), (6, 9, 15)) for depth in (1, 2, 3)},
     "axb-c-depth4": text_case(LHBENCH_TEXTS["axb-c"], 4),
+    **{"axb-primes-depth%d" % depth: (AxPlusB(), depth, PRIMES)
+       for depth in (2, 3)},
 }
 
 
