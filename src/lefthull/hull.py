@@ -319,9 +319,12 @@ def clifford_normal_form(sg, f, window_size=30):
     """
     verdict = clifford_check(sg)
     if not verdict.holds:
+        s, t, meet = verdict.witness
         raise UnsupportedOperation(
-            "normal form needs principal intersections; counterexample %r"
-            % (verdict.witness,), witness=verdict.witness)
+            "normal form needs principal intersections; counterexample %s, "
+            "%s: meet %s" % (sg.render(s), sg.render(t),
+                             calculus(sg).render(meet)),
+            witness=verdict.witness)
     if f is ZERO:
         raise UsageError("ZERO has no normal form")
     cal = calculus(sg)

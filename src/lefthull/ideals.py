@@ -7,12 +7,10 @@ preimage, key and rendering (see IdealCalculus):
 
 * FreeMonoid:          a word w, denoting wS          (Full is the empty word)
 * PositiveCone:        a corner p, denoting p + (Z+)^n
-* NumericalSemigroup:  a pair (N, mask) denoting mask u (S n [N, oo)),
-                       threshold minimal, mask a sorted tuple of members < N;
-                       each pair the calculus builds also carries its mask
-                       as a Python-int bitset, and every operation runs on
-                       these bits and the semigroup's ``member_bits``;
-                       each distinct image and meet is computed once
+* NumericalSemigroup:  a pair of ints (N, mask) denoting mask u (S n [N, oo)),
+                       threshold minimal, mask the bitset of members < N;
+                       every operation runs on these bits and the
+                       semigroup's ``member_bits``
 * AxPlusB:             a pair (b, a) with a >= 1, 0 <= b < a, denoting
                        (b + aZ) x aZ^x
 * FiniteTable:         only the full ideal (every right ideal of a group is S)
@@ -345,56 +343,32 @@ class _ConeIdeals(IdealCalculus, backend=PositiveCone):
         return "S" if not any(p) else self.sg.render(p) + "+S"
 
 
-class _NumIdeal(tuple):
-    """The canonical pair (N, mask) of a numerical ideal, carrying ``bits``,
-    the mask as a bitset.  It is equal to, hashes like and prints like the
-    plain pair."""
-
-    def __new__(cls, n, bits):
-        self = super().__new__(cls, (n, tuple(set_bits(bits))))
-        self.bits = bits
-        return self
-
-
-_NUMERICAL_FULL = _NumIdeal(0, 0)
-
-
-def _mask_bits(X):
-    try:
-        return X.bits
-    except AttributeError:  # a plain (N, mask) pair
-        return sum(1 << m for m in X[1])
-
-
 class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
     """Cofinite descriptions (threshold, mask) with exact set arithmetic.
 
     Every nonempty constructible ideal contains S n [N, oo) for some N
     because it contains a translate x0 + S, which is eventually all of S.
 
-    The value stays the pair (N, mask), N minimal and mask the sorted tuple
-    of the ideal's members below N, but each pair this calculus builds also
-    carries its mask as a Python-int bitset (bit x set when x is in the
-    mask).  Every operation is a few whole-int operations on these bits and
-    on the semigroup's ``member_bits``: intersection is &, translation by s
-    a shift left by s, a preimage under s a shift right by s masked by the
+    The value is the plain pair of ints (N, mask): N minimal, and mask the
+    ideal's members below N as a bitset (bit x set when x is a member).
+    Every operation is a few whole-int operations on masks and on the
+    semigroup's ``member_bits``: intersection is &, translation by s a
+    shift left by s, a preimage under s a shift right by s masked by the
     members, and the threshold of a result the bit length of the members
-    below its bound that it misses.
+    below its bound that it misses.  The key is N and the mask's members
+    as a sorted tuple.
 
-    ``_image`` and ``_intersect`` keep each answer, keyed by the grade and
-    the (threshold, mask bits) of their arguments, so a plain pair shares
-    the entry of the calculus' own value: the hull algebra asks the same
-    few thousands of times per command.  This is exact, as both are pure
-    functions of canonical values; an image that raises stores nothing.
+    ``_image`` keeps each answer by grade and value, as the range check of
+    each ``pullback`` asks it again (919 of 1,550 asks repeat in ``check``
+    on <10,11>).  This is exact, as the image is a pure function of
+    canonical values; an image that raises stores nothing.
     """
 
     reversible_proof = "principal ideals are cofinite"
 
     def __init__(self, sg):
         super().__init__(sg)
-        # by (threshold, mask bits), every ideal built so far; by their
-        # arguments, every image and meet answered so far
-        self._built, self._images, self._meets = {}, {}, {}
+        self._images = {}  # by (grade, value), every image answered so far
 
     def clifford(self):
         sg = self.sg
@@ -421,8 +395,7 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         return Fraction(inside, self.sg.member_bits(N).bit_count())
 
     def folner_constant(self, X):
-        missing = self.sg.member_bits(X[0]).bit_count() \
-            - _mask_bits(X).bit_count()
+        missing = self.sg.member_bits(X[0]).bit_count() - X[1].bit_count()
         return 2 * self.sg.gcd * missing
 
     def folner_least_n(self):
@@ -430,7 +403,7 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         return max(1, 2 * self.sg.conductor)
 
     def full(self):
-        return _NUMERICAL_FULL
+        return (0, 0)
 
     def signatures(self, family):
         # the first multiple of the gcd from top on is a member below the
@@ -445,23 +418,19 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         # bound; the threshold is one past the greatest member below bound
         # that bits misses
         n = (self.sg.member_bits(bound) & ~bits).bit_length()
-        key = (n, bits & ((1 << n) - 1))
-        X = self._built.get(key)
-        if X is None:
-            X = self._built[key] = _NumIdeal(*key)
-        return X
+        return n, bits & ((1 << n) - 1)
 
     def _below(self, X, bound):
         # the members of X in [0, bound) as a bitset
-        n = X[0]
+        n, mask = X
         if bound <= n:
-            return _mask_bits(X) & ((1 << max(bound, 0)) - 1)
-        return _mask_bits(X) | self.sg.member_bits(bound) >> n << n
+            return mask & ((1 << max(bound, 0)) - 1)
+        return mask | self.sg.member_bits(bound) >> n << n
 
     def _member(self, x, X):
         if x >= X[0]:
             return self.sg.contains(x)
-        return x >= 0 and _mask_bits(X) >> x & 1 == 1
+        return x >= 0 and X[1] >> x & 1 == 1
 
     def min_member(self, X):
         cut = X[0] + self.sg.conductor + self.sg.gcd + 1
@@ -477,19 +446,15 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
     def _preimage(self, s, X):
         # t below the bound is in s^-1 X exactly when s + t is in the mask
         bound = max(0, X[0] - s)
-        return self._canonical(self.sg.member_bits(bound) & _mask_bits(X) >> s,
-                               bound)
+        return self._canonical(self.sg.member_bits(bound) & X[1] >> s, bound)
 
     def _intersect(self, X, Y):
-        key = (X[0], _mask_bits(X), Y[0], _mask_bits(Y))
-        if (Z := self._meets.get(key)) is None:
-            bound = max(X[0], Y[0])
-            Z = self._meets[key] = self._canonical(
-                self._below(X, bound) & self._below(Y, bound), bound)
-        return Z
+        bound = max(X[0], Y[0])
+        return self._canonical(self._below(X, bound) & self._below(Y, bound),
+                               bound)
 
     def _image(self, g, X):
-        key = (g, X[0], _mask_bits(X))
+        key = (g, X)
         if (Y := self._images.get(key)) is not None:
             return Y
         if g % self.sg.gcd:
@@ -556,7 +521,7 @@ class _NumericalIdeals(IdealCalculus, backend=NumericalSemigroup):
         return self._canonical(bits, bound) == Y
 
     def _key(self, X):
-        return X
+        return X[0], tuple(set_bits(X[1]))
 
     def _render(self, X):
         sg = self.sg

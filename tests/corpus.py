@@ -2,10 +2,11 @@
 
 Every subcommand runs on every config under each flag set: the shipped
 configs, the configs of lhbench's workloads, the generator configs of the
-pinned outputs (``test_pinned_outputs.PINNED_PARSED``) and two numerical
-semigroups whose generators share a factor (``GCD``), a config whose
-text, comments aside, repeats an earlier one being listed once.  Then come
-the lattice-bound commands at ``--depth 4``.  ``matrix`` always runs with
+pinned outputs (``test_pinned_outputs.PINNED_PARSED``), two numerical
+semigroups whose generators share a factor (``GCD``) and one with a large
+conductor (``LONG``), a config whose text, comments aside, repeats an
+earlier one being listed once.  Then come the lattice-bound commands at
+``--depth 4``.  ``matrix`` always runs with
 ``--out``, which ``compare.py`` points at a fresh directory per run.
 
 ``commands()`` lists each command as (subcommand, config name, flags);
@@ -37,11 +38,14 @@ GCD = {
     "num-4-6": "kind = numerical\nparams = 4 6\n",
     "num-6-9-15": "kind = numerical\nparams = 6 9 15\n",
 }
+# conductor 870: ideal masks of hundreds of bits
+LONG = {"num-30-31": "kind = numerical\nparams = 30 31\n"}
 # the closure and the lattice past the flag sets' depth: axb has 2,171
-# ideals at depth 4, lhbench's axb-c 787
+# ideals at depth 4, lhbench's axb-c 787 and its <10,11> 14,253
 DEEP = tuple((sub, name, ("--depth", "4"))
              for sub in ("ideals", "filters")
-             for name in ("shipped/axb", "lhbench/axb-c"))
+             for name in ("shipped/axb", "lhbench/axb-c")) \
+    + (("ideals", "lhbench/num-10-11", ("--depth", "4")),)
 
 
 def bench_configs():
@@ -69,6 +73,7 @@ def configs():
     named.update(("lhbench/" + k, v) for k, v in bench_configs().items())
     named.update(("pinned/" + k, v) for k, v in PINNED_PARSED.items())
     named.update(("gcd/" + k, v) for k, v in GCD.items())
+    named.update(("long/" + k, v) for k, v in LONG.items())
     seen, out = set(), {}
     for name, text in named.items():
         if content(text) not in seen:

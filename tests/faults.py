@@ -227,6 +227,19 @@ FAULTS = (
            "::test_a_grade_off_s_raises_on_both_paths[<3,5,7>]",
            "tests/test_pullback.py"
            "::test_a_grade_off_s_raises_on_both_paths[<4,6>]")),
+    Fault("numerical-key-orders-by-the-mask-int", "ideals.py",
+          "        return X[0], tuple(set_bits(X[1]))\n",
+          "        return X\n",
+          ("tests/test_pinned_outputs.py"
+           "::test_large_lattice_output_is_pinned[filters--depth3-num-10-11]",
+           "tests/test_numerical_bits.py"
+           "::test_key_sorts_as_the_tuple_pairs[<10,11>]")),
+    Fault("numerical-canonical-mask-uncut", "ideals.py",
+          "        return n, bits & ((1 << n) - 1)\n",
+          "        return n, bits\n",
+          ("tests/test_pinned_outputs.py::test_output_is_pinned[check-num23]",
+           "tests/test_numerical_bits.py"
+           "::test_bitset_operations_match_tuple_loops[<2,3>]")),
     Fault("cone-pullback-takes-the-min-corner", "ideals.py",
           "        return tuple(map(max, D, map(sub, X, g)))\n",
           "        return tuple(map(min, D, map(sub, X, g)))\n",

@@ -1,13 +1,22 @@
 """The tuple-loop numerical ideal calculus: the oracle for the bitset one.
 
-An ideal is the pair (N, mask): the members listed in the sorted tuple mask
-together with every member of S at or above N, with N minimal.  Membership
-comes from a sieve over the generators, and every operation walks the
-members one at a time, which is how the calculus computed before it ran on
-bitsets.  ``image`` returns None where the calculus must raise.
+An ideal is the pair (N, mask): the members listed in mask together with
+every member of S at or above N, with N minimal.  Membership comes from a
+sieve over the generators, and every operation walks the members one at a
+time, on mask as a sorted tuple, which is how the calculus computed before
+it ran on bitsets.  The oracle takes and returns the calculus' values, in
+which mask is the int bitset of its members (bit x for x), and converts
+only at that boundary: ``pair`` on the way in, ``canonical`` on the way
+out.  ``image`` returns None where the calculus must raise.
 """
 
 import math
+
+
+def pair(X):
+    """The (N, sorted tuple of members below N) of a value (N, mask bits)."""
+    n, bits = X
+    return n, tuple(x for x in range(n) if bits >> x & 1)
 
 
 class TupleLoopIdeals:
@@ -48,17 +57,17 @@ class TupleLoopIdeals:
                     break
                 mask.discard(x)
             n = x
-        return (n, tuple(sorted(mask)))
+        return n, sum(1 << x for x in mask)
 
     def ideal_members_below(self, X, bound):
-        n, mask = X
+        n, mask = pair(X)
         out = [m for m in mask if m < bound]
         if bound > n:
             out.extend(x for x in self.members_below(bound) if x >= n)
         return sorted(set(out))
 
     def is_member(self, x, X):
-        n, mask = X
+        n, mask = pair(X)
         return x in mask or (x >= n and self.contains(x))
 
     def principal(self, s):

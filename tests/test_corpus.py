@@ -42,6 +42,7 @@ def test_the_deep_commands_are_in_the_corpus():
     for sub in ("ideals", "filters"):
         for name in ("shipped/axb", "lhbench/axb-c"):
             assert (sub, name, ("--depth", "4")) in commands
+    assert ("ideals", "lhbench/num-10-11", ("--depth", "4")) in commands
 
 
 def test_numerical_configs_with_a_gcd_above_one_are_in_the_corpus():
@@ -49,3 +50,13 @@ def test_numerical_configs_with_a_gcd_above_one_are_in_the_corpus():
     gcds = [build_backend(parse_config(texts["gcd/" + name])).gcd
             for name in corpus.GCD]
     assert gcds == [2, 3]
+
+
+def test_a_numerical_config_with_a_large_conductor_is_in_the_corpus():
+    texts = corpus.configs()
+    sg = build_backend(parse_config(texts["long/num-30-31"]))
+    assert sg.conductor == 870
+    commands = corpus.commands()
+    for sub in COMMANDS:
+        for flags in corpus.FLAG_SETS:
+            assert (sub, "long/num-30-31", flags) in commands

@@ -73,7 +73,7 @@ def test_frozen_word_values():
     assert evaluate_word(cone, [((1,), (2,))]) == HullElement((1,), (0,))
     num = NumericalSemigroup((2, 3))
     f = evaluate_word(num, [(2, 3)])
-    assert f == HullElement(1, (1, ()))  # grade +1 on {2,3,4,...}
+    assert f == HullElement(1, (1, 0))  # grade +1 on {2,3,4,...}
 
 
 def test_zero_dom_is_rejected():
@@ -267,7 +267,8 @@ def test_clifford_normal_form_frozen():
 
 def test_clifford_normal_form_errors():
     num = NumericalSemigroup((2, 3))
-    with pytest.raises(UnsupportedOperation):
+    with pytest.raises(UnsupportedOperation,
+                       match=r"counterexample 2, 3: meet \{5,6,7,8,\.\.\.\}$"):
         clifford_normal_form(num, identity_element(num))
     cone = PositiveCone(1)
     with pytest.raises(UsageError):

@@ -173,9 +173,9 @@ def test_principal_meet_is_greatest_lower_bound(sg):
 
 def test_frozen_principal_forms():
     num = NumericalSemigroup((2, 3))
-    assert principal(num, 2) == (4, (2,))
-    assert principal(num, 3) == (5, (3,))
-    assert principal(num, 0) == (0, ())
+    assert principal(num, 2) == (4, 1 << 2)
+    assert principal(num, 3) == (5, 1 << 3)
+    assert principal(num, 0) == (0, 0)
     cone = PositiveCone(1)
     assert principal(cone, (2,)) == (2,)
     axb = AxPlusB()
@@ -187,9 +187,9 @@ def test_frozen_principal_forms():
 
 def test_frozen_translate_preimage_intersect():
     num = NumericalSemigroup((2, 3))
-    assert translate(num, 2, (5, ())) == (7, ())
-    assert preimage(num, 2, (5, ())) == (3, ())
-    assert intersect(num, principal(num, 2), principal(num, 3)) == (5, ())
+    assert translate(num, 2, (5, 0)) == (7, 0)
+    assert preimage(num, 2, (5, 0)) == (3, 0)
+    assert intersect(num, principal(num, 2), principal(num, 3)) == (5, 0)
     cone = PositiveCone(2)
     assert intersect(cone, principal(cone, (1, 0)),
                      principal(cone, (0, 1))) == (1, 1)
@@ -207,8 +207,8 @@ def test_frozen_membership():
     cone = PositiveCone(1)
     assert calculus(cone).is_member((3,), principal(cone, (2,)))
     num = NumericalSemigroup((2, 3))
-    assert calculus(num).is_member(6, (5, ()))
-    assert not calculus(num).is_member(4, (5, ()))
+    assert calculus(num).is_member(6, (5, 0))
+    assert not calculus(num).is_member(4, (5, 0))
     axb = AxPlusB()
     assert calculus(axb).is_member((7, 8), (1, 2))
     assert not calculus(axb).is_member((7, 9), (1, 2))
@@ -222,10 +222,10 @@ def test_constructible_closure_frozen_families():
     assert constructible_closure(fm, 1) == ((), (0,), (1,), EMPTY)
     num = NumericalSemigroup((2, 3))
     fam = constructible_closure(num, 3)
-    assert (1, ()) in fam  # the set {2,3,4,...}
+    assert (1, 0) in fam  # the set {2,3,4,...}
     two_steps = preimage(num, 2, preimage(
         num, 2, intersect(num, principal(num, 2), principal(num, 3))))
-    assert two_steps == (1, ())
+    assert two_steps == (1, 0)
 
 
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
@@ -285,11 +285,11 @@ def test_clifford_verdicts():
     assert clifford_check(NumericalSemigroup((2,))).holds  # a copy of 2Z+
     v23 = clifford_check(NumericalSemigroup((2, 3)))
     assert not v23.holds
-    assert v23.witness == (2, 3, (5, ()))
+    assert v23.witness == (2, 3, (5, 0))
     v46 = clifford_check(NumericalSemigroup((4, 6)))
     assert not v46.holds
     # threshold 9: the set is {10,12,14,...} and 9 is not a member of S
-    assert v46.witness == (4, 6, (9, ()))
+    assert v46.witness == (4, 6, (9, 0))
     v35 = clifford_check(NumericalSemigroup((3, 5)))
     assert not v35.holds
     assert v35.witness[:2] == (3, 5)
@@ -361,10 +361,10 @@ def test_independence_verdicts():
     assert not verdict.holds
     cover, target = verdict.witness
     assert cover == (principal(num, 2), principal(num, 3))
-    assert target == (1, ())
+    assert target == (1, 0)
     for sg in [FreeMonoid(2), PositiveCone(2), AxPlusB()]:
         assert independence_check(sg, constructible_closure(sg, 2)).holds
-    assert independence_check(num, ((0, ()),)).holds  # singleton {Full}
+    assert independence_check(num, ((0, 0),)).holds  # singleton {Full}
 
 
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
