@@ -11,8 +11,8 @@ from .semigroups import (AxPlusB, FiniteGroup, FiniteTable, FreeGroup,
                          RationalAffine, UnsupportedOperation, UsageError,
                          cyclic_table)
 from .ideals import (EMPTY, calculus, clifford_check, constructible_closure,
-                     reachable_ideals, independence_check, intersect,
-                     preimage, principal, translate, Verdict)
+                     reachable_ideals, independence_check, preimage,
+                     principal, translate, Verdict)
 from .hull import (ZERO, clifford_normal_form, compose, enumerate_hull,
                    evaluate_word, identity_element, is_idempotent, lambda_,
                    maps_agree, materialize_element, materialize_word,

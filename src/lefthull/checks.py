@@ -10,9 +10,10 @@ from collections import namedtuple
 import random
 from functools import cache
 
+from .config import DEFAULTS
 from .filters import enumerate_filters, truncate_semilattice
-from .group_image import (folner_constant, folner_least_n, folner_mean, gamma,
-                          group_of_S, is_left_reversible, left_thick_check)
+from .group_image import (folner_constant, folner_mean, gamma, group_of_S,
+                          is_left_reversible, left_thick_check)
 from .hull import (ZERO, _evaluate, _replay, atom, estar_unitary_report,
                    clifford_normal_form, hull_graph, maps_agree,
                    materialize_element, random_word)
@@ -39,7 +40,9 @@ def _check(name, fn):
     return CheckResult(name, "ok", detail or "")
 
 
-def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
+def run_checks(sg, depth=DEFAULTS["depth"], length=DEFAULTS["length"],
+               window=DEFAULTS["window"], seed=DEFAULTS["seed"],
+               generators=None):
     """The full suite, in a fixed order."""
     cal = calculus(sg)
     win = sg.window_of_size(window)
@@ -187,7 +190,7 @@ def run_checks(sg, depth=2, length=2, window=20, seed=7, generators=None):
 
     def folner():
         fam = family()
-        least = folner_least_n(sg)
+        least = cal.folner_least_n()
         for X in fam:
             if X is EMPTY:
                 continue

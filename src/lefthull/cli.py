@@ -1,8 +1,8 @@
 """Command line: analyze | ideals | hull | filters | group | matrix | check.
 
-Reports are assembled as ordered key/value pairs and rendered either for
-reading (`key: value`) or for scripting (`key=value`).  Given the same
-config, bounds, and seed, output bytes are identical run to run.
+Each command returns its report as key/value pairs with its exit code, and
+``main`` prints it for reading (`key: value`) or scripting (`key=value`).
+Given the same config, bounds, and seed, output bytes are identical.
 """
 
 import argparse
@@ -11,31 +11,26 @@ import os
 import sys
 
 from .checks import run_checks
-from .config import ConfigError, build_backend, config_generators, load_config
+from .config import (DEFAULTS, ConfigError, build_backend, config_generators,
+                     load_config)
 from .filters import (enumerate_filters, maximal_representation_check,
                       truncate_semilattice)
 from .group_image import gamma, group_of_S, is_left_reversible
-from .hull import estar_unitary_report, hull_graph, render_element
+from .hull import (estar_unitary_report, hull_graph, hull_sort_key, lambda_,
+                   render_element)
 from .ideals import (calculus, clifford_check, constructible_closure,
                      independence_check, reachable_ideals)
 from .operators import (RELATION_KINDS, intertwiner_matrix, isometry_matrix,
-                        hull_window, relation_summary, s_window,
-                        verify_relation)
-from .semigroups import InvariantViolation, UnsupportedOperation, UsageError
+                        relation_summary, s_window, verify_relation)
+from .semigroups import (InvariantViolation, UnsupportedOperation, UsageError,
+                         Window)
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 
-DEFAULTS = {"depth": 2, "length": 2, "window": 20, "seed": 7}
 LEAST = {"depth": 0, "length": 0, "window": 1}
-
-
-def _emit(pairs, fmt, out):
-    sep = "=" if fmt == "machine" else ": "
-    for key, value in pairs:
-        out.write("%s%s%s\n" % (key, sep, value))
 
 
 def _yesno(flag):
@@ -48,8 +43,9 @@ def _closure(sg, depth, generators):
     return constructible_closure(sg, depth, generators, reach), reach
 
 
-def _verdicts(sg, depth, graph, seed, generators):
+def cmd_analyze(sg, args, generators):
     cal = calculus(sg)
+    graph = hull_graph(sg, args.length, generators)
     pairs = [("backend", sg.describe())]
     rev = is_left_reversible(sg)
     pairs.append(("reversible", _yesno(rev.holds)))
@@ -62,7 +58,7 @@ def _verdicts(sg, depth, graph, seed, generators):
     pairs.append(("clifford", "holds" if cliff.holds else "fails"))
     if not cliff.holds:
         pairs.append(("clifford.witness", "%s %s" % cliff.witness[:2]))
-    fam, reach = _closure(sg, depth, generators)
+    fam, reach = _closure(sg, args.depth, generators)
     indep = independence_check(sg, fam)
     pairs.append(("independent", _yesno(indep.holds)))
     if not indep.holds:
@@ -70,16 +66,9 @@ def _verdicts(sg, depth, graph, seed, generators):
         pairs.append(("independence.witness",
                       "%s = %s" % (" | ".join(cal.render(p) for p in parts),
                                    cal.render(target))))
-    rep = estar_unitary_report(sg, graph, sample=100, seed=seed)
+    rep = estar_unitary_report(sg, graph, sample=100, seed=args.seed)
     pairs.append(("estar.mode", rep.mode))
     pairs.append(("ordered", _yesno(sg.units_trivial())))
-    return pairs, fam, reach
-
-
-def cmd_analyze(sg, args, generators, out):
-    graph = hull_graph(sg, args.length, generators)
-    pairs, fam, reach = _verdicts(sg, args.depth, graph, args.seed,
-                                  generators)
     pairs.append(("ideals.count", str(len(fam))))
     pairs.append(("hull.count", str(len(graph.ordered))))
     lat = truncate_semilattice(sg, fam, reach)
@@ -91,11 +80,10 @@ def cmd_analyze(sg, args, generators, out):
     W = s_window(sg, size=args.window)
     pairs.append(("relations", relation_summary(sg, W, lat, graph,
                                                 generators)))
-    _emit(pairs, args.format, out)
-    return EXIT_OK
+    return pairs, EXIT_OK
 
 
-def cmd_ideals(sg, args, generators, out):
+def cmd_ideals(sg, args, generators):
     cal = calculus(sg)
     fam = constructible_closure(sg, args.depth, generators)
     pairs = [("backend", sg.describe()), ("depth", str(args.depth)),
@@ -106,11 +94,10 @@ def cmd_ideals(sg, args, generators, out):
     pairs.append(("clifford", "holds" if cliff.holds else "fails"))
     indep = independence_check(sg, fam)
     pairs.append(("independent", _yesno(indep.holds)))
-    _emit(pairs, args.format, out)
-    return EXIT_OK
+    return pairs, EXIT_OK
 
 
-def cmd_hull(sg, args, generators, out):
+def cmd_hull(sg, args, generators):
     graph = hull_graph(sg, args.length, generators)
     pairs = [("backend", sg.describe()), ("length", str(args.length)),
              ("count", str(len(graph.ordered)))]
@@ -119,11 +106,10 @@ def cmd_hull(sg, args, generators, out):
     rep = estar_unitary_report(sg, graph, sample=100, seed=args.seed)
     pairs.append(("estar.mode", rep.mode))
     pairs.append(("zero.present", _yesno(rep.zero_present)))
-    _emit(pairs, args.format, out)
-    return EXIT_OK
+    return pairs, EXIT_OK
 
 
-def cmd_filters(sg, args, generators, out):
+def cmd_filters(sg, args, generators):
     lat = truncate_semilattice(sg, *_closure(sg, args.depth, generators))
     fs = enumerate_filters(lat)
     pairs = [("backend", sg.describe()), ("depth", str(args.depth)),
@@ -131,11 +117,10 @@ def cmd_filters(sg, args, generators, out):
     for i, f in enumerate(fs):
         pairs.append(("filter.%d" % i, lat.render(f.minimal)))
     pairs.append(("maximal", _yesno(maximal_representation_check(lat).holds)))
-    _emit(pairs, args.format, out)
-    return EXIT_OK
+    return pairs, EXIT_OK
 
 
-def cmd_group(sg, args, generators, out):
+def cmd_group(sg, args, generators):
     pairs = [("backend", sg.describe())]
     G = group_of_S(sg)  # raises UnsupportedOperation when not reversible
     pairs.append(("reversible", "yes"))
@@ -144,14 +129,17 @@ def cmd_group(sg, args, generators, out):
     images = [gamma(sg, s) for s in win]
     pairs.append(("gamma.window", str(len(win))))
     pairs.append(("gamma.injective", _yesno(len(set(images)) == len(images))))
-    _emit(pairs, args.format, out)
-    return EXIT_OK
+    return pairs, EXIT_OK
 
 
-def cmd_matrix(sg, args, generators, out):
+def cmd_matrix(sg, args, generators):
     W = s_window(sg, size=args.window)
     graph = hull_graph(sg, args.length, generators)
-    HW = hull_window(sg, graph, include=W)
+    # the hull, then the lambda(s) for s in W that it misses, so the
+    # intertwiner always has its targets
+    lambdas = (lambda_(sg, s) for s in W)
+    HW = Window(list(graph.ordered) + sorted(
+        (f for f in lambdas if f not in graph.index), key=hull_sort_key(sg)))
     exports = [("isometry_%d.txt" % i, isometry_matrix(sg, s, W))
                for i, s in enumerate(graph.ends[1:])]
     exports.append(("intertwiner.txt", intertwiner_matrix(sg, W, HW)))
@@ -166,7 +154,7 @@ def cmd_matrix(sg, args, generators, out):
     except OSError as err:
         print("output error: --out %s: %s" % (args.out, err.strerror or err),
               file=sys.stderr)
-        return EXIT_PARSE
+        return [], EXIT_PARSE
     pairs = [("backend", sg.describe()), ("window", str(len(W))),
              ("hull.window", str(len(HW)))]
     for p in written:
@@ -177,11 +165,10 @@ def cmd_matrix(sg, args, generators, out):
         pairs.append(("relation.%s" % kind,
                       "ok instances=%d columns=%d"
                       % (rep.count, rep.checked_columns)))
-    _emit(pairs, args.format, out)
-    return EXIT_OK
+    return pairs, EXIT_OK
 
 
-def cmd_check(sg, args, generators, out):
+def cmd_check(sg, args, generators):
     results = run_checks(sg, depth=args.depth, length=args.length,
                          window=args.window, seed=args.seed,
                          generators=generators)
@@ -192,8 +179,7 @@ def cmd_check(sg, args, generators, out):
     failures = sum(r.status == "fail" for r in results)
     pairs.append(("checks", str(len(results))))
     pairs.append(("failures", str(failures)))
-    _emit(pairs, args.format, out)
-    return EXIT_INVARIANT if failures else EXIT_OK
+    return pairs, EXIT_INVARIANT if failures else EXIT_OK
 
 
 COMMANDS = {
@@ -249,13 +235,17 @@ def main(argv=None):
                   % (name, getattr(args, name), least), file=sys.stderr)
             return EXIT_PARSE
     try:
-        return COMMANDS[args.command](sg, args, generators, sys.stdout)
+        pairs, code = COMMANDS[args.command](sg, args, generators)
     except UnsupportedOperation as err:
         print("unsupported: %s" % err, file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (InvariantViolation, UsageError) as err:
         print("invariant failure: %s" % err, file=sys.stderr)
         return EXIT_INVARIANT
+    sep = "=" if args.format == "machine" else ": "
+    for key, value in pairs:
+        sys.stdout.write("%s%s%s\n" % (key, sep, value))
+    return code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,9 @@ class ConfigError(Exception):
 
 
 KEYS = ("kind", "params", "generators", "bounds")
-BOUND_NAMES = ("depth", "length", "window", "seed")
+# each bound's value where neither the command line nor the config sets it
+DEFAULTS = {"depth": 2, "length": 2, "window": 20, "seed": 7}
+BOUND_NAMES = tuple(DEFAULTS)
 
 
 class Config(namedtuple("Config", "kind params generators bounds")):

@@ -171,12 +171,8 @@ def folner_mean(sg, X, N):
 
 
 def folner_constant(sg, X):
-    """c with folner_mean(X, N) >= 1 - c/N for every N >= folner_least_n(sg)."""
+    """c with folner_mean(X, N) >= 1 - c/N for every
+    N >= calculus(sg).folner_least_n()."""
     if X is EMPTY:
         raise UsageError("the empty set has no density constant")
     return calculus(sg).folner_constant(X)
-
-
-def folner_least_n(sg):
-    """The least N from which the bound of folner_constant holds."""
-    return calculus(sg).folner_least_n()

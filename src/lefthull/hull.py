@@ -9,18 +9,18 @@ the empty map; ``compose`` and ``star`` build their results unchecked.
 ``materialize_word`` is the independent oracle: it replays an alternating
 word pointwise on a finite window using only multiply and left_divide,
 never consulting the (g, X) algebra.  It and ``evaluate_word`` check the
-letters, then run the trusted bodies ``_replay`` and ``_evaluate``, which
-a caller whose letters are checked already calls directly.  It reads each point's step from the
-window rows of the two operations.  Window exits are tracked as boundary
-points and excluded from comparisons; a failed left_divide inside the
-window is genuine undefinedness.  A backend's own windows keep their ideal
-columns, letter rows and element actions, shared by every suite and the
-oracle; any other window is answered afresh.  The atoms star(lambda t)
-lambda s and the domains of composites are kept once per backend; an
-operation that raises stores nothing.  The domain of f after h is
-h^-1(dom f n ran h), a function of (dom f, h) alone: composites that
-share dom f and h share it.  The calculus answers it (``pullback``) and
-the window columns of an ideal (``window_positions``).
+letters, then run the trusted bodies ``_replay`` and ``_evaluate``, which a
+caller whose letters are checked already calls directly.  It reads each
+point's step from the window rows of the two operations.  Window exits are
+tracked as boundary points and excluded from comparisons; a failed
+left_divide inside the window is genuine undefinedness.  A backend's own
+windows keep their ideal columns, letter rows and element actions, shared
+by every suite and the oracle; any other window is answered afresh.  The
+atoms star(lambda t) lambda s and the domains of composites are kept once
+per backend; an operation that raises stores nothing.  The domain of f
+after h is h^-1(dom f n ran h), a function of (dom f, h) alone: composites
+that share dom f and h share it.  The calculus answers it (``pullback``)
+and the window columns of an ideal (``window_positions``).
 """
 
 from collections import namedtuple
@@ -331,16 +331,17 @@ def clifford_normal_form(sg, f, window_size=30):
     q = cal.principal_witness(f.dom)
     if q is None:
         raise InvariantViolation(
-            "domain %r is not principal on a backend passing the "
-            "principality test" % (f.dom,))
+            "domain %s is not principal on a backend passing the "
+            "principality test" % cal.render(f.dom))
     p = sg.act(f.grade, q)  # in S, as q is: neither is checked again
     win = sg.window_of_size(window_size)
     one = sg.identity()
     if compose(sg, _lambda(sg, p), star(sg, _lambda(sg, q))) != f or \
             not maps_agree(materialize_element(sg, f, win),
                            _replay(sg, [(one, p), (q, one)], win)):
-        raise InvariantViolation("normal form (%r, %r) does not recompose "
-                                 "to %r" % (p, q, f))
+        raise InvariantViolation(
+            "normal form (%s, %s) does not recompose to %s"
+            % (sg.render(p), sg.render(q), render_element(sg, f)))
     return (p, q)
 
 

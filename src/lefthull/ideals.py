@@ -13,7 +13,8 @@ preimage, key and rendering (see IdealCalculus):
                        semigroup's ``member_bits``
 * AxPlusB:             a pair (b, a) with a >= 1, 0 <= b < a, denoting
                        (b + aZ) x aZ^x
-* FiniteTable:         only the full ideal (every right ideal of a group is S)
+* FiniteTable:         the identity e alone, denoting eS = S (every
+                       nonempty right ideal of a group is S)
 
 The shared EMPTY sentinel denotes the empty ideal for every backend.
 
@@ -64,15 +65,6 @@ class _EmptyIdeal:
 
 EMPTY = _EmptyIdeal()
 
-
-class _TableFull:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "FULL"
-
-
-_TABLE_FULL = _TableFull()
 
 # the kind of meet key alone: past this many points of Z/L, ax+b keys its
 # members by themselves, met by intersect, as the lattice build, the same on
@@ -633,7 +625,8 @@ class _AxbIdeals(IdealCalculus, backend=AxPlusB):
 
 
 class _TableIdeals(IdealCalculus, backend=FiniteTable):
-    # in a group every nonempty right ideal is all of S
+    # in a group every nonempty right ideal is all of S = eS, so every
+    # operation on a nonempty ideal answers the identity, with no division
 
     reversible_proof = "every ideal of a group is the whole group"
     clifford_proof = "group: every principal ideal is S"
@@ -641,22 +634,16 @@ class _TableIdeals(IdealCalculus, backend=FiniteTable):
     def thick_witness(self, gs):
         return self.sg.identity(), "group translates cover everything"
 
-    def _full(self, *args):
-        return _TABLE_FULL
+    def _identity(self, *args):
+        return self.sg.identity()
 
-    full = principal = _preimage = _intersect = _image = _full
+    principal = _preimage = _intersect = _image = _identity
 
     def _member(self, x, X):
         return True
 
     def signatures(self, family):
         return [0 if X is EMPTY else 1 for X in family]
-
-    def principal_witness(self, X):
-        return self.sg.identity()
-
-    def _key(self, X):
-        return 0
 
 
 def calculus(sg):
@@ -681,10 +668,6 @@ def translate(sg, s, X):
 def preimage(sg, s, X):
     sg._check(s)
     return calculus(sg).preimage(s, X)
-
-
-def intersect(sg, X, Y):
-    return calculus(sg).intersect(X, Y)
 
 
 def reachable_ideals(sg, depth, generators=None):

@@ -57,12 +57,12 @@ from functools import cache, reduce
 from itertools import product, repeat
 from operator import and_, eq, ne
 
-from .hull import (OUT, ZERO, compose, domain, hull_sort_key, is_idempotent,
-                   lambda_, materialize_element, render_element, star,
+from .hull import (OUT, ZERO, compose, domain, is_idempotent, lambda_,
+                   materialize_element, render_element, star,
                    window_columns, window_row)
 from .ideals import calculus
 from .matrices import Matrix
-from .semigroups import InvariantViolation, UsageError, Window, set_bits
+from .semigroups import InvariantViolation, UsageError, set_bits
 
 
 def s_window(sg, size=None, bound=None):
@@ -72,15 +72,6 @@ def s_window(sg, size=None, bound=None):
         raise UsageError("give exactly one of size and bound")
     return sg.window_of_size(size if size is not None
                              else len(sg.window(bound)))
-
-
-def hull_window(sg, graph, include):
-    """The elements of the built hull ``graph``, then the lambda(s) for s
-    in the semigroup window ``include`` that it misses, so the intertwiner
-    always has its targets."""
-    extra = [lambda_(sg, s) for s in include]
-    return Window(list(graph.ordered) + sorted(
-        (f for f in extra if f not in graph.index), key=hull_sort_key(sg)))
 
 
 class TruncatedOperator(namedtuple("TruncatedOperator", "matrix safe")):

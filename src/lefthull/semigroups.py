@@ -26,13 +26,13 @@ the injection ``gamma``, ``generator_word``, ``fraction_basis`` and
 Folner densities are facts about ideals, stated by the calculus classes.
 
 ``Group`` and ``Semigroup`` list what a backend must define, and derive the
-rest for plain values: the key is the value, the rendering ``str``,
-``parse`` reads ``render``'s syntax and accepts what ``contains`` accepts,
-and ``group_element_of(g)`` is g where S holds it.
+rest for plain values: the key is the value, the rendering ``str`` or
+``(a,b,...)`` without spaces, ``parse`` reads it back and accepts what
+``contains`` accepts, and ``group_element_of(g)`` is g where S holds it.
 """
 
 from functools import cached_property
-from itertools import compress, count, product
+from itertools import combinations, compress, count, pairwise, product
 import math
 from operator import add, invert, neg, sub
 
@@ -104,14 +104,19 @@ class Value:
     __delattr__ = __setattr__
 
 
+def _text(x):
+    # the default rendering, which Semigroup.parse reads back
+    return "(%s)" % ",".join(map(str, x)) if isinstance(x, tuple) else str(x)
+
+
 # ---------------------------------------------------------------------------
 # groups
 
 
 class Group(Value):
     """A concrete group with canonical hashable element values.  It defines
-    ``identity``, ``mul``, ``inv`` and ``contains``; ``key`` (the value) and
-    ``render`` (``str``) are derived, for int values."""
+    ``identity``, ``mul``, ``inv`` and ``contains``; ``key`` (the value)
+    and ``render`` (``str`` or ``(a,b,...)``) are derived for plain values."""
 
     def identity(self):
         raise NotImplementedError
@@ -129,8 +134,7 @@ class Group(Value):
         """Total order key; used only for deterministic output."""
         return g
 
-    def render(self, g):
-        return str(g)
+    render = staticmethod(_text)
 
     def power(self, g, n):
         if n < 0:
@@ -219,9 +223,6 @@ class Integers(Group):
     def contains(self, g):
         return (isinstance(g, tuple) and len(g) == self.rank
                 and all(isinstance(a, int) for a in g))
-
-    def render(self, g):
-        return "(" + ",".join(str(a) for a in g) + ")"
 
     def describe(self):
         return "Z" if self.rank == 1 else "Z^%d" % self.rank
@@ -357,9 +358,9 @@ class Semigroup(Value):
     A backend defines ``contains``, ``identity``, ``_mul``, ``_ldiv``,
     ``_embed``, ``act``, ``generators``, ``window``, ``describe`` and
     ``units_trivial``.  For values that are their own grades the rest is
-    derived: ``key`` is the value, ``render`` is ``str``, ``parse`` reads
-    render's syntax and accepts what ``contains`` accepts, and
-    ``group_element_of(g)`` is g where S holds it.
+    derived: ``key`` is the value, ``render`` is ``str`` or ``(a,b,...)``,
+    ``parse`` reads render's syntax and accepts what ``contains`` accepts,
+    and ``group_element_of(g)`` is g where S holds it.
 
     An instance keeps its calculus and three memo dicts: windows by size
     (each ``Window`` keeps what is computed on it), hull atoms by letter
@@ -469,8 +470,7 @@ class Semigroup(Value):
         """Total order key consistent with window order."""
         return x
 
-    def render(self, x):
-        return str(x)
+    render = staticmethod(_text)
 
     def parse(self, text):
         """The element x that ``text`` renders, whitespace aside: an int, or
@@ -637,25 +637,16 @@ class PositiveCone(Semigroup):
         return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
 
     def window(self, bound):
-        out = []
-        for total in range(bound + 1):
-            out.extend(self._compositions(total, self.dimension))
-        return out
-
-    def _compositions(self, total, parts):
-        if parts == 1:
-            return [(total,)]
-        out = []
-        for first in range(total + 1):
-            for rest in self._compositions(total - first, parts - 1):
-                out.append((first,) + rest)
-        return out
+        # by total n, then lexicographically: the d - 1 bars among n + d - 1
+        # slots, in combinations' order, part the n stars left to right
+        d = self.dimension
+        return [tuple(b - a - 1 for a, b in
+                      pairwise((-1,) + bars + (n + d - 1,)))
+                for n in range(bound + 1)
+                for bars in combinations(range(n + d - 1), d - 1)]
 
     def key(self, x):
         return (sum(x), x)
-
-    def render(self, x):
-        return "(" + ",".join(str(a) for a in x) + ")"
 
     def describe(self):
         return "PositiveCone(%d)" % self.dimension
@@ -871,9 +862,6 @@ class AxPlusB(Semigroup):
     def key(self, x):
         b, a = x
         return (max(abs(b), abs(a)), a, abs(b), 0 if b >= 0 else 1)
-
-    def render(self, x):
-        return "(%d,%d)" % x
 
     def describe(self):
         return "AxPlusB"

@@ -1,16 +1,18 @@
 """The backend bodies that ``Semigroup`` now derives: the oracle for its
-default ``parse`` and ``group_element_of`` and for the ax+b and free
-windows.
+default ``parse``, ``group_element_of`` and ``render``, and for the ax+b,
+free and cone windows.
 
 Each ``parse`` below is the body its backend stated for itself, with its own
 checks in place of ``contains``; each ``group_element_of`` re-checks
-membership in its own way; the ax+b window spells out its order grade by
-grade, and the free window builds each length from the one before.  Every
-function takes the backend (or its parameter) as its first argument.
+membership in its own way; each ``render`` is the body its class stated
+before ``Group`` and ``Semigroup`` rendered int tuples; the ax+b window
+spells out its order grade by grade, the free window builds each length
+from the one before, and the cone window recurses on the first coordinate.
+Every function takes the backend (or its parameter) as its first argument.
 """
 
-from lefthull import (AxPlusB, FiniteTable, NumericalSemigroup, PositiveCone,
-                      UsageError)
+from lefthull import (AxPlusB, FiniteGroup, FiniteTable, Integers,
+                      NumericalSemigroup, PositiveCone, UsageError)
 
 
 # -- parse ------------------------------------------------------------------
@@ -86,6 +88,34 @@ GROUP_ELEMENT_OF = {
 }
 
 
+# -- render -----------------------------------------------------------------
+
+def integers_render(G, g):
+    return "(" + ",".join(str(a) for a in g) + ")"
+
+
+def cone_render(sg, x):
+    return "(" + ",".join(str(a) for a in x) + ")"
+
+
+def axb_render(sg, x):
+    return "(%d,%d)" % x
+
+
+def str_render(sg, x):
+    return str(x)
+
+
+RENDER = {
+    PositiveCone: cone_render,
+    NumericalSemigroup: str_render,
+    AxPlusB: axb_render,
+    FiniteTable: str_render,
+    Integers: integers_render,
+    FiniteGroup: str_render,
+}
+
+
 # -- windows ----------------------------------------------------------------
 
 def axb_window(bound):
@@ -112,4 +142,23 @@ def free_window(alphabet_size, bound):
     for _ in range(bound):
         level = [w + (l,) for w in level for l in range(alphabet_size)]
         out.extend(level)
+    return out
+
+
+def compositions(total, parts):
+    """The tuples of ``parts`` nonnegative ints summing to ``total``, the
+    first coordinate slowest."""
+    if parts == 1:
+        return [(total,)]
+    out = []
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            out.append((first,) + rest)
+    return out
+
+
+def cone_window(dimension, bound):
+    out = []
+    for total in range(bound + 1):
+        out.extend(compositions(total, dimension))
     return out

@@ -23,6 +23,10 @@ those memos; the walks above compose with this ``compose`` too.
 window's letter rows and element actions: one ``_mul``, ``act`` or
 ``_ldiv`` per window point.
 
+``hull_window`` is the hull window of ``lefthull matrix``, as the
+function ``operators`` kept for it: the built hull, then the lambda(s) it
+misses, for s in the semigroup window.
+
 ``semilattice_pair`` is the pairwise semilattice suite, the oracle for
 the suite that decides the relation one window column at a time.
 
@@ -50,7 +54,7 @@ from lefthull.hull import (OUT, ZERO, PartialMap, _element, domain,
 from lefthull.ideals import EMPTY, calculus
 from lefthull.matrices import Matrix
 from lefthull.operators import RelationReport, TruncatedOperator, _mismatch
-from lefthull.semigroups import InvariantViolation, UsageError
+from lefthull.semigroups import InvariantViolation, UsageError, Window
 
 
 def compose(sg, f, h):
@@ -191,6 +195,14 @@ def hull_matrix(sg, f, window):
             entries[j] = index[ft]
             safe.add(j)
     return TruncatedOperator(Matrix(n, n, entries), frozenset(safe))
+
+
+def hull_window(sg, graph, include):
+    """The elements of the built hull ``graph``, then the lambda(s) for s
+    in the semigroup window ``include`` that it misses."""
+    extra = [lambda_(sg, s) for s in include]
+    return Window(list(graph.ordered) + sorted(
+        (f for f in extra if f not in graph.index), key=hull_sort_key(sg)))
 
 
 def covariance_safe(sg, s, window):

@@ -1,12 +1,14 @@
 """The derived backend facts against the bodies each backend once stated for
 itself (backend_oracle.py): ``Semigroup.parse`` on texts in and out of the
 render syntax, ``Semigroup.group_element_of`` on grades in and out of S,
-and the ax+b and free windows."""
+the derived ``render`` of elements and grades, the ax+b, free and cone
+windows, and the ideals of a group on the principal defaults."""
 
 import pytest
 
-from lefthull import (AxPlusB, FiniteTable, FreeMonoid, NumericalSemigroup,
-                      PositiveCone, UsageError, cyclic_table)
+from lefthull import (EMPTY, AxPlusB, FiniteTable, FreeMonoid,
+                      NumericalSemigroup, PositiveCone, UsageError, calculus,
+                      cyclic_table)
 
 import backend_oracle as oracle
 
@@ -124,3 +126,55 @@ def test_axb_window_is_the_stated_order(bound):
                          + [(27, b) for b in range(3)])
 def test_free_window_is_the_level_loop(k, bound):
     assert FreeMonoid(k).window(bound) == oracle.free_window(k, bound)
+
+
+@pytest.mark.parametrize("d, bound", [(d, b) for d in (1, 2, 3, 4, 5, 6, 12)
+                                      for b in range(6)]
+                         + [(27, b) for b in range(3)])
+def test_cone_window_is_the_recursive_compositions(d, bound):
+    assert PositiveCone(d).window(bound) == oracle.cone_window(d, bound)
+
+
+RENDERED = [
+    FreeMonoid(2),
+    PositiveCone(1),
+    PositiveCone(3),
+    NumericalSemigroup((3, 5)),
+    AxPlusB(),
+    FiniteTable(cyclic_table(6)),
+]
+
+
+@pytest.mark.parametrize("sg", RENDERED, ids=ids)
+def test_render_agrees_with_the_stated_bodies(sg):
+    # each window element, and its grade and gamma image in each group whose
+    # rendering is derived: Z^n (the cone's grades, the free monoid's word
+    # lengths) and a table's group
+    seen = 0
+    for x in sg.window_of_size(60):
+        for where, value in ((sg, x), (sg.grading_group(), sg.embed(x)),
+                             (sg.fraction_group, sg.gamma(x))):
+            body = oracle.RENDER.get(type(where))
+            if body:
+                assert where.render(value) == body(where, value), value
+                seen += 1
+    assert seen >= len(sg.window_of_size(60))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_a_group_has_one_ideal_the_identity(n):
+    # every nonempty right ideal of a group is S = eS: each operation on a
+    # nonempty ideal answers e, which sorts and prints as the full ideal did
+    sg = FiniteTable(cyclic_table(n))
+    cal, e = calculus(sg), sg.identity()
+    X = cal.full()
+    assert X == e
+    for s in sg.window_of_size(n):
+        assert cal.principal(s) == e
+        assert cal.translate(s, X) == cal.preimage(s, X) == e
+        assert cal.image(sg.embed(s), X) == e
+        assert cal.principal_witness(X) == e
+    assert cal.intersect(X, X) == e
+    assert cal.intersect(X, EMPTY) is EMPTY
+    assert cal.key(X) == (0, 0) and cal.key(EMPTY) == (1,)
+    assert cal.render(X) == "S"

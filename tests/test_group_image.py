@@ -10,8 +10,7 @@ from lefthull import (AxPlusB, EMPTY, FreeMonoid, Integers, IntegerLattice,
                       constructible_closure, cyclic_table, principal)
 from lefthull.group_image import (ExtendedHomomorphism, Homomorphism,
                                   apply_homomorphism, extend_homomorphism,
-                                  folner_constant, folner_least_n,
-                                  folner_mean, gamma,
+                                  folner_constant, folner_mean, gamma,
                                   group_of_S, is_left_reversible,
                                   left_thick_check, validate_homomorphism)
 
@@ -318,7 +317,7 @@ def test_folner_mean_is_exact_fraction():
 def test_folner_constant_bound():
     cone = PositiveCone(2)
     assert folner_constant(cone, (1, 2)) == 3
-    assert folner_least_n(cone) == 1
+    assert calculus(cone).folner_least_n() == 1
     for N in (10, 50, 400):
         assert folner_mean(cone, (1, 2), N) >= 1 - Fraction(3, N)
 
@@ -345,7 +344,7 @@ def test_folner_bound_holds_from_least_n(gens):
     # the bound of folner_constant holds from twice the conductor on, and
     # the range is needed: below it the bound fails for some ideal
     sg = NumericalSemigroup(gens)
-    least = folner_least_n(sg)
+    least = calculus(sg).folner_least_n()
     assert least == 2 * sg.conductor
     family = [X for X in constructible_closure(sg, 2) if X is not EMPTY]
 
@@ -363,7 +362,7 @@ def test_folner_unsupported():
     with pytest.raises(UnsupportedOperation):
         folner_mean(AxPlusB(), EMPTY, 10)
     with pytest.raises(UnsupportedOperation):
-        folner_least_n(AxPlusB())
+        calculus(AxPlusB()).folner_least_n()
     with pytest.raises(UsageError):
         folner_constant(PositiveCone(2), EMPTY)
     with pytest.raises(UsageError):

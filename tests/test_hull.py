@@ -8,9 +8,8 @@ import pytest
 from lefthull import hull
 from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
                       InvariantViolation, NumericalSemigroup, PositiveCone,
-                      UnsupportedOperation, UsageError, constructible_closure,
-                      reachable_ideals,
-                      cyclic_table)
+                      UnsupportedOperation, UsageError, Verdict,
+                      constructible_closure, reachable_ideals, cyclic_table)
 from lefthull.hull import (ZERO, HullElement, PartialMap,
                            clifford_normal_form,
                            compose, enumerate_hull, estar_unitary_report,
@@ -385,3 +384,19 @@ def test_normal_form_replay_catches_a_wrong_q(monkeypatch):
     monkeypatch.setattr(hull, "compose", lambda sg, a, b: f)
     with pytest.raises(InvariantViolation, match="does not recompose"):
         clifford_normal_form(sg, f)
+    # both failures render their values: on <2,3>, with the principality
+    # test passed by fiat, the domain 2S is the pair of ints (4, 4), which
+    # prints as {2,4,5,6,...}, and the grade 1 as +1
+    num = NumericalSemigroup((2, 3))
+    g = HullElement(1, hull.calculus(num).principal(2))
+    monkeypatch.setattr(hull, "clifford_check", lambda sg: Verdict(True))
+    ncal = hull.calculus(num)
+    monkeypatch.setattr(ncal, "principal_witness", lambda X: None)
+    with pytest.raises(InvariantViolation, match=r"^domain \{2,4,5,6,\.\.\.\} "
+                                                 r"is not principal on"):
+        clifford_normal_form(num, g)
+    monkeypatch.setattr(ncal, "principal_witness", lambda X: 4)
+    with pytest.raises(InvariantViolation,
+                       match=r"^normal form \(5, 4\) does not recompose to "
+                             r"\+1 \| \{2,4,5,6,\.\.\.\}$"):
+        clifford_normal_form(num, g)

@@ -12,8 +12,7 @@ import pytest
 from lefthull import (AxPlusB, EMPTY, FiniteTable, FreeMonoid,
                       NumericalSemigroup, PositiveCone, clifford_check,
                       constructible_closure, cyclic_table,
-                      independence_check, intersect, preimage, principal,
-                      translate)
+                      independence_check, preimage, principal, translate)
 from lefthull.ideals import calculus, reachable_ideals
 
 BACKENDS = [
@@ -189,18 +188,19 @@ def test_frozen_translate_preimage_intersect():
     num = NumericalSemigroup((2, 3))
     assert translate(num, 2, (5, 0)) == (7, 0)
     assert preimage(num, 2, (5, 0)) == (3, 0)
-    assert intersect(num, principal(num, 2), principal(num, 3)) == (5, 0)
+    assert calculus(num).intersect(principal(num, 2),
+                                   principal(num, 3)) == (5, 0)
     cone = PositiveCone(2)
-    assert intersect(cone, principal(cone, (1, 0)),
-                     principal(cone, (0, 1))) == (1, 1)
+    assert calculus(cone).intersect(principal(cone, (1, 0)),
+                                    principal(cone, (0, 1))) == (1, 1)
     assert preimage(cone, (2,) * 2, principal(cone, (5, 5))) == (3, 3)
     fm = FreeMonoid(2)
     assert preimage(fm, (0,), principal(fm, (1,))) is EMPTY
     assert preimage(fm, (0,), principal(fm, (0, 1))) == (1,)
     assert preimage(fm, (0, 1), principal(fm, (0,))) == ()
     axb = AxPlusB()
-    assert intersect(axb, (0, 2), (1, 2)) is EMPTY
-    assert intersect(axb, (0, 2), (0, 3)) == (0, 6)
+    assert calculus(axb).intersect((0, 2), (1, 2)) is EMPTY
+    assert calculus(axb).intersect((0, 2), (0, 3)) == (0, 6)
 
 
 def test_frozen_membership():
@@ -223,8 +223,8 @@ def test_constructible_closure_frozen_families():
     num = NumericalSemigroup((2, 3))
     fam = constructible_closure(num, 3)
     assert (1, 0) in fam  # the set {2,3,4,...}
-    two_steps = preimage(num, 2, preimage(
-        num, 2, intersect(num, principal(num, 2), principal(num, 3))))
+    two_steps = preimage(num, 2, preimage(num, 2, calculus(num).intersect(
+        principal(num, 2), principal(num, 3))))
     assert two_steps == (1, 0)
 
 

@@ -22,14 +22,15 @@ from lefthull.hull import (ZERO, HullElement, PartialMap, compose,
 from lefthull.ideals import meet_keys
 from lefthull.matrices import Matrix
 from lefthull.operators import (RELATION_KINDS, RelationReport,
-                                TruncatedOperator, Window, expectation_loop,
-                                hull_window, intertwiner_matrix,
-                                isometry_matrix, regular_rep_matrix, s_window,
-                                verify_relation)
+                                TruncatedOperator, expectation_loop,
+                                intertwiner_matrix, isometry_matrix,
+                                regular_rep_matrix, s_window, verify_relation)
+from lefthull.semigroups import Window
 
 import hull_oracle
 from dense_oracle import dense, dense_identity, dense_mul, dense_product
-from hull_oracle import apply_element, char_projection, element_matrix
+from hull_oracle import (apply_element, char_projection, element_matrix,
+                         hull_window)
 from test_checks import count_calls
 from word_oracle import level_walk
 
@@ -121,14 +122,21 @@ def test_window_columns_answered_once_per_window(sg, monkeypatch):
                              if cal.is_member(t, X))
 
 
-def test_hull_window_appends_lambdas():
+def test_matrix_hull_window_appends_lambdas(tmp_path, capsys):
+    # the intertwiner's rows are the hull, then the lambda(s) it misses:
+    # the window of 12 points reaches past the hull of length 1
     W, graph = s_window(LINE, size=12), hull_graph(LINE, 1)
     HW = hull_window(LINE, graph, include=W)
-    for s in W:
-        assert lambda_(LINE, s) in HW
-    # the hull comes first, and an empty window adds nothing
     assert HW[:len(graph.ordered)] == graph.ordered
-    assert hull_window(LINE, graph, include=()) == graph.ordered
+    assert len(HW) > len(graph.ordered)
+    assert lefthull.cli.main(["matrix", os.path.join(CONFIGS, "zplus.cfg"),
+                              "--length", "1", "--window", "12",
+                              "--out", str(tmp_path)]) == 0
+    assert "hull.window: %d\n" % len(HW) in capsys.readouterr().out
+    head, *rows = (tmp_path / "intertwiner.txt").read_text().splitlines()
+    assert head == "%d %d %d" % (len(HW), len(W), len(W))
+    assert sorted(rows) == sorted("%d %d 1" % (HW.index[lambda_(LINE, s)], j)
+                                  for j, s in enumerate(W))
 
 
 # ---------------------------------------------------------------------------
