@@ -100,13 +100,13 @@ def is_idempotent(sg, f):
     return f is ZERO or f.grade == sg.grading_group().identity()
 
 
-def atom(sg, t, s):
+def atom(sg, t, s, star_t=None):
     """star(lambda(t)) lambda(s) for letters already checked, composed once
-    per backend and pair."""
+    per backend and pair; star_t, if given, is star(lambda(t))."""
     a = sg._atoms.get((t, s))
     if a is None:
-        a = sg._atoms[t, s] = compose(sg, star(sg, _lambda(sg, t)),
-                                      _lambda(sg, s))
+        star_t = star_t or star(sg, _lambda(sg, t))
+        a = sg._atoms[t, s] = compose(sg, star_t, _lambda(sg, s))
     return a
 
 
@@ -165,7 +165,11 @@ def hull_graph(sg, length, generators=None):
     ends = (sg.identity(),) + tuple(
         generators if generators is not None else sg.generators())
     sg._check(*ends)
-    atoms = tuple(atom(sg, t, s) for t in ends for s in ends)
+    atoms = ()
+    for t in ends:  # star(lambda t) once, and only if an atom is not kept
+        new = [s for s in ends if (t, s) not in sg._atoms]
+        star_t = star(sg, _lambda(sg, t)) if new else None
+        atoms += tuple(atom(sg, t, s, star_t) for s in ends)
     first = {}  # each distinct atom, in order of first occurrence
     slot = [first.setdefault(a, len(first)) for a in atoms]
     elements = [identity_element(sg)]

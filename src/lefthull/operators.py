@@ -42,8 +42,9 @@ is the first word with its state: the first word w0 with the state of w
 fails as w0 p, no later, so w = w0, the word a word-by-word walk names.
 Pairs with one atom (one successor from every element), one A_p and one
 Z_p make one transition from every state, so such a class is walked once,
-by its first pair, with its size as a multiplicity.  Words off grade 1 at
-the last level are dropped unformed.
+by its first pair, with its size as a multiplicity.  V_t* and its
+undefined points are read once per letter, each pair's A_p and Z_p off
+them (``pair_classes``).  Words off grade 1 at the last level go unformed.
 
 The intertwiner suite builds T* L(f) T from the columns of L(f) at the
 lambda(s) that T hits.  L(f) keeps lambda(s) when star(f) f lambda(s) =
@@ -54,7 +55,7 @@ injective, must be f's kept action off the points f sends out of W.
 
 from collections import namedtuple
 from functools import cache, reduce
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from operator import and_, eq, ne
 
 from .hull import (OUT, ZERO, compose, domain, is_idempotent, lambda_,
@@ -165,6 +166,27 @@ def _first_pair(sg, W, lattice):
     return None
 
 
+def pair_classes(sg, W, graph):
+    """The t-major pairs by class (atom, product, annihilated set), each as
+    [slot, pair, product, (bit, position) per nonzero column, zero, size]."""
+    n = len(W)  # the zero slot of a product: V_s and V_t* read as products
+    up = {s: tuple(n if i is OUT else i for i in _letter_row(sg, s, W))
+          + (n,) for s in graph.ends}
+    ldiv = {t: window_row(sg, "_ldiv", t, W) + (OUT,) for t in graph.ends}
+    down = {t: tuple(n if u is None or u is OUT else u for u in row)
+            for t, row in ldiv.items()}
+    undefined = {t: [u is None for u in row] for t, row in ldiv.items()}
+    classes = {}
+    for k, (t, s) in enumerate(product(graph.ends, repeat=2)):
+        A = tuple(map(down[t].__getitem__, up[s]))
+        zero = _bits(compress(range(n), map(undefined[t].__getitem__, up[s])))
+        if (key := (graph.atoms[k], A, zero)) not in classes:  # first seen
+            classes[key] = [k, (t, s), A, [(1 << c, a) for c, a in
+                                           enumerate(A[:n]) if a < n], zero, 0]
+        classes[key][5] += 1
+    return list(classes.values())
+
+
 def _mismatch(kind, instance):
     raise InvariantViolation("%s relation failed at %s" % (kind, instance))
 
@@ -231,24 +253,9 @@ def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):
 
     elif kind == "cs-grade-one":
         # identity-graded words act as the projection onto their domain;
-        # each word extends a word of the previous level by one pair.  n is
-        # the zero slot of a product, so V_s and V_t* are read as products
+        # each word extends a word of the previous level by one pair
         graded = [is_idempotent(sg, f) for f in graph.elements]
-        up = {s: tuple(n if i is OUT else i for i in _letter_row(sg, s, W))
-              + (n,) for s in graph.ends}
-        # the t-major pairs by class (atom, product, annihilated set): the
-        # atom slot, first pair, product, the (bit, position) of each of
-        # its nonzero columns, annihilated set and size of each
-        classes = {}
-        for k, (t, s) in enumerate(product(graph.ends, repeat=2)):
-            ldiv = window_row(sg, "_ldiv", t, W) + (OUT,)
-            A = tuple(n if (u := ldiv[i]) is None or u is OUT else u
-                      for i in up[s])
-            zero = _bits(j for j, i in enumerate(up[s]) if ldiv[i] is None)
-            classes.setdefault((graph.atoms[k], A, zero), [
-                k, (t, s), A, [(1 << c, a) for c, a in enumerate(A[:n])
-                               if a < n], zero, 0])[5] += 1
-        pool = list(classes.values())
+        pool = pair_classes(sg, W, graph)
         # a level maps each distinct state (id, product, safe set) to [its
         # first word, its multiplicity], in order of first occurrence
         level = {(0, tuple(range(n + 1)), (1 << n) - 1): [(), 1]}

@@ -32,7 +32,7 @@ rest for plain values: the key is the value, the rendering ``str`` or
 """
 
 from functools import cached_property
-from itertools import combinations, compress, count, pairwise, product
+from itertools import combinations, compress, count, pairwise, product, repeat
 import math
 from operator import add, invert, neg, sub
 
@@ -907,7 +907,8 @@ class FiniteTable(Semigroup):
         if n == 0:
             raise UsageError("empty table")
         for i, row in enumerate(table):
-            if len(row) != n or any(not isinstance(v, int) or not 0 <= v < n for v in row):
+            if len(row) != n or not all(map(isinstance, row, repeat(int))) \
+                    or min(row) < 0 or max(row) >= n:
                 raise UsageError("row %d is not a permutation-sized row of indices" % i)
         e = self.identity_index
         if not 0 <= e < n:
@@ -969,5 +970,8 @@ class FiniteTable(Semigroup):
 
 
 def cyclic_table(n):
-    """Multiplication table of Z/n; handy for tests and examples."""
-    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    """Z/n's multiplication table, row i the first row rotated by i."""
+    if n < 1:
+        raise UsageError("cyclic order must be >= 1, got %d" % n)
+    row = tuple(range(n))
+    return tuple(row[i:] + row[:i] for i in range(n))

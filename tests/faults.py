@@ -331,4 +331,38 @@ FAULTS = (
           ("tests/test_operators.py"
            "::test_semilattice_suite_matches_oracle_on_configs[cone2]",
            "tests/test_pinned_outputs.py::test_output_is_pinned[check-axb]")),
+    Fault("pair-classes-v-t-star-off-mul", "operators.py",
+          "    ldiv = {t: window_row(sg, \"_ldiv\", t, W) + (OUT,)"
+          " for t in graph.ends}\n",
+          "    ldiv = {t: window_row(sg, \"_mul\", t, W) + (OUT,)"
+          " for t in graph.ends}\n",
+          ("tests/test_word_oracle.py"
+           "::test_pair_classes_match_the_pair_by_pair_build[cyc12-2]",
+           "tests/test_pinned_outputs.py::test_output_is_pinned[check-axb]")),
+    Fault("pair-classes-undefined-at-out", "operators.py",
+          "    undefined = {t: [u is None for u in row]"
+          " for t, row in ldiv.items()}\n",
+          "    undefined = {t: [u is OUT for u in row]"
+          " for t, row in ldiv.items()}\n",
+          ("tests/test_word_oracle.py"
+           "::test_pair_classes_match_the_pair_by_pair_build[free2-2]",
+           "tests/test_word_oracle.py"
+           "::test_pair_classes_match_the_pair_by_pair_build[cone2-3]")),
+    Fault("hull-graph-star-of-s", "hull.py",
+          "        star_t = star(sg, _lambda(sg, t)) if new else None\n",
+          "        star_t = star(sg, _lambda(sg, new[0])) if new else None\n",
+          ("tests/test_hull_memos.py"
+           "::test_hull_graph_takes_one_star_per_letter",
+           "tests/test_pinned_outputs.py::test_output_is_pinned[check-axb]")),
+    Fault("table-row-check-admits-n", "semigroups.py",
+          "                    or min(row) < 0 or max(row) >= n:\n",
+          "                    or min(row) < 0 or max(row) > n:\n",
+          ("tests/test_associativity.py"
+           "::test_row_check_gives_the_oracle_message[equal-to-n]",)),
+    Fault("normal-form-checks-the-first-element-only", "checks.py",
+          "        for f in dict.fromkeys(fs):"
+          "  # once each: a function of f alone\n",
+          "        for f in list(dict.fromkeys(fs))[:1]:\n",
+          ("tests/test_checks.py"
+           "::test_normal_form_runs_once_per_distinct_element",)),
 )

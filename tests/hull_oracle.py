@@ -30,6 +30,11 @@ misses, for s in the semigroup window.
 ``semilattice_pair`` is the pairwise semilattice suite, the oracle for
 the suite that decides the relation one window column at a time.
 
+``pair_classes`` is the cs-grade-one class build as ``operators`` ran it
+before it read V_t* and its undefined points once per letter: each pair
+reads the ``_ldiv`` row of t through V_s, and builds its class's entry,
+which ``setdefault`` keeps only when the class is new.
+
 ``verify_relation`` and ``expectation_loop`` are the relation suites and
 the expectation loop as ``operators`` ran them on ``Matrix`` values, before
 they read window rows, column bitsets and kept actions directly: V_s the
@@ -262,6 +267,26 @@ def semilattice_pair(sg, W, lattice):
             return "semilattice X=%s Y=%s" % (lattice.render(i),
                                              lattice.render(k))
     return None
+
+
+def pair_classes(sg, W, graph):
+    """The classes (atom, product, annihilated set) of the t-major pairs,
+    each as [atom slot, first pair, product, (bit, position) of each
+    nonzero column, annihilated set, size], built pair by pair."""
+    n = len(W)
+    up = {s: tuple(n if i is OUT else i
+                   for i in operators._letter_row(sg, s, W)) + (n,)
+          for s in graph.ends}
+    classes = {}
+    for k, (t, s) in enumerate(product(graph.ends, repeat=2)):
+        ldiv = window_row(sg, "_ldiv", t, W) + (OUT,)
+        A = tuple(n if (u := ldiv[i]) is None or u is OUT else u
+                  for i in up[s])
+        zero = sum(1 << j for j, i in enumerate(up[s]) if ldiv[i] is None)
+        classes.setdefault((graph.atoms[k], A, zero), [
+            k, (t, s), A, [(1 << c, a) for c, a in enumerate(A[:n])
+                           if a < n], zero, 0])[5] += 1
+    return list(classes.values())
 
 
 def verify_relation(sg, kind, W, lattice=None, graph=None, generators=None):

@@ -1,8 +1,17 @@
 """The validation of a multiplication table as FiniteTable ran it before
-Light's test: every check in the same order, and associativity tested on
-all n^3 triples.  The oracle for ``associativity_witness``."""
+Light's test: every check in the same order, each row tested entry by
+entry, and associativity tested on all n^3 triples.  The oracle for
+``associativity_witness`` and for FiniteTable's row check.
+
+``sum_table`` is Z/n's table by the formula (i + j) % n, as
+``cyclic_table`` built it before it rotated one row."""
 
 from lefthull import UsageError
+
+
+def sum_table(n):
+    """Z/n's multiplication table, entry by entry."""
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
 
 
 def triple_loop_witness(table):

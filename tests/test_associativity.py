@@ -1,5 +1,7 @@
 """Light's associativity test (``associativity_witness``, run by
-FiniteTable) against the n^3 triple loop it replaced (table_oracle.py)."""
+FiniteTable) against the n^3 triple loop it replaced, FiniteTable's row
+check against the entry-by-entry one, and ``cyclic_table`` against the
+sum formula (table_oracle.py)."""
 
 from itertools import product
 import random
@@ -9,7 +11,7 @@ import pytest
 from lefthull import FiniteTable, UsageError, cyclic_table
 from lefthull.semigroups import associativity_witness
 
-from table_oracle import triple_loop_witness, validate
+from table_oracle import sum_table, triple_loop_witness, validate
 
 
 def fillings_3x3():
@@ -138,3 +140,55 @@ def test_nonassociative_latin_square_is_rejected_off_the_identity():
     assert triple_loop_witness(table) is not None
     with pytest.raises(UsageError, match="not associative"):
         FiniteTable(table)
+
+
+def test_cyclic_table_is_the_sum_table():
+    for n in range(1, 61):
+        assert cyclic_table(n) == sum_table(n), n
+
+
+@pytest.mark.parametrize("n", [0, -1, -48])
+def test_cyclic_table_refuses_an_order_below_one(n):
+    with pytest.raises(UsageError,
+                       match="^cyclic order must be >= 1, got %d$" % n):
+        cyclic_table(n)
+
+
+def with_row(i, row, n=4):
+    """Z/n with row i replaced."""
+    table = list(cyclic_table(n))
+    table[i] = row
+    return tuple(table)
+
+
+# each a table whose row check fails, or, where True stands for 1 or 0,
+# passes to a later check, in FiniteTable as in the entry-by-entry oracle
+BAD_ROWS = {
+    "float": with_row(2, (2, 3, 0, 1.0)),
+    "str": with_row(2, (2, 3, 0, "1")),
+    "none": with_row(2, (2, None, 0, 1)),
+    "str-then-negative": with_row(2, ("2", -1, 0, 1)),
+    "negative": with_row(2, (2, -1, 0, 1)),
+    "equal-to-n": with_row(2, (2, 4, 0, 1)),
+    "above-n": with_row(2, (2, 9, 0, 1)),
+    "short": with_row(2, (2, 3, 0)),
+    "long": with_row(2, (2, 3, 0, 1, 2)),
+    "empty": with_row(2, ()),
+    "first-row": with_row(0, (0, 1, 2, 4)),
+    "true-for-one": with_row(3, (3, 0, True, 2)),
+    "true-for-zero": with_row(2, (2, 3, True, 1)),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ROWS)
+def test_row_check_gives_the_oracle_message(name):
+    table = BAD_ROWS[name]
+    new, old = verdict(FiniteTable, table), verdict(validate, table)
+    assert new == old
+    if name == "true-for-one":
+        assert new is None
+    elif name == "true-for-zero":
+        assert new == "not left cancellative: row 2 repeats a value"
+    else:
+        row = 0 if name == "first-row" else 2
+        assert new == "row %d is not a permutation-sized row of indices" % row

@@ -73,7 +73,8 @@ def test_check_on_a_cyclic_table_keeps_its_hull_work(monkeypatch, tmp_path,
     # the sampled hull checks read atoms, letter rows and element actions
     # from the backend's memos; composing each word's atoms again and
     # multiplying each letter across the window again took 1,406 composes
-    # and 5,788 products on this command, the memos 1,021 and 2,344
+    # and 5,788 products on this command, the memos 1,021 and 2,344, and
+    # normalising each distinct element once 995 composes
     path = tmp_path / "cyc14.cfg"
     path.write_text("kind = table\nparams = cyclic 14\n")
     composes = count_calls(monkeypatch, lefthull.hull, "compose")
@@ -82,15 +83,29 @@ def test_check_on_a_cyclic_table_keeps_its_hull_work(monkeypatch, tmp_path,
                         products.append(a) or mul(self, a, b))
     assert main(["check", str(path), "--seed", "7"]) == 0
     assert "failures: 0" in capsys.readouterr().out
-    assert len(composes) <= 1150
+    assert len(composes) <= 995
     assert len(products) <= 2900
+
+
+def test_normal_form_runs_once_per_distinct_element(monkeypatch, tmp_path,
+                                                    capsys):
+    # the normal form is a function of (backend, f), so a repeat verifies
+    # nothing new: the 40 sampled words on Z/12 reach 12 distinct nonzero
+    # elements, and the detail still counts the words
+    path = tmp_path / "cyc12.cfg"
+    path.write_text("kind = table\nparams = cyclic 12\n")
+    calls = count_calls(monkeypatch, lefthull.hull, "clifford_normal_form")
+    assert main(["check", str(path), "--seed", "7"]) == 0
+    assert "check.normal-form: ok (40 elements)\n" in capsys.readouterr().out
+    assert len(calls) == 12
+    assert len({f for _, f in calls}) == 12
 
 
 def test_check_on_axb_keeps_each_composite_domain(monkeypatch, capsys):
     # compose reads the domain of f h from the backend's memo by (dom f, h),
     # so a repeated pair costs no image: working each domain out afresh
-    # took 13,693 images for the same 6,797 composes on this command, the
-    # memo 5,001
+    # took 13,693 images for 6,797 composes on this command, the memo
+    # 5,001; normalising each distinct element once takes 6,786 composes
     composes = count_calls(monkeypatch, lefthull.hull, "compose")
     images, image = [], IdealCalculus.image
     monkeypatch.setattr(IdealCalculus, "image", lambda self, g, X:
@@ -98,7 +113,7 @@ def test_check_on_axb_keeps_each_composite_domain(monkeypatch, capsys):
     assert main(["check", os.path.join(CONFIGS, "axb.cfg"), "--length", "3",
                  "--seed", "7"]) == 0
     assert "failures: 0" in capsys.readouterr().out
-    assert len(composes) == 6797
+    assert len(composes) == 6786
     assert len(images) <= 6000
 
 

@@ -103,6 +103,15 @@ def test_rejected_params_exit_2(capsys, tmp_path, text):
     assert len(err.splitlines()) == 1 and "params" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_cyclic_order_below_one_exits_2(capsys, tmp_path, order):
+    text = "kind = table\nparams = cyclic %s\n" % order
+    code, out, err = run(["check", write(tmp_path, text)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("config error: kind 'table' rejects params 'cyclic %s': "
+                   "cyclic order must be >= 1, got %s\n" % (order, order))
+
+
 # the argument parser: one command, one config, the shared flags
 
 

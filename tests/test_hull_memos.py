@@ -101,6 +101,30 @@ def test_memos_agree_with_the_bodies_that_keep_nothing(name):
     assert_agrees(sg, words)
 
 
+def test_hull_graph_takes_one_star_per_letter(monkeypatch):
+    # star(lambda t) depends on t alone: taken per pair it was 196 calls on
+    # Z/14, whose letters are the identity and 13 generators; the graph
+    # takes it once per letter, and not at all for a letter whose atoms
+    # are all kept
+    sg, generators = backend("cyc14")
+    stars, real = [], hull.star
+    monkeypatch.setattr(hull, "star", lambda sg, f: stars.append(f)
+                        or real(sg, f))
+    graph = hull_graph(sg, 2, generators)
+    assert len(graph.ends) == 14
+    assert stars == [lambda_(sg, t) for t in graph.ends]
+    assert graph.atoms == tuple(oracle.word_atoms(sg, graph.ends))
+    stars.clear()
+    assert hull_graph(sg, 3, generators).atoms == graph.atoms
+    assert stars == []
+    fresh, _ = backend("cyc14")
+    for s in graph.ends:  # every atom of the letter 3, kept beforehand
+        hull.atom(fresh, 3, s)
+    stars.clear()
+    assert hull_graph(fresh, 2, generators).atoms == graph.atoms
+    assert stars == [lambda_(sg, t) for t in graph.ends if t != 3]
+
+
 BAD_LETTERS = [
     (FreeMonoid(2), (0,), (2,)),
     (PositiveCone(2), (1, 0), (-1, 0)),

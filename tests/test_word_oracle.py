@@ -4,7 +4,8 @@ columns and the same safe set for every word.  The suite's state walk
 against the level walk: the same instances and checked columns, and one
 comparison per distinct state of a level, in order of first occurrence.
 Under a fault injected into the window's kept columns or letter rows every
-walk names the same first failing word.  The covariance suite's per-letter
+walk names the same first failing word.  The suite's pair classes, read
+off V_t* once per letter, against the pair-by-pair build.  The covariance suite's per-letter
 safe core against the step interpreter."""
 
 import os
@@ -21,6 +22,7 @@ from lefthull.hull import ZERO, hull_graph, window_columns, window_row
 from lefthull.matrices import Matrix
 from lefthull.operators import s_window, verify_relation
 
+import hull_oracle
 from hull_oracle import covariance_compared
 from word_oracle import _safe_columns, level_walk, word_by_word
 
@@ -39,6 +41,7 @@ TEXTS = {
                 "bounds = depth:2 length:3 window:25 seed:7\n",
     "axb-c": "kind = axb\ngenerators = (1,2) (0,3)\n",
     "num-10-11": "kind = numerical\nparams = 10 11\n",
+    "axb-primes": "kind = axb\ngenerators = (0,2) (0,3) (0,5) (0,7)\n",
 }
 
 
@@ -278,3 +281,16 @@ def test_fault_on_a_shared_state_names_the_same_first_word(
     k = len(seen) - 1
     assert states.index(states[k]) == k
     assert states[k][0] == len(word.split()) and states[k] in states[k + 1:]
+
+
+@pytest.mark.parametrize("length", [2, 3])
+@pytest.mark.parametrize("name", SHIPPED + ["cyc12", "cyc14", "cyc48-g1",
+                                            "axb-primes"])
+def test_pair_classes_match_the_pair_by_pair_build(name, length):
+    # the same classes in the same order: atom slot, first pair, product,
+    # nonzero columns, annihilated set and size
+    sg, generators, W, length = suite_inputs(name, length)
+    graph = hull_graph(sg, length, generators)
+    pool = operators.pair_classes(sg, W, graph)
+    assert pool == hull_oracle.pair_classes(sg, W, graph)
+    assert sum(c[5] for c in pool) == len(graph.ends) ** 2
