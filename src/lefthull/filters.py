@@ -12,7 +12,7 @@ independence of the family the truncation was built from, which the ideal
 calculus decides.
 
 On either kind of key the build meets each of the r reachable ideals R the
-family closes (the family itself by default), the top and the zero with all
+family closes (every element by default), the top and the zero with all
 n elements: In_R = {i : X_i <= R}, and RX(i) is the R with i in In_R.  It
 checks that each meet is a key, each nonzero X_i is the meet of RX(i), and
 the top and zero laws.  Then X_i X_j = (..(X_i R_1)..) R_k for RX(j) = {R_1
@@ -24,10 +24,12 @@ The semilattice laws are not tested, as they cannot fail: & on ints is
 idempotent, commutative and associative, and intersect returns the
 canonical form of the set intersection, so each law is a theorem of each
 calculus.  What can fail is what the build checks: a missing meet, a member
-that is no meet of the reachable ideals, and the top and zero laws.  Where
-it fails, the row scan names the first missing meet in row-major order or
-the law that fails.  The semilattice suite of ``check`` tests the meets
-pointwise, independently of both.
+that is no meet of the reachable ideals, and the top and zero laws, each
+raised where the build meets it.  Where the pass over the reachable rows
+fails, the same pass over every element names the first failure in
+row-major order: the first missing meet, or the law that fails.  The
+semilattice suite of ``check`` tests the meets pointwise, independently of
+both.
 """
 
 from collections import namedtuple
@@ -39,6 +41,7 @@ from .ideals import EMPTY, calculus, independence_check, meet_keys
 from .semigroups import UsageError, set_bits
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
+_NOT_CLOSURE = "family is not the meet closure of its reachable ideals"
 
 
 def _bitset(flags):
@@ -65,54 +68,46 @@ class FiniteSemilattice:
         self._index = {X: i for i, X in enumerate(elements)}
         self.keys, self.key_meet = meet_keys(cal, self.elements)
         self.by_key = {k: i for i, k in enumerate(self.keys)}
-        self.up = self._up_sets(self.family if reachable is None
-                                else reachable)
+        try:
+            self.up = self._up_sets(self.elements if reachable is None
+                                    else reachable)
+        except UsageError:
+            # the same pass over every element names the first failure in
+            # row-major order; where it finds none, the first one stands
+            self._up_sets(self.elements)
+            raise
 
     def _up_sets(self, reachable):
-        # see above, on either kind of key; on a failed check the row scan
-        # names what fails, if any
+        # see above, on either kind of key: raises at a row's missing meet
+        # or law, row by row, then at a member that is no meet of the rows
         keys, by_key, meet = self.keys, self.by_key, self.key_meet
         n = len(keys)
         full = (1 << n) - 1
         rows = dict.fromkeys([self.top, *map(self._index.get, reachable),
                               self.zero])
-        rkeys = [] if None in rows else list(map(keys.__getitem__, rows))
+        if None in rows:
+            raise UsageError(_NOT_CLOSURE)
+        rkeys = list(map(keys.__getitem__, rows))
         flags, outs, up = [], [], []
         for R, a in zip(rows, rkeys):
-            row = list(map(meet, repeat(a), keys))
-            if not all(map(by_key.__contains__, row)) or \
-                    R == self.zero and row.count(a) != n:
-                break
-            flags.append(bytes(map(eq, row, keys)))
-            outs.append(full ^ _bitset(flags[-1]))
-        if len(flags) == len(rows) and 0 not in flags[0]:  # the top law
-            for i, rx in enumerate(zip(*flags)):
-                if i != self.zero and reduce(meet, compress(rkeys, rx)) \
-                        != keys[i]:
-                    break
-                up.append(reduce(and_, compress(outs, map(not_, rx)), full))
-        if len(up) < n:
-            self._row_scan()
-            raise UsageError("family is not the meet closure of its "
-                             "reachable ideals")
-        return up
-
-    def _row_scan(self):
-        # after a failed build: the first missing meet in row-major order,
-        # or the top or zero law where its row fails first
-        keys, by_key, meet = self.keys, self.by_key, self.key_meet
-        n = len(keys)
-        for i, a in enumerate(keys):
             row = list(map(meet, repeat(a), keys))
             if not all(map(by_key.__contains__, row)):
                 j = next(j for j in range(n) if row[j] not in by_key)
                 cal = calculus(self.sg)
-                Z = cal.intersect(self.elements[i], self.elements[j])
+                Z = cal.intersect(self.elements[R], self.elements[j])
                 raise UsageError("family is not intersection closed: "
                                  "missing %s" % cal.render(Z))
-            if i == self.top and row != list(keys) or \
-                    i == self.zero and row.count(a) != n:
+            flags.append(bytes(map(eq, row, keys)))
+            if R == self.top and 0 in flags[-1] or \
+                    R == self.zero and row.count(a) != n:
                 raise UsageError("meet table violates the top or zero law")
+            outs.append(full ^ _bitset(flags[-1]))
+        for i, rx in enumerate(zip(*flags)):
+            if i != self.zero and reduce(meet, compress(rkeys, rx)) \
+                    != keys[i]:
+                raise UsageError(_NOT_CLOSURE)
+            up.append(reduce(and_, compress(outs, map(not_, rx)), full))
+        return up
 
     def __len__(self):
         return len(self.elements)

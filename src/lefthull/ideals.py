@@ -181,10 +181,6 @@ class IdealCalculus:
         return self._intersect(X, Y)
 
     def subset(self, X, Y):
-        if X is EMPTY:
-            return True
-        if Y is EMPTY:
-            return False
         return self.intersect(X, Y) == X
 
     def image(self, g, X):

@@ -5,7 +5,7 @@ basis vector or to none, no two to the same: a 0/1 partial permutation
 matrix, held as its map from columns to rows.  The relation suites read
 window rows and bitsets instead (operators.py); a ``Matrix`` is built for
 the exports of ``lefthull matrix`` and by ``regular_rep_matrix``.  Products
-compose the maps, transposes invert them, diagonals keep the fixed points.
+compose the maps and transposes invert them.
 """
 
 from .semigroups import InvariantViolation, UsageError
@@ -31,13 +31,6 @@ class Matrix:
         self.cols = cols
         self.entries = entries
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {i: i for i in range(n)})
-
-    def is_zero(self):
-        return not self.entries
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -62,10 +55,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.cols, self.rows,
                       {i: j for j, i in self.entries.items()})
-
-    def diagonal(self):
-        return Matrix(self.rows, self.cols,
-                      {j: i for j, i in self.entries.items() if i == j})
 
     def columns_agree(self, other, cols):
         """Equality restricted to the given columns."""

@@ -452,6 +452,8 @@ class Semigroup(Value):
         """The first ``size`` window elements as a ``Window``, built once per
         instance: a window is a pure function of (backend, size)."""
         if size not in self._windows:
+            if size < 0:
+                raise UsageError("window size must be >= 0")
             bound, win = 1, self.window(1)
             while len(win) < size:
                 bound *= 2

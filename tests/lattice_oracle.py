@@ -5,7 +5,8 @@ the oracle for the up-set bitsets of ``lefthull.filters``, for
 ideal calculus states.  The pairwise meet table and the pairwise
 semi-naive closure are the oracle for the meets ``lefthull`` reads off the
 ideals' signatures, and the row build, one row of key meets per element,
-the oracle for the order the lattice reads off the reachable ideals.
+the oracle for the order the lattice reads off the reachable ideals; the
+row scan is the oracle for the text of a failed build.
 
 Every function here reads only the meet table (through ``meet``, and
 ``leq`` on top of it) and the ideal calculus' ``intersect``, ``subset``
@@ -66,6 +67,28 @@ def row_build(lattice):
         table.append(tuple(map(by_key.get, row)))
         up.append(sum(1 << j for j, c in enumerate(row) if c == a))
     return tuple(table), up
+
+
+def row_scan_failure(lattice):
+    """The text a failed lattice build gave while it named its failures by a
+    second scan: the first missing meet in row-major order, or the top or
+    zero law where its row fails first; None where every row passes.  It
+    reads only the lattice's elements, keys and key meet, so the lattice may
+    be one whose up-sets were never built."""
+    keys, by_key, meet = lattice.keys, lattice.by_key, lattice.key_meet
+    n = len(keys)
+    for i, a in enumerate(keys):
+        row = [meet(a, b) for b in keys]
+        j = next((j for j in range(n) if row[j] not in by_key), None)
+        if j is not None:
+            cal = fresh_calculus(lattice.sg)
+            Z = cal.intersect(lattice.elements[i], lattice.elements[j])
+            return "family is not intersection closed: missing %s" \
+                % cal.render(Z)
+        if i == lattice.top and row != list(keys) or \
+                i == lattice.zero and row.count(a) != n:
+            return "meet table violates the top or zero law"
+    return None
 
 
 def pairwise_closure(sg, depth, generators=None):

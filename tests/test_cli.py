@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from lefthull import FreeMonoid
 from lefthull.cli import COMMANDS, build_parser, main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -455,3 +456,15 @@ def test_fuzzed_configs_keep_the_exit_code_contract(capsys, tmp_path):
         assert "Traceback" not in out + err, argv
         codes.add(code)
     assert codes >= {0, 2, 3}
+
+
+def test_a_window_that_repeats_an_element_exits_1(capsys, monkeypatch):
+    # the basis window refuses a repeated element before any check runs,
+    # so the window-shape check can fail only on its identity-first test
+    real = FreeMonoid.window
+    monkeypatch.setattr(FreeMonoid, "window",
+                        lambda self, bound: [()] + real(self, bound))
+    code, out, err = run(["check", cfg("free2")], capsys)
+    assert code == 1
+    assert err == "invariant failure: duplicate window element ()\n"
+    assert out == ""

@@ -1,22 +1,26 @@
 """Filters and up-sets read off the meet table's bitsets, and maximality
 and independence stated by the calculus, against the leq walks of
-``lattice_oracle``."""
+``lattice_oracle``, and the texts of failed lattice builds against its
+row scan."""
 
 import importlib.util
 import itertools
 import os
 import random
+from operator import and_
 
 import pytest
 
-from lefthull import (AxPlusB, FiniteTable, FreeMonoid, NumericalSemigroup,
-                      PositiveCone, constructible_closure, cyclic_table,
-                      independence_check, reachable_ideals)
+from lefthull import (EMPTY, AxPlusB, FiniteTable, FreeMonoid,
+                      NumericalSemigroup, PositiveCone, UsageError, calculus,
+                      constructible_closure, cyclic_table, independence_check,
+                      reachable_ideals)
+from lefthull import filters
 from lefthull.cli import DEFAULTS
 from lefthull.config import (build_backend, config_generators, load_config,
                              parse_config)
-from lefthull.filters import (enumerate_filters, is_filter,
-                              maximal_representation_check,
+from lefthull.filters import (FiniteSemilattice, enumerate_filters,
+                              is_filter, maximal_representation_check,
                               truncate_semilattice)
 from lefthull.semigroups import set_bits
 
@@ -204,3 +208,105 @@ def test_reachable_order_agrees_with_the_row_build(case):
     meets = tuple(tuple(lat.meets(i, range(len(lat))))
                   for i in range(len(lat)))
     assert meets == table == oracle.pairwise_table(sg, fam)
+
+
+# ---------------------------------------------------------------------------
+# failure texts: the build names each failure as the row scan does
+
+
+LAW = "meet table violates the top or zero law"
+NOT_CLOSURE = "family is not the meet closure of its reachable ideals"
+# three inputs keyed by signatures and ax+b on the first four primes, keyed
+# by its members past SIGNATURE_POINTS
+SWEEP = {"cone2": (PositiveCone(2), None),
+         "num23": (NumericalSemigroup((2, 3)), None),
+         "axb": (AxPlusB(), None),
+         "axb-primes": (AxPlusB(), PRIMES)}
+# each break and what the row scan finds on it: the start of its text, or
+# None for nothing
+BREAKS = {"member-dropped": "family is not intersection closed: missing ",
+          "reachable-dropped": None,
+          "extra-member": None,
+          "top-law": LAW,
+          "zero-law": LAW}
+
+
+def broken_family(sg, reach, how):
+    """The closure of ``reach`` with a member dropped, a reachable ideal
+    dropped or a member added, as ``how`` says (whole for the law breaks),
+    and whether it is still the meet closure of ``reach``."""
+    cal = calculus(sg)
+    fam = constructible_closure(sg, 2, None, reach)
+    if how == "member-dropped":
+        Z = next(X for X in fam if X not in reach)
+        return tuple(X for X in fam if X != Z), False
+    if how == "reachable-dropped":
+        R = next(R for R in reversed(reach) if R is not EMPTY)
+        return tuple(X for X in fam if X != R), False
+    if how == "extra-member":
+        # x x S inside a minimal member M, for x in M: it meets each member
+        # in itself or in EMPTY, as M does in M or in EMPTY, and each
+        # reachable ideal above it lies above M
+        M = next(M for M in reversed(fam) if M is not EMPTY and not any(
+            cal.subset(Y, M) for Y in fam if Y not in (M, EMPTY)))
+        x = cal.principal_witness(M)
+        if x is None:
+            x = next(x for x in sg.window(64) if cal.is_member(x, M))
+        X = cal.principal(sg.multiply(x, x))
+        assert X not in fam
+        return fam + (X,), False
+    return fam, True
+
+
+def trade_keys(monkeypatch, end):
+    """Build each lattice with the meet keys of its top (end 0) or its zero
+    (end -1) traded with its neighbour's: every meet is still a key, but
+    the top or the zero row breaks its law."""
+    real = filters.meet_keys
+
+    def traded(cal, members):
+        keys, meet = real(cal, members)
+        keys = list(keys)
+        i = end % len(keys)
+        k = i + 1 if end == 0 else i - 1
+        keys[i], keys[k] = keys[k], keys[i]
+        return keys, meet
+
+    monkeypatch.setattr(filters, "meet_keys", traded)
+
+
+def unbuilt(sg, family, monkeypatch):
+    """The lattice's elements and keys, its up-sets never built."""
+    with monkeypatch.context() as m:
+        m.setattr(FiniteSemilattice, "_up_sets", lambda self, rows: [])
+        return FiniteSemilattice(sg, family)
+
+
+def build_failure(sg, family, reachable):
+    """The text of the UsageError the lattice build raises, or None."""
+    try:
+        truncate_semilattice(sg, family, reachable)
+    except UsageError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("how", BREAKS)
+@pytest.mark.parametrize("name", SWEEP)
+def test_build_failures_read_as_the_row_scan(name, how, monkeypatch):
+    # with and without the reachable set: the row scan's text where it
+    # names a failure, else the meet-closure text where the family is no
+    # meet closure of the reachable set it is given, else none
+    sg, generators = SWEEP[name]
+    reach = reachable_ideals(sg, 2, generators)
+    family, closes = broken_family(sg, reach, how)
+    if how.endswith("-law"):
+        trade_keys(monkeypatch, 0 if how == "top-law" else -1)
+    lat = unbuilt(sg, family, monkeypatch)
+    assert (lat.key_meet is and_) == (generators is None)
+    scan = oracle.row_scan_failure(lat)
+    kind = BREAKS[how]
+    assert scan is None if kind is None else scan.startswith(kind)
+    for rows in (None, reach):
+        want = scan or (None if closes or rows is None else NOT_CLOSURE)
+        assert build_failure(sg, family, rows) == want

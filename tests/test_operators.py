@@ -48,6 +48,7 @@ def ids(sg):
 
 
 LINE = PositiveCone(1)
+EYE5 = Matrix(5, 5, {i: i for i in range(5)})
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED = sorted(n[:-4] for n in os.listdir(CONFIGS) if n.endswith(".cfg"))
 
@@ -148,7 +149,7 @@ def test_isometry_shift_frozen():
     V = isometry_matrix(LINE, (1,), W)
     assert V.matrix.entries == {0: 1, 1: 2, 2: 3, 3: 4}
     assert V.safe == frozenset({0, 1, 2, 3})
-    assert isometry_matrix(LINE, (0,), W).matrix == Matrix.identity(5)
+    assert isometry_matrix(LINE, (0,), W).matrix == EYE5
 
 
 def test_isometry_free_monoid():
@@ -175,10 +176,10 @@ def test_single_element_operators_have_thin_columns(sg):
 def test_char_projection_values():
     W = s_window(LINE, size=5)
     cal = calculus(LINE)
-    assert char_projection(LINE, cal.full(), W).matrix == Matrix.identity(5)
+    assert char_projection(LINE, cal.full(), W).matrix == EYE5
     diag = char_projection(LINE, (1,), W).matrix
     assert diag.entries == {1: 1, 2: 2, 3: 3, 4: 4}
-    assert char_projection(LINE, EMPTY, W).matrix.is_zero()
+    assert not char_projection(LINE, EMPTY, W).matrix.entries
 
 
 @pytest.mark.parametrize("sg", BACKENDS, ids=ids)
@@ -196,14 +197,13 @@ def test_projection_products_are_intersections(sg):
 
 def test_hull_matrix_frozen():
     W = s_window(LINE, size=5)
-    assert element_matrix(LINE, identity_element(LINE), W).matrix == \
-        Matrix.identity(5)
+    assert element_matrix(LINE, identity_element(LINE), W).matrix == EYE5
     V1 = isometry_matrix(LINE, (1,), W)
     assert element_matrix(LINE, lambda_(LINE, (1,)), W).matrix == V1.matrix
     back = HullElement((-1,), (1,))
     assert element_matrix(LINE, back, W).matrix == V1.matrix.transpose()
     z = element_matrix(LINE, ZERO, W)
-    assert z.matrix.is_zero() and z.safe == frozenset(range(5))
+    assert not z.matrix.entries and z.safe == frozenset(range(5))
 
 
 def test_hull_matrix_safe_core_definition():
@@ -240,7 +240,8 @@ def test_hull_matrix_is_multiplicative_on_joint_core(sg):
 def test_regular_rep_frozen():
     HW = Window(hull_graph(LINE, 2).ordered)
     eye = regular_rep_matrix(LINE, identity_element(LINE), HW)
-    assert eye.matrix == Matrix.identity(len(HW))
+    assert eye.matrix == Matrix(len(HW), len(HW),
+                             {i: i for i in range(len(HW))})
     # the one-step shift permutes the window where star f f q = q holds
     f = lambda_(LINE, (1,))
     L = regular_rep_matrix(LINE, f, HW)
@@ -270,7 +271,8 @@ def test_intertwiner_shape_and_isometry():
     T = intertwiner_matrix(LINE, W, HW)
     assert T.matrix.rows == len(HW) and T.matrix.cols == len(W)
     assert sorted(T.matrix.entries) == list(range(len(W)))
-    assert T.matrix.transpose() * T.matrix == Matrix.identity(len(W))
+    assert T.matrix.transpose() * T.matrix == \
+        Matrix(len(W), len(W), {i: i for i in range(len(W))})
 
 
 def test_intertwiner_needs_lambdas():
@@ -285,21 +287,24 @@ def test_intertwiner_needs_lambdas():
 # conditional expectation
 
 
+def E(m):
+    """The conditional expectation of a window matrix: its diagonal part."""
+    return Matrix(m.rows, m.cols,
+                  {j: i for j, i in m.entries.items() if i == j})
+
+
 def test_expectation_basics():
     W = s_window(LINE, size=6)
     eye = element_matrix(LINE, identity_element(LINE), W)
-    assert eye.matrix.diagonal() == Matrix.identity(6)
+    assert E(eye.matrix) == Matrix(6, 6, {i: i for i in range(6)})
     V1 = isometry_matrix(LINE, (1,), W)
-    assert V1.matrix.diagonal().is_zero()
+    assert not E(V1.matrix).entries
 
 
 def test_expectation_is_idempotent_linear_bimodule():
     rng = random.Random(9)
     W = s_window(LINE, size=6)
     mats = [element_matrix(LINE, f, W).matrix for f in enumerate_hull(LINE, 2)]
-
-    def E(m):
-        return m.diagonal()
 
     def dense_E(d):
         return [[x if i == j else 0 for j, x in enumerate(row)]
@@ -326,14 +331,15 @@ def test_expectation_fixes_exactly_idempotents(sg):
     visible = 0
     for f in enumerate_hull(sg, 2):
         op = element_matrix(sg, f, W)
-        fixed = op.matrix.diagonal() == op.matrix
-        if f is not ZERO and not is_idempotent(sg, f) and op.matrix.is_zero():
+        fixed = E(op.matrix) == op.matrix
+        if f is not ZERO and not is_idempotent(sg, f) and \
+                not op.matrix.entries:
             continue  # the window cannot see this element act at all
         visible += 1
         assert fixed == is_idempotent(sg, f)
         # graded dichotomy: the diagonal part is the matrix or nothing
-        diag = op.matrix.diagonal()
-        assert diag == op.matrix or diag.is_zero()
+        diag = E(op.matrix)
+        assert diag == op.matrix or not diag.entries
     assert visible >= len(enumerate_hull(sg, 1))
 
 
@@ -464,7 +470,7 @@ def test_semilattice_instance_free_monoid():
     W = s_window(free, bound=3)
     a = char_projection(free, (0,), W).matrix
     b = char_projection(free, (1,), W).matrix
-    assert (a * b).is_zero()
+    assert not (a * b).entries
     verify_relation(free, "semilattice", W,
                     lattice=truncate_semilattice(
                         free, constructible_closure(free, 1)))

@@ -8,6 +8,7 @@ from lefthull import (AxPlusB, FiniteGroup, FiniteTable, FreeGroup,
                       FreeMonoid, Integers, IntegerLattice,
                       InvariantViolation, NumericalSemigroup, PositiveCone,
                       RationalAffine, UsageError, calculus, cyclic_table)
+from lefthull.operators import s_window
 
 from affine_oracle import to_triple
 
@@ -187,6 +188,18 @@ def test_window_of_size_is_built_once_per_backend(sg):
     assert fresh == sg and fresh is not sg
     assert fresh.window_of_size(30) == win
     assert sg.window_of_size(20) == win[:20]
+
+
+@pytest.mark.parametrize("sg", BACKENDS, ids=ids)
+def test_window_of_size_refuses_a_negative_size(sg):
+    # a negative size would slice a window from its end and keep it
+    for size in (-1, -2):
+        with pytest.raises(UsageError, match="window size must be >= 0"):
+            sg.window_of_size(size)
+        with pytest.raises(UsageError, match="window size must be >= 0"):
+            s_window(sg, size=size)
+        assert size not in sg._windows
+    assert sg.window_of_size(0) == ()
 
 
 def test_table_window_stops_at_the_order():

@@ -484,8 +484,8 @@ def test_a_dropped_reachable_ideal_fails_closure_family_as_before(
 
 def test_a_member_that_is_no_meet_of_reachable_ideals_fails_the_lattice():
     # (5,5)+S lies inside every other member, so the family stays closed
-    # and the row scan names no pair; as its own reachable set it passes,
-    # but no reachable ideal at depth 1 lies above it but S
+    # and the pass over every element names no pair; as its own reachable
+    # set it passes, but no reachable ideal at depth 1 lies above it but S
     sg = PositiveCone(2)
     reach = reachable_ideals(sg, 1)
     fam = constructible_closure(sg, 1, None, reach) + ((5, 5),)
@@ -502,8 +502,8 @@ def test_a_member_that_is_no_meet_of_reachable_ideals_fails_the_lattice():
 def test_a_reachable_ideal_left_out_of_a_closed_family_fails_the_lattice(
         sg, generators):
     # the first reachable ideal that is no meet of the others is left out
-    # with the meets only it brings: what is left is closed, so the row
-    # scan names no pair
+    # with the meets only it brings: what is left is closed, so the pass
+    # over every element names no pair
     reach = reachable_ideals(sg, 2, generators)
     for R in reach[1:]:
         rest = tuple(X for X in reach if X != R)

@@ -81,7 +81,7 @@ def word_by_word(sg, W, length, generators=None):
         f = evaluate_word(sg, pairs)
         if f is not ZERO and f.grade != one:
             continue
-        prod = Matrix.identity(len(W))
+        prod = Matrix(len(W), len(W), {i: i for i in range(len(W))})
         steps = []
         for t, s in pairs:
             prod = prod * V[t].transpose() * V[s]
@@ -117,7 +117,9 @@ def level_walk(sg, W, graph):
     proj = {}
     count = checked = 0
     states = []
-    level = [((), 0, Matrix.identity(len(W)), frozenset(range(len(W))))]
+    n = len(W)
+    level = [((), 0, Matrix(n, n, {i: i for i in range(n)}),
+              frozenset(range(n)))]
     # the last level checks only the words of grade one
     last = [[(j, x) for j, x in zip(row, pool) if graded[j]]
             for row in graph.succ]
